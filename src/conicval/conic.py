@@ -10,7 +10,8 @@ over E(x^2) along the basis (1, x, s, xs), whose values are
 and w* of a general element is the minimum of w1(e_i) + beta_i over the
 components: the four basis directions are separated by value coset and
 residue component, so no cancellation can occur.  This evaluation rule is
-cross-checked against the norm identity by the test suite.
+cross-checked against the norm identity w1(N(e)) = 4*w*(e), N the norm to
+E(x^2), by tests/test_conic.py (TestGaloisNormOracle).
 
 The value group is Gamma union the cosets (v(a)/2 + Gamma), (v(b)/2 + Gamma),
 (v(ab)/2 + Gamma).  The residue field is described explicitly: a conic
@@ -26,8 +27,8 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
-from .errors import (NonzeroValue, PreconditionViolated, WitnessNotFound,
-                     ZeroElement, ZeroInput)
+from .errors import (InvariantViolated, NonzeroValue, PreconditionViolated,
+                     WitnessNotFound, ZeroElement, ZeroInput)
 from .fields import (FF, FunctionField, Poly, RatFunc, RationalField,
                      infer_context, is_square)
 from .gauss import (GaussExtension, RAMIFIED, SPLIT_PAIR,
@@ -160,7 +161,8 @@ def _even_odd(rf: RatFunc, zfield: FunctionField):
     dneg = rf.den.subs_neg()
     m = rf.num * dneg
     d = rf.den * dneg
-    assert all(not c for c in d.coeffs[1::2]), "den * den(-x) must be even"
+    if any(d.coeffs[1::2]):
+        raise InvariantViolated("den * den(-x) must be even")
     dz = zfield.ring.poly(list(d.coeffs[0::2]))
     he = RatFunc(zfield, zfield.ring.poly(list(m.coeffs[0::2])), dz)
     ho = RatFunc(zfield, zfield.ring.poly(list(m.coeffs[1::2])), dz)
@@ -280,7 +282,9 @@ class ResidueRationalDesc:
             check = self.sqrt_expr ** 2 == self.zbar_expr * ubar
         else:
             raise ZeroInput(f"unknown subcase {subcase!r}")
-        assert check, "rational parametrization failed symbolic verification"
+        if not check:
+            raise InvariantViolated(
+                "rational parametrization failed symbolic verification")
 
     def embed(self, elem: RatFunc) -> RatFunc:
         """kappa(zbar) -> kappa(r) by substituting the expression for zbar."""
@@ -641,9 +645,10 @@ def _family_member(v, cf, pivot, c, k, constraint, expected,
                    shift=None, conic_point=None) -> RationalFamilyMember:
     w = GaussExtension(v, pivot, residue_var="y")
     qa = quadratic_extension_analysis(w, cf.norm_poly)
-    assert qa.kind == expected, (
-        f"family member with pivot {pivot}: quadratic step is {qa.kind}, "
-        f"expected {expected}")
+    if qa.kind != expected:
+        raise InvariantViolated(
+            f"family member with pivot {pivot}: quadratic step is {qa.kind}, "
+            f"expected {expected}")
     kappa = repr(v.residue_field)
     return RationalFamilyMember(
         pivot=pivot, c=c, c_value=k, constraint=constraint, gauss=w,
@@ -710,14 +715,16 @@ def analyze(v: Valuation, cf: ConicFunctionField, family_count: int = 3,
     family = None
     family_note = None
     if present:
-        assert ext.value_group.generator == 1, \
-            "present case must have value group Z"
-        assert isinstance(ext.residue, ResidueConicDesc), \
-            "present case must have a conic residue field"
+        if ext.value_group.generator != 1:
+            raise InvariantViolated("present case must have value group Z")
+        if not isinstance(ext.residue, ResidueConicDesc):
+            raise InvariantViolated(
+                "present case must have a conic residue field")
         recheck = is_split(QuaternionAlgebra(
             v.residue_field, ext.residue.a0bar, ext.residue.b0bar),
             search_bound)
-        assert not recheck.split, "residue conic must have no rational point"
+        if recheck.split:
+            raise InvariantViolated("residue conic must have no rational point")
         checks["value_group_is_Z"] = True
         checks["residue_conic_division"] = True
     else:

@@ -3,6 +3,9 @@
 Every mathematically meaningful failure raises a subclass of ConicvalError so
 that the CLI can map it to exit code 1; malformed input (expressions, field or
 valuation descriptors) raises InputError subclasses mapped to exit code 2.
+A failed internal consistency check raises InvariantViolated, exit code 1;
+these checks are ordinary code, not ``assert`` statements, so ``python -O``
+keeps them.
 """
 
 
@@ -68,6 +71,10 @@ class NotUnitUnit(ConicvalError):
 
 class PreconditionViolated(ConicvalError):
     pass
+
+
+class InvariantViolated(ConicvalError):
+    """An internal consistency check failed: a bug, never a user error."""
 
 
 class WitnessNotFound(ConicvalError):

@@ -22,9 +22,12 @@ import math
 from fractions import Fraction
 
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.euclidtools import dmp_inner_gcd, dup_inner_gcd
 
 from .errors import (ContextMismatch, DegreeTooLarge, DivisionByZero,
-                     SquareInput, UnsupportedField, ZeroInput, ZeroPolynomial)
+                     InvariantViolated, SquareInput, UnsupportedField,
+                     ZeroInput, ZeroPolynomial)
 
 # ---------------------------------------------------------------------------
 # integer polynomials modulo p (internal helpers for FFElement arithmetic)
@@ -608,6 +611,8 @@ class Poly:
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return self.ring.zero()
+        if isinstance(self.ring.field, RationalField):
+            return Poly(self.ring, _rational_mul(a, b))
         zero = self.ring.field.zero()
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -745,10 +750,24 @@ def _paren(s: str) -> str:
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor; gcd(0, 0) is an error."""
+    """Monic greatest common divisor; gcd(0, 0) is an error.
+
+    Over Q and Q(t) denominators are cleared and sympy takes the gcd over
+    the integers (heuristic gcd, with a pseudo-remainder fallback); F_q[x]
+    runs Euclid and F_q(t)[x] runs ``_tower_gcd``.
+    """
     if not f and not g:
         raise ZeroPolynomial("gcd(0, 0) is undefined")
-    if isinstance(f.ring.field, FunctionField):
+    if not g:
+        return f.monic()
+    if not f:
+        return g.monic()
+    field = f.ring.field
+    if isinstance(field, RationalField):
+        return _rational_gcd(f, g)
+    if isinstance(field, FunctionField):
+        if isinstance(field.coefficient_field, RationalField):
+            return _rational_tower_gcd(f, g)
         return _tower_gcd(f, g)
     a, b = f, g
     while b:
@@ -756,8 +775,69 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return a.monic()
 
 
+def _integer_row(coeffs) -> tuple[int, list[int]]:
+    """(d, [d*c for c in coeffs]) with d the lcm of the denominators."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+
+
+def _rational_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two rational coefficient tuples (lowest degree first):
+    one integer convolution, then one Fraction per output coefficient."""
+    da, ia = _integer_row(a)
+    db, ib = _integer_row(b)
+    out = [0] * (len(ia) + len(ib) - 1)
+    for i, ai in enumerate(ia):
+        if ai:
+            for j, bj in enumerate(ib):
+                out[i + j] += ai * bj
+    while out and not out[-1]:
+        out.pop()
+    d = da * db
+    return tuple(Fraction(c, d) for c in out)
+
+
+def _rational_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd of nonzero polynomials over Q, taken over Z by sympy."""
+    h = dup_inner_gcd(_integer_row(f.coeffs)[1][::-1],
+                      _integer_row(g.coeffs)[1][::-1], ZZ)[0]
+    lead = h[0]
+    return Poly(f.ring, tuple(Fraction(c, lead) for c in reversed(h)))
+
+
+def _rational_tower_gcd(f: Poly, g: Poly) -> Poly:
+    """Monic gcd of nonzero polynomials over Q(t), taken over Z[t] by sympy.
+
+    Both inputs are scaled by nonzero elements of Q(t) into Z[t][x], so by
+    Gauss's lemma their gcd there is the gcd over Q(t) up to a unit.
+    """
+    h = dmp_inner_gcd(_tower_rows(f), _tower_rows(g), 1, ZZ)[0]
+    if len(h) == 1:
+        return f.ring.one()
+    kt = f.ring.field.ring
+    return f.ring.poly([f.ring.field.from_poly(kt.poly(row[::-1]))
+                        for row in reversed(h)]).monic()
+
+
+def _tower_rows(f: Poly) -> list[list[int]]:
+    """f over Q(t) times a common denominator, as sympy's dense rows over
+    Z[t]: x outer, both variables highest degree first."""
+    den = f.ring.field.ring.one()
+    for c in f.coeffs:
+        if not c.den.is_one():
+            den = den * (c.den // _rational_gcd(den, c.den))
+    nums = [c.num if den.is_one() else c.num * (den // c.den)
+            for c in f.coeffs]
+    d = math.lcm(*(c.denominator for p in nums for c in p.coeffs))
+    return [[c.numerator * (d // c.denominator) for c in reversed(p.coeffs)]
+            for p in reversed(nums)]
+
+
 def _tower_gcd(f: Poly, g: Poly) -> Poly:
-    """gcd of polynomials whose coefficients are rational functions.
+    """gcd of nonzero polynomials over F_q(t).
+
+    It serves positive characteristic only: sympy has no F_{p^k}, and
+    Q(t)[x] goes through ``_rational_tower_gcd``.
 
     Plain Euclid explodes here (each division step roughly squares the
     coefficient sizes), so clear denominators and run a primitive
@@ -765,10 +845,6 @@ def _tower_gcd(f: Poly, g: Poly) -> Poly:
     """
     F = _clear_primitive(f)
     G = _clear_primitive(g)
-    if F is None:
-        return g.monic() if g else g
-    if G is None:
-        return f.monic()
     if len(F) < len(G):
         F, G = G, F
     while True:
@@ -780,16 +856,13 @@ def _tower_gcd(f: Poly, g: Poly) -> Poly:
             break
     if len(G) == 1:
         return f.ring.one()
-    kt = f.ring.field.ring
     result = f.ring.poly([f.ring.field.from_poly(c) for c in G])
     return result.monic()
 
 
 def _clear_primitive(f: Poly):
-    """Coefficient list over k[t] of f with denominators cleared and content
-    removed; None for the zero polynomial."""
-    if not f:
-        return None
+    """Coefficient list over k[t] of a nonzero f with denominators cleared
+    and content removed."""
     kt = f.ring.field.ring
     lcm = kt.one()
     for c in f.coeffs:
@@ -837,23 +910,6 @@ def _prem(F, G):
         while R and not R[-1]:
             R.pop()
     return R
-
-
-def poly_xgcd(f: Poly, g: Poly):
-    """Returns (d, s, t) with s*f + t*g = d, d monic."""
-    ring = f.ring
-    r0, r1 = f, g
-    s0, s1 = ring.one(), ring.zero()
-    t0, t1 = ring.zero(), ring.one()
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if not r0:
-        raise ZeroPolynomial("xgcd(0, 0) is undefined")
-    inv = ring.field.one() / r0.leading()
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -1219,11 +1275,13 @@ def square_class_reduce(x, ctx=None):
                         # 1/g = g/g^2: kernel got g, compensate inside s
                         s = s / gf
         c = x / (kernel * s * s)
-        assert c.num.degree() == 0 and c.den.is_one(), "square-class residue not constant"
+        if c.num.degree() != 0 or not c.den.is_one():
+            raise InvariantViolated("square-class residue not constant")
         c_red, c_s = square_class_reduce(c.num.coeffs[0], ctx.coefficient_field)
         r = kernel * ctx.coerce(c_red)
         s = s * ctx.coerce(c_s)
-        assert r * s * s == x
+        if r * s * s != x:
+            raise InvariantViolated("square class: r * s * s != x")
         return r, s
     raise UnsupportedField(f"square classes are not supported over {ctx!r}")
 
@@ -1418,7 +1476,8 @@ def _factor_ff_squarefree(g: Poly) -> list[Poly]:
                     break
             if found is not None:
                 break
-        assert found is not None, "reducible polynomial without small divisor"
+        if found is None:
+            raise InvariantViolated("reducible polynomial without small divisor")
         factors.append(found)
         g = g // found
     return factors
@@ -1444,7 +1503,8 @@ def _factor_rational(f: Poly):
         total *= Fraction(g.leading()) ** mult
         out.append((g.monic(), mult))
     out.sort(key=lambda it: (it[0].degree(), it[0].coeffs))
-    assert total == lead
+    if total != lead:
+        raise InvariantViolated("factors over Q do not give the leading coefficient")
     return lead, out
 
 

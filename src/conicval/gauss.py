@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (ConstantInput, InvalidPivot, NegativeValue, NonzeroValue,
-                     SquareInput, ZeroInput)
+from .errors import (ConstantInput, InvalidPivot, InvariantViolated,
+                     NegativeValue, NonzeroValue, SquareInput, ZeroInput)
 from .fields import (FF, FunctionField, Poly, RatFunc, is_square,
                      quadratic_extension_field)
 from .value import INFINITY, Value
@@ -116,7 +116,8 @@ class GaussExtension:
         if not h:
             raise ZeroInput("unit part of zero")
         m = self.value_of(h).fraction
-        assert m.denominator == 1
+        if m.denominator != 1:
+            raise InvariantViolated(f"unit_part of an element of value {m}")
         m = int(m)
         u = h * self.field.coerce(self.v.uniformizer ** (-m)) if m else h
         return m, u

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PrecisionTooLow, ZeroInput
+from .errors import InvariantViolated, PrecisionTooLow, ZeroInput
 from .fields import FF, FunctionField, QQ, RatFunc, RationalField, infer_context
 from .value import INFINITY
 from .valuation import PAdicValuation, Valuation
@@ -68,8 +68,9 @@ def isotropy_search(a, b, bound: int = 200):
         raise ZeroInput(f"isotropy search unsupported over {ctx!r}")
     if point is not None:
         x, y, z = point
-        assert a * x * x + b * y * y == z * z
-        assert any((x, y, z))
+        if a * x * x + b * y * y != z * z or not any((x, y, z)):
+            raise InvariantViolated(f"isotropy search returned {point}, "
+                                    "not a nontrivial point")
     return point
 
 
@@ -129,7 +130,8 @@ def degree_oracle(y: RatFunc) -> int:
         gk = g.coeffs[k] if k <= g.degree() else field.ring.field.zero()
         hcoeffs.append(K.coerce(fk) - Yel * K.coerce(gk))
     H = TR.poly(hcoeffs)
-    assert H.degree() == n
+    if H.degree() != n:
+        raise InvariantViolated(f"f(T) - Y*g(T) has degree {H.degree()}, not {n}")
     rows = []   # (pivot index, reduced vector over K)
     cur = TR.one()
     for m in range(n + 1):
@@ -176,7 +178,8 @@ def hensel_count(v: PAdicValuation, a, precision: int = 6) -> int:
         pk = p ** k
         # Newton step: r <- r - (r^2 - u) / (2r) mod p^k
         r = (r - (r * r - ui) * pow(2 * r % pk, -1, pk)) % pk
-    assert (r * r - ui) % mod == 0
+    if (r * r - ui) % mod:
+        raise InvariantViolated(f"Hensel lift {r} is no root of T^2 - u mod {mod}")
     return 2
 
 

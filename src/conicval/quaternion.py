@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import sympy
 
-from .errors import (NotUnitUnit, UnsupportedField, ZeroInput)
+from .errors import (InvariantViolated, NotUnitUnit, UnsupportedField,
+                     ZeroInput)
 from .fields import (FF, FunctionField, QQ, RatFunc, RationalField, factor,
                      infer_context, is_square, square_class_reduce)
 from .valuation import (InfinitePlaceValuation, PlaceValuation, Valuation)
@@ -70,7 +71,9 @@ def _strip_entry(e, v: Valuation, tag: str, moves: list):
         c = v.uniformizer ** (-k)
         moves.append((f"scale_{tag}", c))
         r = r * c * c
-    assert int(v.value_of(r).fraction) in (0, 1)
+    if int(v.value_of(r).fraction) not in (0, 1):
+        raise InvariantViolated(f"square-class representative {r} has value "
+                                "outside {0, 1}")
     return r
 
 
@@ -94,7 +97,8 @@ def normalize(q: QuaternionAlgebra, v: Valuation) -> NormalizedPresentation:
         b = _strip_entry(b, v, "b", moves)
         pb = int(v.value_of(b).fraction)
     shape = UNIT_UNIT if pa == 0 else ODD_UNIT
-    assert pb == 0
+    if pb != 0:
+        raise InvariantViolated(f"normalized b has value {pb}, not 0")
     return NormalizedPresentation(a, b, shape, tuple(moves))
 
 
@@ -255,7 +259,7 @@ def _conic_point_ff(a, b, k: FF):
     z = roots.get(a)
     if z is not None:
         return (one, k.zero(), z)
-    raise AssertionError("finite-field conic without points (impossible)")
+    raise InvariantViolated("finite-field conic without points (impossible)")
 
 
 def _is_split_rational(q: QuaternionAlgebra, search_bound: int) -> SplitResult:

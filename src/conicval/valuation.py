@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import sympy
 
-from .errors import (ContextMismatch, NegativeValue, UnsupportedField,
-                     UnsupportedPlace, ZeroInput)
+from .errors import (ContextMismatch, InvariantViolated, NegativeValue,
+                     UnsupportedField, UnsupportedPlace, ZeroInput)
 from .fields import (FF, FlatQuotient, FunctionField, Poly, QQ, RationalField,
                      RatFunc)
 from .value import INFINITY, Value
@@ -52,7 +52,8 @@ class Valuation:
         if not x:
             raise ZeroInput("unit part of zero")
         m = self.value_of(x).fraction
-        assert m.denominator == 1
+        if m.denominator != 1:
+            raise InvariantViolated(f"unit_part of an element of value {m}")
         m = int(m)
         u = x * self.uniformizer ** (-m) if m else x
         return m, u

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from conicval import fields
 from conicval.errors import (ContextMismatch, DegreeTooLarge, DivisionByZero,
                              UnsupportedField, ZeroInput, ZeroPolynomial)
 from conicval.fields import (FF, FlatQuotient, FunctionField, GF, PolyRing,
                              QQ, RatFunc, factor, field_arith, is_irreducible,
                              is_square, poly_gcd, square_class_reduce,
                              squarefree_decomposition, sqrt_exact)
+from conicval.oracle import sample_poly
 
 
 class TestFieldArith:
@@ -189,6 +191,85 @@ class TestPolynomials:
             rebuilt = rebuilt * g ** m
         assert rebuilt.scale(lead) == f
         assert {m for _, m in parts} == {1, 3}
+
+
+def _nonzero_poly(rng, ring, degree):
+    while True:
+        p = sample_poly(rng, ring, degree)
+        if p:
+            return p
+
+
+def _schoolbook(f, g):
+    out = [Fraction(0)] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+class TestIntegerKernels:
+    """gcd over Q[t] and Q(t)[x] and multiplication over Q run on integer
+    rows; each is checked against a route that stays in the field."""
+
+    def test_tower_gcd_agrees_with_prs(self, qt):
+        ring = PolyRing(qt, "x")
+        rng = random.Random(41)
+        for _ in range(100):
+            a, b, c = (_nonzero_poly(rng, ring, 3) for _ in range(3))
+            f, g = a * c, b * c
+            assert poly_gcd(f, g) == fields._tower_gcd(f, g)
+
+    def test_rational_gcd_agrees_with_euclid(self):
+        ring = PolyRing(QQ, "t")
+        rng = random.Random(42)
+        for _ in range(200):
+            a, b, c = (sample_poly(rng, ring, 4) for _ in range(3))
+            f, g = a * c, b * c
+            if not f and not g:
+                continue
+            u, v = f, g
+            while v:
+                u, v = v, u % v
+            assert poly_gcd(f, g) == u.monic()
+        f = _nonzero_poly(rng, ring, 4)
+        assert poly_gcd(f, ring.zero()) == f.monic()
+        assert poly_gcd(ring.zero(), f) == f.monic()
+
+    def test_rational_mul_agrees_with_schoolbook(self):
+        ring = PolyRing(QQ, "t")
+        rng = random.Random(43)
+        cases = [
+            (ring.poly([3, 0, 0, Fraction(-5, 7)]),
+             ring.poly([Fraction(-1, 2), 0, 4])),
+            (ring.poly([0, 0, Fraction(2, 3)]), ring.poly([-1, 0, 0, 0, 1])),
+            (ring.poly([Fraction(-9, 4)]), ring.poly([1, Fraction(-1, 6)])),
+        ]
+        cases += [(sample_poly(rng, ring, 6), sample_poly(rng, ring, 6))
+                  for _ in range(300)]
+        for f, g in cases:
+            product = (f * g).coeffs
+            assert product == _schoolbook(f, g)
+            assert all(type(c) is Fraction for c in product)
+
+    def test_large_gcd_divides_both(self):
+        ring = PolyRing(QQ, "t")
+        rng = random.Random(44)
+
+        def big(degree):
+            return ring.poly(
+                [Fraction(rng.randrange(-2 ** 64, 2 ** 64),
+                          rng.randrange(1, 2 ** 62)) for _ in range(degree)]
+                + [Fraction(rng.randrange(2 ** 60, 2 ** 64), 3)])
+
+        c = big(5)
+        f, g = big(8) * c, big(8) * c
+        assert f.degree() >= 12 and g.degree() >= 12
+        h = poly_gcd(f, g)
+        assert not f % h and not g % h
+        assert not h % c and h.is_monic()
 
 
 class TestRationalFunctions:
