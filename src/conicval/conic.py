@@ -34,8 +34,8 @@ from .fields import (FF, FunctionField, Poly, RatFunc, RationalField,
 from .gauss import (GaussExtension, RAMIFIED, SPLIT_PAIR,
                     quadratic_extension_analysis)
 from .quaternion import (NO_EXTENSION_ALGEBRA_SPLIT, QuaternionAlgebra,
-                         UNRAMIFIED_EXTENSION, decide_unramified_extension,
-                         is_split)
+                         UNRAMIFIED_EXTENSION, _conic_point_ff,
+                         decide_unramified_extension, is_split)
 from .value import INFINITY, Value, ValueGroup
 from .valuation import Valuation
 
@@ -538,15 +538,12 @@ class RationalFamilyMember:
 
 
 def _unit_conic_point(a0bar, b0bar, kappa, bound: int):
-    """(xbar, ybar) with a0bar*xbar^2 + b0bar = ybar^2, both nonzero."""
+    """(xbar, ybar) with a0bar*xbar^2 + b0bar = ybar^2, both nonzero: over
+    F_q the first xbar in index order, ybar the least-index root (Euler's
+    test and Tonelli-Shanks); over Q the first +-n/d by height <= bound."""
     if isinstance(kappa, FF):
-        roots = kappa._sqrt_map()
-        for i in range(1, kappa.order):
-            x = kappa.element_at(i)
-            y = roots.get(a0bar * x * x + b0bar)
-            if y is not None and y:
-                return x, y
-        return None
+        x, y, z = _conic_point_ff(a0bar, b0bar, kappa)
+        return (x, z) if x and y and z else None
     if isinstance(kappa, RationalField):
         for h in range(1, bound + 1):
             pairs = [(n, h) for n in range(1, h + 1)] + \

@@ -2,7 +2,8 @@
 
 Every mathematically meaningful failure raises a subclass of ConicvalError so
 that the CLI can map it to exit code 1; malformed input (expressions, field or
-valuation descriptors) raises InputError subclasses mapped to exit code 2.
+valuation descriptors, and ExpressionOutOfRange: division by zero or a power
+beyond ``parser.MAX_EXPONENT``) raises InputError subclasses, exit code 2.
 A failed internal consistency check raises InvariantViolated, exit code 1;
 these checks are ordinary code, not ``assert`` statements, so ``python -O``
 keeps them.
@@ -105,3 +106,8 @@ class UndeclaredVariable(InputError):
                          + (f" (offset {position})" if position >= 0 else ""))
         self.name = name
         self.position = position
+
+
+class ExpressionOutOfRange(InputError):
+    """A well-formed expression that cannot be evaluated: a division by zero,
+    a power beyond ``parser.MAX_EXPONENT`` or an overlong integer literal."""

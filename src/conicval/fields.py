@@ -199,7 +199,8 @@ class FF:
     """Finite field F_p[u]/(m(u)) with p an odd prime and m monic irreducible.
 
     The prime field is the degree-1 case with m = u.  Elements are coefficient
-    vectors of length deg(m) with entries reduced modulo p.
+    vectors of length deg(m) with entries reduced modulo p.  ``sqrt`` gives
+    the root of least ``element_at`` index by Euler's test and Tonelli-Shanks.
     """
 
     def __init__(self, p: int, modulus: tuple[int, ...] | None = None,
@@ -222,7 +223,7 @@ class FF:
         self.var = var
         self.degree = len(modulus) - 1
         self.order = p ** self.degree
-        self._sqrt_table = None
+        self._nonsquare = None      # cached by _canonical_nonsquare
 
     @property
     def characteristic(self) -> int:
@@ -276,13 +277,27 @@ class FF:
             return self.from_int(x)
         raise ContextMismatch(f"cannot interpret {x!r} in {self!r}")
 
-    def _sqrt_map(self):
-        if self._sqrt_table is None:
-            table = {}
-            for y in self.elements():
-                table.setdefault(y * y, y)
-            self._sqrt_table = table
-        return self._sqrt_table
+    def sqrt(self, x: "FFElement") -> "FFElement | None":
+        """The square root of x of least index, or None for a nonsquare:
+        Euler's test, then Tonelli-Shanks, O(log q) field operations."""
+        if not x:
+            return x
+        one = self.one()
+        if x ** ((self.order - 1) // 2) != one:
+            return None
+        s, t = 0, self.order - 1
+        while t % 2 == 0:
+            s, t = s + 1, t // 2
+        c = _canonical_nonsquare(self) ** t
+        r, u = x ** ((t + 1) // 2), x ** t    # invariant r^2 == u * x
+        while u != one:
+            i = next(i for i in range(1, s) if u ** (2 ** i) == one)
+            b = c ** (2 ** (s - i - 1))
+            r, c, u, s = r * b, b * b, u * b * b, i
+        r = min(r, -r, key=lambda e: e.coeffs[::-1])    # index order
+        if r * r != x:
+            raise InvariantViolated(f"Tonelli-Shanks root {r} of {x} fails")
+        return r
 
     def __eq__(self, other):
         return (isinstance(other, FF) and other.p == self.p
@@ -1176,7 +1191,8 @@ def is_square(x, ctx=None):
 
     Supported K: the rationals, finite fields, and rational function fields
     over either (squareness there reduces to squarefree decomposition plus a
-    constant square test, so no factorization is needed).
+    constant square test, so no factorization is needed).  Over F_q it is
+    ``FF.sqrt``: Euler's test, then the Tonelli-Shanks root of least index.
     """
     if ctx is None:
         ctx = infer_context(x)
@@ -1191,9 +1207,8 @@ def is_square(x, ctx=None):
             return True, Fraction(rn, rd)
         return False, None
     if isinstance(ctx, FF):
-        if x ** ((ctx.order - 1) // 2) == ctx.one():
-            return True, ctx._sqrt_map()[x]
-        return False, None
+        root = ctx.sqrt(x)
+        return root is not None, root
     if isinstance(ctx, FunctionField):
         return _ratfunc_square(x)
     raise UnsupportedField(f"squareness is not decidable over {ctx!r}")
@@ -1287,10 +1302,11 @@ def square_class_reduce(x, ctx=None):
 
 
 def _canonical_nonsquare(ctx: FF):
-    for y in ctx.nonzero_elements():
-        if not is_square(y, ctx)[0]:
-            return y
-    raise UnsupportedField("no nonsquare found (field of characteristic 2?)")
+    """The first nonsquare in index order, by Euler's test; cached on ctx."""
+    if ctx._nonsquare is None:
+        ctx._nonsquare = next(y for y in ctx.nonzero_elements()
+                              if y ** ((ctx.order - 1) // 2) != ctx.one())
+    return ctx._nonsquare
 
 
 # ---------------------------------------------------------------------------

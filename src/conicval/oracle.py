@@ -54,10 +54,10 @@ def _digest(*parts) -> str:
 def isotropy_search(a, b, bound: int = 200):
     """First nontrivial (x, y, z) with a*x^2 + b*y^2 = z^2, or None.
 
-    Finite fields are searched exhaustively in index order; over Q the search
-    runs over integer pairs (x, y) of height <= bound and checks whether
-    a*x^2 + b*y^2 is the square of an integer.  Every hit is verified by
-    substitution before being returned.
+    Finite fields are searched exhaustively, taking no square roots, unlike
+    the Euler test and Tonelli-Shanks of ``is_split``; over Q, pairs (x, y)
+    of height <= bound are tested on integers: is a*x^2 + b*y^2, written
+    (A*x^2 + B*y^2) / d, an integer square?  Hits are verified by substitution.
     """
     ctx = infer_context(a)
     if isinstance(ctx, FF):
@@ -90,16 +90,18 @@ def _isotropy_ff(a, b, k: FF):
 
 
 def _isotropy_rational(a, b, bound):
+    A, B = a.numerator * b.denominator, b.numerator * a.denominator
+    d = a.denominator * b.denominator
     for h in range(bound + 1):
         pairs = [(x, h) for x in range(h + 1)] + [(h, y) for y in range(h)]
         for x, y in pairs:
             if x == 0 and y == 0:
                 continue
-            t = a * x * x + b * y * y
-            if t < 0 or t.denominator != 1:
+            n = A * x * x + B * y * y
+            if n < 0 or n % d:
                 continue
-            r = math.isqrt(t.numerator)
-            if r * r == t.numerator:
+            r = math.isqrt(n // d)
+            if r * r == n // d:
                 return Fraction(x), Fraction(y), Fraction(r)
     return None
 

@@ -17,7 +17,11 @@ from __future__ import annotations
 
 import re
 
-from .errors import ExpressionSyntaxError, UndeclaredVariable
+from .errors import (ExpressionOutOfRange, ExpressionSyntaxError,
+                     UndeclaredVariable)
+
+# The largest exponent, and degree of a power, an expression may ask for.
+MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|"
                     r"(?P<op>[-+*/^()]))")
@@ -117,6 +121,10 @@ class _Parser:
             if kind != "int":
                 raise ExpressionSyntaxError("exponent must be an integer", pos)
             self.advance()
+            degree = base.degree() if hasattr(base, "degree") else 1
+            if int(text) * max(degree, 1) > MAX_EXPONENT:
+                raise ExpressionOutOfRange(f"exponent or degree beyond "
+                                           f"{MAX_EXPONENT} (offset {pos})")
             return base ** (sign * int(text))
         return base
 
@@ -139,4 +147,9 @@ class _Parser:
 def parse_element(text: str, context, variables: dict | None = None):
     """Parse ``text`` into an element, with integers built by ``context``
     and names resolved through ``variables``."""
-    return _Parser(text, context, variables or {}).parse()
+    try:
+        return _Parser(text, context, variables or {}).parse()
+    except ZeroDivisionError as exc:    # x/0 or 0^-n
+        raise ExpressionOutOfRange(f"division by zero in {text!r}") from exc
+    except ValueError as exc:    # past Python's limit on int conversion
+        raise ExpressionOutOfRange("integer literal too long") from exc

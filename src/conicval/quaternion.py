@@ -222,7 +222,7 @@ def is_split(q: QuaternionAlgebra, search_bound: int = 200) -> SplitResult:
     """Splitting test with certificate.
 
     Finite fields: always split; the certificate is a point of
-    a*x^2 + b*y^2 = z^2 found by table search, preferring coordinates that
+    a*x^2 + b*y^2 = z^2 found by Tonelli-Shanks, preferring coordinates that
     are all nonzero.  Q: local symbols at 2, infinity and the odd primes
     supporting a and b; when split, a bounded point search supplies the
     certificate (its failure is reported as a note, never as a verdict).
@@ -239,13 +239,13 @@ def is_split(q: QuaternionAlgebra, search_bound: int = 200) -> SplitResult:
 
 
 def _conic_point_ff(a, b, k: FF):
-    roots = k._sqrt_map()
+    """First (x, 1, z) with z != 0, x = 1, 2, ... in index order, z the
+    least-index root: O(1) expected tries (Chevalley-Warning)."""
     fallback = None
     one = k.one()
     for xi in range(1, k.order):
         x = k.element_at(xi)
-        t = a * x * x + b
-        z = roots.get(t)
+        z = k.sqrt(a * x * x + b)
         if z is not None:
             if z:
                 return (x, one, z)
@@ -253,10 +253,10 @@ def _conic_point_ff(a, b, k: FF):
                 fallback = (x, one, z)
     if fallback is not None:
         return fallback
-    z = roots.get(b)
+    z = k.sqrt(b)
     if z is not None:
         return (k.zero(), one, z)
-    z = roots.get(a)
+    z = k.sqrt(a)
     if z is not None:
         return (one, k.zero(), z)
     raise InvariantViolated("finite-field conic without points (impossible)")

@@ -1,5 +1,10 @@
+import contextlib
+import io
+import json
+
 import pytest
 
+from conicval.cli import main
 from conicval.fields import FF, GF, FunctionField, QQ
 from conicval.valuation import (InfinitePlaceValuation, PAdicValuation,
                                 PlaceValuation)
@@ -38,3 +43,14 @@ def f5t():
 @pytest.fixture(scope="session")
 def v3t(f3t):
     return PlaceValuation(f3t, f3t.ring.gen())
+
+
+@pytest.fixture(scope="session")
+def run_cli():
+    """Run the CLI in-process with --json; returns (exit code, document)."""
+    def run(*args):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*args, "--json"])
+        return code, json.loads(out.getvalue())
+    return run

@@ -1,0 +1,79 @@
+import json
+from importlib import resources
+
+import jsonschema
+import pytest
+
+
+@pytest.fixture(scope="module")
+def validator():
+    text = resources.files("conicval").joinpath(
+        "schema/cli_output.schema.json").read_text()
+    return jsonschema.Draft7Validator(json.loads(text))
+
+
+class TestGoldenVerdicts:
+    """Verdicts fixed by hand: over Q(t) at t and at infinity the residue
+    algebra (-1, -1) over Q is a division algebra (negative definite), and
+    over Q:p=5 the odd value v(5) = 1 leaves only ramified extensions."""
+
+    def test_qt_at_t_is_present(self, run_cli, validator):
+        code, doc = run_cli("analyze", "--val", "Q(t):place=t", "--a=-1",
+                            "--b=-1")
+        validator.validate(doc)
+        result = doc["result"]
+        assert code == 0
+        assert (result["verdict"], result["extension_kind"]) == \
+            ("PRESENT", "unramified_extension")
+        residue = result["residue_field"]
+        assert (residue["kappa"], residue["a0bar"], residue["b0bar"]) == \
+            ("Q", "-1", "-1")
+
+    def test_qt_at_infinity_is_present(self, run_cli, validator):
+        code, doc = run_cli("analyze", "--val", "Q(t):place=inf", "--a=-1",
+                            "--b=-1")
+        validator.validate(doc)
+        assert code == 0
+        assert doc["result"]["verdict"] == "PRESENT"
+
+    def test_q5_odd_value_is_ramified_only(self, run_cli, validator):
+        code, doc = run_cli("analyze", "--val", "Q:p=5", "--a=5", "--b=3")
+        validator.validate(doc)
+        assert code == 0
+        assert (doc["result"]["verdict"], doc["result"]["extension_kind"]) == \
+            ("ABSENT", "ramified_only")
+
+    def test_split_over_gf9_certificate(self, run_cli, validator):
+        code, doc = run_cli("quat", "split", "--field", "GF(9)", "--a=u",
+                            "--b=2")
+        validator.validate(doc)
+        assert code == 0
+        assert doc["result"]["split"] is True
+        assert doc["result"]["certificate"] == ["u + 2", "1", "1"]
+
+
+class TestMalformedInput:
+    """Inputs that once escaped as tracebacks, gave a wrong answer or never
+    finished: each is now an InputError with exit code 2."""
+
+    @pytest.mark.parametrize("args, error, message", [
+        (("analyze", "--val", "Q:p=5", "--a", "1/0", "--b", "3"),
+         "ExpressionOutOfRange", "division by zero"),
+        (("hilbert", "--a", "2", "--b", "3", "--place", "9"),
+         "InputError", "neither a prime nor inf"),
+        (("analyze", "--val", "Q(t):place=t", "--a=t^999999", "--b=1"),
+         "ExpressionOutOfRange", "beyond 1000"),
+        (("analyze", "--val", "Q(t):place=t", "--a=(t^100)^100", "--b=1"),
+         "ExpressionOutOfRange", "beyond 1000"),
+        (("analyze", "--val", "Q:p=5", "--a", "(2-2)^-1", "--b", "3"),
+         "ExpressionOutOfRange", "division by zero"),
+        (("analyze", "--val", "Q:p=5", "--a", "9" * 5000, "--b", "3"),
+         "ExpressionOutOfRange", "integer literal too long"),
+    ])
+    def test_exit_code_and_message(self, run_cli, validator, args, error,
+                                   message):
+        code, doc = run_cli(*args)
+        validator.validate(doc)
+        assert code == 2
+        assert doc["error"]["type"] == error
+        assert message in doc["error"]["message"]

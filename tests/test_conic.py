@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -80,3 +81,31 @@ class TestTailPairs:
     def test_t_one(self, wstar_t_one):
         report = valuation_axiom_fuzz(wstar_t_one, samples=32, seed=0)
         assert report.agreement and report.checked == 32
+
+
+class TestLargeResidueFields:
+    """Residue fields far too large to list: the residue-conic point comes
+    from the Euler test and a Tonelli-Shanks root, not from a table."""
+
+    def test_mersenne_prime_residue_field(self, run_cli):
+        p = 2 ** 61 - 1
+        start = time.thread_time()
+        code, doc = run_cli("analyze", "--val", f"Q:p={p}", "--a", "2",
+                            "--b", "3")
+        assert time.thread_time() - start < 5
+        result = doc["result"]
+        assert code == 0
+        assert (result["verdict"], result["extension_kind"]) == \
+            ("ABSENT", "no_extension_split_residue")
+        x, y, z = (int(c) for c in
+                   result["decision"]["witness"]["residue_split"]["certificate"])
+        assert (2 * x * x + 3 * y * y - z * z) % p == 0
+
+    def test_degree_eight_place_over_f7(self, run_cli):
+        start = time.thread_time()
+        code, doc = run_cli("quat", "decide", "--val",
+                            "Fq(t):q=7,place=t^8+4*t^7+5*t^6+2*t^2+4",
+                            "--a=3", "--b=5")
+        assert time.thread_time() - start < 5
+        assert code == 0
+        assert doc["result"]["kind"] == "no_extension_algebra_split"

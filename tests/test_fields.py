@@ -117,6 +117,34 @@ class TestIsSquare:
         assert ok and root * root == (t ** 3 + 1) * (t + 1)
 
 
+class TestTonelliShanks:
+    """FF.sqrt against the whole-field table it replaced, which kept the
+    first root in index order (``setdefault``); the fields reach 2-adic
+    depth s = 8 in q - 1 = 2^s * t (q = 257) and include q = 1 mod 8."""
+
+    @pytest.mark.parametrize("q", [3, 5, 9, 17, 25, 27, 41, 49, 81, 97, 113,
+                                   121, 125, 257, 343, 625, 729])
+    def test_least_index_root_equals_table(self, q):
+        k = GF(q)
+        table = {}
+        for y in k.elements():
+            table.setdefault(y * y, y)
+        for x in k.elements():
+            root = table.get(x)
+            assert k.sqrt(x) == root, x
+            if x:
+                assert is_square(x, k) == (root is not None, root)
+
+    def test_nonsquare_is_first_in_index_order_and_cached(self):
+        from conicval.fields import _canonical_nonsquare
+        k = GF(97)
+        c = _canonical_nonsquare(k)
+        squares = {y * y for y in k.elements()}
+        first = next(y for y in k.nonzero_elements() if y not in squares)
+        assert c == first == k.from_int(5)
+        assert _canonical_nonsquare(k) is c
+
+
 class TestPolynomials:
     def test_gcd_over_q(self):
         r = PolyRing(QQ, "X")

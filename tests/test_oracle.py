@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ import pytest
 from conicval.errors import PrecisionTooLow
 from conicval.fields import FF, FunctionField, GF, QQ
 from conicval.gauss import gauss_extension
-from conicval.oracle import (degree_oracle, hensel_count, isotropy_search,
-                             valuation_axiom_fuzz)
+from conicval.conic import _unit_conic_point
+from conicval.oracle import (_isotropy_rational, degree_oracle, hensel_count,
+                             isotropy_search, valuation_axiom_fuzz)
+from conicval.quaternion import _conic_point_ff
 from conicval.valuation import PAdicValuation
 from conicval.value import Value
 
@@ -36,6 +39,88 @@ class TestIsotropySearch:
         if point is not None:
             x, y, z = point
             assert Fraction(1, 4) * x * x + Fraction(3, 4) * y * y == z * z
+
+
+def _root_table(k):
+    """The square root of least index of every square, by squaring the
+    whole field in index order."""
+    table = {}
+    for y in k.elements():
+        table.setdefault(y * y, y)
+    return table
+
+
+def _reference_conic_point(a, b, k, roots):
+    fallback = None
+    one = k.one()
+    for xi in range(1, k.order):
+        x = k.element_at(xi)
+        z = roots.get(a * x * x + b)
+        if z is not None:
+            if z:
+                return (x, one, z)
+            if fallback is None:
+                fallback = (x, one, z)
+    if fallback is not None:
+        return fallback
+    if b in roots:
+        return (k.zero(), one, roots[b])
+    return (one, k.zero(), roots[a])
+
+
+def _reference_unit_point(a, b, k, roots):
+    for xi in range(1, k.order):
+        x = k.element_at(xi)
+        y = roots.get(a * x * x + b)
+        if y:
+            return x, y
+    return None
+
+
+def _reference_isotropy_rational(a, b, bound):
+    for h in range(bound + 1):
+        pairs = [(x, h) for x in range(h + 1)] + [(h, y) for y in range(h)]
+        for x, y in pairs:
+            if x == 0 and y == 0:
+                continue
+            t = a * x * x + b * y * y
+            if t < 0 or t.denominator != 1:
+                continue
+            r = math.isqrt(t.numerator)
+            if r * r == t.numerator:
+                return Fraction(x), Fraction(y), Fraction(r)
+    return None
+
+
+class TestPointSearchesAgainstTables:
+    """The finite-field point searches (Euler test and Tonelli-Shanks) and
+    the integer point search over Q give the points of the routes they
+    replaced: whole-field root tables and Fraction arithmetic."""
+
+    @pytest.mark.parametrize("q", [9, 27])
+    def test_finite_field_points(self, q):
+        k = GF(q)
+        roots = _root_table(k)
+        units = 0
+        for a in k.nonzero_elements():
+            for b in k.nonzero_elements():
+                assert _conic_point_ff(a, b, k) == \
+                    _reference_conic_point(a, b, k, roots), (a, b)
+                point = _unit_conic_point(a, b, k, 0)
+                assert point == _reference_unit_point(a, b, k, roots), (a, b)
+                units += point is not None
+        assert units > 0
+
+    def test_rational_points(self):
+        rng = random.Random(11)
+        hits = 0
+        for _ in range(200):
+            a, b = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 30),
+                             rng.randint(1, 8)) for _ in range(2))
+            point = _isotropy_rational(a, b, 25)
+            assert point == _reference_isotropy_rational(a, b, 25), (a, b)
+            hits += point is not None
+        assert 0 < hits < 200
 
 
 class TestDegreeOracle:
