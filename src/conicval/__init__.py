@@ -21,7 +21,6 @@ from .fields import (FF, FFElement, FlatQuotient, FunctionField, GF, Poly,
                      sqrt_exact)
 from .gauss import (GaussExtension, INERT, QuadraticExtensionAnalysis,
                     RAMIFIED, SPLIT_PAIR, gauss_extension, gauss_residue,
-                    gauss_value, gauss_with_pivot,
                     quadratic_extension_analysis, subfield_degree)
 from .oracle import (OracleReport, degree_oracle, hensel_count,
                      isotropy_search, valuation_axiom_fuzz)

@@ -14,6 +14,11 @@ operations are pure, so values can be shared freely across threads.
 Finite fields are always presented as F_p[u]/(m); the prime field is the
 degree-1 case with m = u, so residue-field code has a single representation
 to deal with.
+
+Over Q and Q(t), products, gcds and canonical forms run on integer rows in
+sympy's dense form (over Q(t): Z[t][x] rows over an integer times a
+primitive Z[t] row, see ``_tower_rows``), and each output coefficient is
+built once; F_q and F_q(t) keep schoolbook and Euclid (sympy has no F_{p^k}).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from fractions import Fraction
 
 import sympy
 from sympy.polys.domains import ZZ
+from sympy.polys.densearith import dmp_mul, dup_exquo, dup_mul, dup_mul_ground
 from sympy.polys.euclidtools import dmp_inner_gcd, dup_inner_gcd
 
 from .errors import (ContextMismatch, DegreeTooLarge, DivisionByZero,
@@ -595,10 +601,10 @@ class Poly:
             p = self._promote_into(other)
             return NotImplemented if p is None else p + other
         a, b = self.coeffs, o.coeffs
-        n = max(len(a), len(b))
-        zero = self.ring.field.zero()
-        cs = [(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero)
-              for i in range(n)]
+        if len(a) < len(b):
+            a, b = b, a
+        cs = [x + y for x, y in zip(a, b)]
+        cs.extend(a[len(b):])
         while cs and not cs[-1]:
             cs.pop()
         return Poly(self.ring, tuple(cs))
@@ -628,6 +634,12 @@ class Poly:
             return self.ring.zero()
         if isinstance(self.ring.field, RationalField):
             return Poly(self.ring, _rational_mul(a, b))
+        if _is_rational_tower(self.ring.field):
+            (ra, ma, la), (rb, mb, lb) = _tower_rows(a), _tower_rows(b)
+            den = dup_mul(la, lb, ZZ)
+            return Poly(self.ring, tuple(
+                _rational_ratfunc(self.ring.field, c, den, 1, ma * mb)
+                for c in reversed(dmp_mul(ra, rb, 1, ZZ))))
         zero = self.ring.field.zero()
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -769,7 +781,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
     Over Q and Q(t) denominators are cleared and sympy takes the gcd over
     the integers (heuristic gcd, with a pseudo-remainder fallback); F_q[x]
-    runs Euclid and F_q(t)[x] runs ``_tower_gcd``.
+    runs Euclid and F_q(t)[x] runs ``_tower_gcd``.  ``RatFunc`` over Q and
+    Q(t) uses the integer gcd's cofactors instead.
     """
     if not f and not g:
         raise ZeroPolynomial("gcd(0, 0) is undefined")
@@ -791,9 +804,10 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 
 def _integer_row(coeffs) -> tuple[int, list[int]]:
-    """(d, [d*c for c in coeffs]) with d the lcm of the denominators."""
+    """(d, row): row holds the integers d*c, highest degree first as in
+    sympy's dense polynomials, and d is the lcm of the denominators."""
     d = math.lcm(*(c.denominator for c in coeffs))
-    return d, [c.numerator * (d // c.denominator) for c in coeffs]
+    return d, [c.numerator * (d // c.denominator) for c in reversed(coeffs)]
 
 
 def _rational_mul(a: tuple, b: tuple) -> tuple:
@@ -806,18 +820,42 @@ def _rational_mul(a: tuple, b: tuple) -> tuple:
         if ai:
             for j, bj in enumerate(ib):
                 out[i + j] += ai * bj
-    while out and not out[-1]:
-        out.pop()
     d = da * db
-    return tuple(Fraction(c, d) for c in out)
+    return tuple(Fraction(c, d) for c in reversed(out))
+
+
+def _rational_quotient(ring: PolyRing, n: list, d: list, sn: int = 1,
+                       sd: int = 1) -> tuple[Poly, Poly]:
+    """Canonical (num, den) over Q of (sn * n) / (sd * d), for integer rows
+    n, d != 0: the cofactors of their gcd, each coefficient one Fraction
+    over the lead of d's cofactor."""
+    if not n:
+        return ring.zero(), ring.one()
+    if len(n) > 1 and len(d) > 1:
+        _, n, d = dup_inner_gcd(n, d, ZZ)
+    lead = d[0]
+    return (Poly(ring, tuple(Fraction(c * sn, lead * sd)
+                             for c in reversed(n))),
+            Poly(ring, tuple(Fraction(c, lead) for c in reversed(d))))
+
+
+def _rational_ratfunc(field: "FunctionField", n: list, d: list,
+                      sn: int = 1, sd: int = 1) -> "RatFunc":
+    """(sn * n) / (sd * d) in Q(t), from integer rows of Z[t]."""
+    num, den = _rational_quotient(field.ring, n, d, sn, sd)
+    return RatFunc(field, num, den, _reduced=True)
+
+
+def _is_rational_tower(field) -> bool:
+    return (isinstance(field, FunctionField)
+            and isinstance(field.coefficient_field, RationalField))
 
 
 def _rational_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd of nonzero polynomials over Q, taken over Z by sympy."""
-    h = dup_inner_gcd(_integer_row(f.coeffs)[1][::-1],
-                      _integer_row(g.coeffs)[1][::-1], ZZ)[0]
-    lead = h[0]
-    return Poly(f.ring, tuple(Fraction(c, lead) for c in reversed(h)))
+    h = dup_inner_gcd(_integer_row(f.coeffs)[1],
+                      _integer_row(g.coeffs)[1], ZZ)[0]
+    return _rational_quotient(f.ring, h, h[:1])[0]
 
 
 def _rational_tower_gcd(f: Poly, g: Poly) -> Poly:
@@ -826,26 +864,48 @@ def _rational_tower_gcd(f: Poly, g: Poly) -> Poly:
     Both inputs are scaled by nonzero elements of Q(t) into Z[t][x], so by
     Gauss's lemma their gcd there is the gcd over Q(t) up to a unit.
     """
-    h = dmp_inner_gcd(_tower_rows(f), _tower_rows(g), 1, ZZ)[0]
+    h = dmp_inner_gcd(_tower_rows(f.coeffs)[0], _tower_rows(g.coeffs)[0],
+                      1, ZZ)[0]
     if len(h) == 1:
         return f.ring.one()
-    kt = f.ring.field.ring
-    return f.ring.poly([f.ring.field.from_poly(kt.poly(row[::-1]))
-                        for row in reversed(h)]).monic()
+    return Poly(f.ring, tuple(_rational_ratfunc(f.ring.field, c, h[0])
+                              for c in reversed(h)))
 
 
-def _tower_rows(f: Poly) -> list[list[int]]:
-    """f over Q(t) times a common denominator, as sympy's dense rows over
-    Z[t]: x outer, both variables highest degree first."""
-    den = f.ring.field.ring.one()
-    for c in f.coeffs:
-        if not c.den.is_one():
-            den = den * (c.den // _rational_gcd(den, c.den))
-    nums = [c.num if den.is_one() else c.num * (den // c.den)
-            for c in f.coeffs]
-    d = math.lcm(*(c.denominator for p in nums for c in p.coeffs))
-    return [[c.numerator * (d // c.denominator) for c in reversed(p.coeffs)]
-            for p in reversed(nums)]
+def _tower_rows(coeffs) -> tuple[list[list[int]], int, list[int]]:
+    """(rows, m, lcm) with the polynomial over Q(t) of these coefficients
+    equal to rows / (m * lcm): rows over Z[t] (x outer, highest degree
+    first), m an integer, lcm the denominators' lcm in Z[t].  Monic
+    denominators clear to primitive rows, so by Gauss's lemma lcm comes
+    from gcd cofactors and lcm / den is exact over Z."""
+    dens = [_integer_row(c.den.coeffs) for c in coeffs]
+    nums = [_integer_row(c.num.coeffs) for c in coeffs]
+    lcm = [1]
+    for _, den in dens:
+        if len(den) > 1:
+            lcm = dup_mul(lcm, dup_inner_gcd(lcm, den, ZZ)[2], ZZ)
+    m = math.lcm(*(d for d, _ in nums))
+    rows = []
+    for (d, n), (e, den) in zip(reversed(nums), reversed(dens)):
+        row = dup_mul_ground(n, e * (m // d), ZZ)
+        cofactor = dup_exquo(lcm, den, ZZ) if len(den) > 1 else lcm
+        rows.append(row if cofactor == [1] else dup_mul(row, cofactor, ZZ))
+    return rows, m, lcm
+
+
+def _rational_tower_quotient(ring: PolyRing, num: Poly, den: Poly):
+    """Canonical (num, den) over Q(t) from the cofactors of the gcd of their
+    rows over Z[t][x], each coefficient over the lead of den's cofactor."""
+    rn, mn, ln = _tower_rows(num.coeffs)
+    rd, md, ld = _tower_rows(den.coeffs)
+    if len(rn) > 1 and len(rd) > 1:
+        _, rn, rd = dmp_inner_gcd(rn, rd, 1, ZZ)
+    kt, lead = ring.field, rd[0]
+    over = dup_mul(ln, lead, ZZ)
+    num = [_rational_ratfunc(kt, dup_mul(c, ld, ZZ), over, md, mn)
+           for c in rn]
+    den = [_rational_ratfunc(kt, c, lead) for c in rd]
+    return Poly(ring, tuple(num[::-1])), Poly(ring, tuple(den[::-1]))
 
 
 def _tower_gcd(f: Poly, g: Poly) -> Poly:
@@ -990,7 +1050,9 @@ class RatFunc:
     """Rational function in canonical form: gcd(num, den) = 1, den monic.
 
     The canonical form is a normal form: two constructions of the same
-    function produce identical representations.
+    function produce identical representations.  Over Q and Q(t) it comes
+    from the cofactors of the integer gcd of num's and den's rows, with no
+    polynomial division; over F_q and F_q(t) from ``poly_gcd`` and ``//``.
     """
 
     __slots__ = ("field", "num", "den")
@@ -999,9 +1061,16 @@ class RatFunc:
                  _reduced: bool = False):
         if not den:
             raise DivisionByZero("rational function with zero denominator")
-        if not _reduced:
+        if not _reduced and not den.is_one():
+            cf = field.ring.field
             if not num:
                 den = field.ring.one()
+            elif isinstance(cf, RationalField):
+                dn, n = _integer_row(num.coeffs)
+                dd, d = _integer_row(den.coeffs)
+                num, den = _rational_quotient(field.ring, n, d, dd, dn)
+            elif _is_rational_tower(cf):
+                num, den = _rational_tower_quotient(field.ring, num, den)
             else:
                 if den.degree() > 0 and num.degree() > 0:
                     g = poly_gcd(num, den)

@@ -70,8 +70,26 @@ class GaussExtension:
         return self.field
 
     def _rewrite(self, h: RatFunc) -> RatFunc:
+        """h in E(_y), the pivot's variable: with x = P/Q the pivot's inverse
+        and k = max(deg num, deg den), F(P, Q)/G(P, Q) for the forms
+        F = sum f_i * P^i * Q^(k-i) of num and G of den, by Horner's rule in
+        P on polynomials, as one RatFunc.  A constant h still takes Horner on
+        rational functions, which leaves it a bare coefficient of E: the
+        Gauss-constant defect, whose fix is its own change."""
         if self._identity:
             return h
+        k = h.degree()
+        if k > 0:
+            p, q = self._inverse.num, self._inverse.den
+            forms = []
+            for f in (h.num, h.den):
+                acc = p.ring.zero()
+                for i in range(k, -1, -1):
+                    c = f.coeffs[i] if i < len(f.coeffs) else 0
+                    term = c if q.is_one() else (q ** (k - i)).scale(c)
+                    acc = acc * p + term
+                forms.append(acc)
+            return RatFunc(self._inverse.field, *forms)
         num = h.num(self._inverse) if h.num else self._inverse * 0
         den = h.den(self._inverse)
         return num / den
@@ -133,15 +151,6 @@ def gauss_extension(v: Valuation, field: FunctionField,
                     residue_var: str | None = None) -> GaussExtension:
     """The plain Gauss extension with pivot x itself."""
     return GaussExtension(v, field.gen(), residue_var=residue_var)
-
-
-def gauss_with_pivot(v: Valuation, pivot: RatFunc,
-                     residue_var: str | None = None) -> GaussExtension:
-    return GaussExtension(v, pivot, residue_var=residue_var)
-
-
-def gauss_value(w: GaussExtension, h) -> Value:
-    return w.value_of(h)
 
 
 def gauss_residue(w: GaussExtension, h):

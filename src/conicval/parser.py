@@ -15,13 +15,18 @@ any element parses back to an equal value.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import (ExpressionOutOfRange, ExpressionSyntaxError,
                      UndeclaredVariable)
 
-# The largest exponent, and degree of a power, an expression may ask for.
+# The largest exponent, and degree of any power, sum, difference, product or
+# quotient, an expression may ask for.
 MAX_EXPONENT = 1000
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_]\w*)|"
                     r"(?P<op>[-+*/^()]))")
@@ -79,26 +84,24 @@ class _Parser:
         return value
 
     def expr(self):
-        value = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                value = value + rhs if text == "+" else value - rhs
-            else:
-                return value
+        return self.chain(self.term, "+-")
 
     def term(self):
-        value = self.factor()
+        return self.chain(self.factor, "*/")
+
+    def chain(self, operand, ops: str):
+        """operand (op operand)* for op in ops, left to right, with the
+        degree of each result bounded by MAX_EXPONENT."""
+        value = operand()
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs = self.factor()
-                value = value * rhs if text == "*" else value / rhs
-            else:
+            kind, text, pos = self.peek()
+            if kind != "op" or text not in ops:
                 return value
+            self.advance()
+            value = _BINARY[text](value, operand())
+            if hasattr(value, "degree") and value.degree() > MAX_EXPONENT:
+                raise ExpressionOutOfRange(f"exponent or degree beyond "
+                                           f"{MAX_EXPONENT} (offset {pos})")
 
     def factor(self):
         kind, text, _ = self.peek()

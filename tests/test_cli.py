@@ -1,8 +1,11 @@
 import json
+import time
 from importlib import resources
 
 import jsonschema
 import pytest
+
+from conicval.parser import parse_element
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +80,19 @@ class TestMalformedInput:
         assert code == 2
         assert doc["error"]["type"] == error
         assert message in doc["error"]["message"]
+
+    def test_degree_of_a_product_is_bounded(self, run_cli, validator):
+        start = time.thread_time()
+        code, doc = run_cli("analyze", "--val", "Q(t):place=t",
+                            "--a=t^1000*t^1000*t^1000*t^1000", "--b=1")
+        assert time.thread_time() - start < 1
+        validator.validate(doc)
+        assert code == 2
+        assert doc["error"]["type"] == "ExpressionOutOfRange"
+        assert "beyond 1000" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("text", ["t^1000", "t^500*t^500",
+                                      "(t^999+1)/t", "t^1000-(t+1)^1000"])
+    def test_degree_at_the_bound_is_accepted(self, qt, text):
+        h = parse_element(text, qt, {"t": qt.gen()})
+        assert h.degree() <= 1000

@@ -83,6 +83,28 @@ class TestTailPairs:
         assert report.agreement and report.checked == 32
 
 
+class TestResidueMultiplicativity:
+    """On pairs of value zero, res(e1 * e2) == res(e1) * res(e2) in the
+    residue conic.  Only a=b=-1: when a/b != 1, w1's pivot is not the
+    identity, and the Gauss-constant defect gives constants of E the wrong
+    value (a=t, b=1 over Q(t)) or crashes (Q:p=5)."""
+
+    def test_minus_one_minus_one(self, wstar_minus_one):
+        w = wstar_minus_one
+        cf = w.conic_field
+        rng = random.Random(3)
+
+        def unit():
+            e = sample_conic_element(rng, cf)
+            m = int(w.value_of(e).fraction)
+            return e * cf.element(cf.ef.coerce(w.v.uniformizer ** -m))
+
+        for _ in range(12):
+            e1, e2 = unit(), unit()
+            assert w.residue_of(e1 * e2) == \
+                w.residue_of(e1) * w.residue_of(e2), (e1, e2)
+
+
 class TestLargeResidueFields:
     """Residue fields far too large to list: the residue-conic point comes
     from the Euler test and a Tonelli-Shanks root, not from a table."""

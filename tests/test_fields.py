@@ -229,7 +229,7 @@ def _nonzero_poly(rng, ring, degree):
 
 
 def _schoolbook(f, g):
-    out = [Fraction(0)] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+    out = [f.ring.field.zero()] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
     for i, a in enumerate(f.coeffs):
         for j, b in enumerate(g.coeffs):
             out[i + j] += a * b
@@ -298,6 +298,65 @@ class TestIntegerKernels:
         h = poly_gcd(f, g)
         assert not f % h and not g % h
         assert not h % c and h.is_monic()
+
+
+def _gcd_then_divide(num, den, gcd):
+    """Canonical form by the field route: divide by the gcd with ``//``,
+    then make the denominator monic."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    inv = den.ring.field.one() / den.leading()
+    return num.scale(inv), den.scale(inv)
+
+
+def _euclid(f, g):
+    while g:
+        f, g = g, f % g
+    return f
+
+
+class TestCofactorKernels:
+    """Over Q and Q(t), RatFunc normalises from the cofactors of the
+    integer gcd and Poly multiplication over Q(t) runs on Z[t] rows; each
+    is checked against a route that stays in the field."""
+
+    def test_rational_canonical_form_agrees_with_division(self):
+        field = FunctionField(QQ, "t")
+        rng = random.Random(45)
+        for _ in range(200):
+            a, b, c = (_nonzero_poly(rng, field.ring, 4) for _ in range(3))
+            h = RatFunc(field, a * c, b * c)
+            assert (h.num, h.den) == _gcd_then_divide(a * c, b * c, _euclid)
+
+    def test_tower_canonical_form_agrees_with_division(self, qt):
+        field = FunctionField(qt, "x")
+        ring = field.ring
+        t = qt.gen()
+        rng = random.Random(46)
+        cases = [(ring.poly([0, t]), ring.poly([t])),
+                 (ring.poly([t * t, 0, 1 / (t + 1)]), ring.poly([0, t - 1])),
+                 (ring.poly([Fraction(3, 4)]), ring.poly([1 / t, t / 2]))]
+        for _ in range(60):
+            a, b, c = (_nonzero_poly(rng, ring, 2) for _ in range(3))
+            cases.append((a * c, b * c))
+        for num, den in cases:
+            h = RatFunc(field, num, den)
+            assert (h.num, h.den) == _gcd_then_divide(num, den,
+                                                      fields._tower_gcd)
+
+    def test_tower_mul_agrees_with_schoolbook(self, qt):
+        ring = PolyRing(qt, "x")
+        t = qt.gen()
+        rng = random.Random(47)
+        cases = [(ring.poly([t, 0, 0, 1 / (t + 1)]),
+                  ring.poly([Fraction(-1, 2), 0, t * t / 3])),
+                 (ring.poly([0, 0, (t - 2) / (t * t + 1)]),
+                  ring.poly([-1, 0, 0, 0, 1])),
+                 (ring.poly([1 / t]), ring.poly([t, 0, 0, t]))]
+        cases += [(sample_poly(rng, ring, 3), sample_poly(rng, ring, 3))
+                  for _ in range(100)]
+        for f, g in cases:
+            assert (f * g).coeffs == _schoolbook(f, g)
 
 
 class TestRationalFunctions:
