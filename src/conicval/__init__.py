@@ -10,9 +10,8 @@ extensions in the negative case.
 """
 
 from .conic import (AnalysisReport, ConicFieldElement, ConicFunctionField,
-                    ConicResidueElement, DistinguishedExtension,
-                    RationalFamilyMember, ResidueConicDesc,
-                    ResidueRationalDesc, analyze, distinguished_residue_field,
+                    DistinguishedExtension, RationalFamilyMember,
+                    ResidueConicDesc, ResidueRationalDesc, analyze,
                     distinguished_value_group, rational_residue_family)
 from .fields import (FF, FFElement, FlatQuotient, FunctionField, GF, Poly,
                      PolyRing, QQ, RatFunc, RationalField, factor,

@@ -30,8 +30,8 @@ from .oracle import (OracleReport, degree_oracle, hensel_count,
                      isotropy_search, sample_rational, sample_ratfunc,
                      valuation_axiom_fuzz)
 from .parser import parse_element
-from .quaternion import (QuaternionAlgebra, decide_unramified_extension,
-                         hilbert_symbol, is_split, rational_support)
+from .quaternion import (QuaternionAlgebra, _rational_places,
+                         decide_unramified_extension, hilbert_symbol, is_split)
 from .valuation import (InfinitePlaceValuation, PAdicValuation,
                         PlaceValuation, Valuation)
 from .value import Value
@@ -349,9 +349,8 @@ def _suite_hilbert(seed, samples):
         b = sample_rational(rng, 10 ** 4)
         if not a or not b:
             continue
-        places = ["inf", 2] + rational_support(a, b)
         prod = 1
-        for pl in places:
+        for pl in _rational_places(a, b):
             prod *= hilbert_symbol(a, b, pl)
         if prod != 1:
             bad = (a, b, "product formula")

@@ -24,18 +24,18 @@ is even.  All three being odd is impossible since they sum.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InvariantViolated, NonzeroValue, PreconditionViolated,
                      WitnessNotFound, ZeroElement, ZeroInput)
 from .fields import (FF, FunctionField, Poly, RatFunc, RationalField,
-                     infer_context, is_square)
+                     is_square)
 from .gauss import (GaussExtension, RAMIFIED, SPLIT_PAIR,
                     quadratic_extension_analysis)
-from .quaternion import (NO_EXTENSION_ALGEBRA_SPLIT, QuaternionAlgebra,
-                         UNRAMIFIED_EXTENSION, _conic_point_ff,
-                         decide_unramified_extension, is_split)
+from .quaternion import (QuaternionAlgebra, UNRAMIFIED_EXTENSION,
+                         _conic_point_ff, decide_unramified_extension,
+                         is_split)
 from .value import INFINITY, Value, ValueGroup
 from .valuation import Valuation
 
@@ -55,10 +55,7 @@ class ConicFunctionField:
         self.sname = sname
         self.norm_poly = self.ef.from_poly(
             self.ef.ring.poly([self.b, base.zero(), self.a]))   # a*x^2 + b
-        try:
-            self.rational_warning = is_square(self.b, base)[0]
-        except Exception:
-            self.rational_warning = False
+        self.rational_warning = is_square(self.b, base)[0]
 
     def element(self, f, g=0) -> "ConicFieldElement":
         return ConicFieldElement(self, f, g)
@@ -134,9 +131,6 @@ class ConicFieldElement:
         o = self._pair(other)
         return self.f == o.f and self.g == o.g
 
-    def conjugate(self) -> "ConicFieldElement":
-        return ConicFieldElement(self.cf, self.f, -self.g)
-
     def quadruple(self):
         """(e0, e1, e2, e3) over E(z) with the element equal to
         e0(x^2) + e1(x^2)*x + e2(x^2)*s + e3(x^2)*x*s."""
@@ -205,12 +199,13 @@ def _scale_argument(rf: RatFunc, lam) -> RatFunc:
 class ResidueConicDesc:
     """kappa(T)(S) with S^2 = a0bar*T^2 + b0bar; arises when v(a), v(b) are
     both even.  a0 = a*u^2 and b0 = b*nu^2 are the unit rescalings and T is
-    the residue of (nu/u)*x."""
+    the residue of (nu/u)*x.  The field has the shape of F itself, so
+    ``conic`` is a ConicFunctionField over kappa and residues are its
+    elements."""
 
     variant = "conic"
 
-    def __init__(self, kappa, a0bar, b0bar, a0, b0, u, nu,
-                 tvar: str = "T", svar: str = "S"):
+    def __init__(self, kappa, a0bar, b0bar, a0, b0, u, nu):
         self.kappa = kappa
         self.a0bar = a0bar
         self.b0bar = b0bar
@@ -218,17 +213,13 @@ class ResidueConicDesc:
         self.b0 = b0
         self.u = u
         self.nu = nu
-        self.tvar = tvar
-        self.svar = svar
-        self.tfield = FunctionField(kappa, tvar)
+        self.conic = ConicFunctionField(kappa, a0bar, b0bar, "T", "S")
 
     def relation(self) -> str:
-        rhs = self.tfield.ring.poly([self.b0bar, self.kappa.zero(), self.a0bar])
-        return f"{self.svar}^2 = {rhs}"
+        return f"{self.conic.sname}^2 = {self.conic.norm_poly}"
 
     def __str__(self):
-        rhs = self.tfield.ring.poly([self.b0bar, self.kappa.zero(), self.a0bar])
-        return f"{self.kappa!r}({self.tvar})(sqrt({rhs}))"
+        return f"{self.kappa!r}({self.conic.var})(sqrt({self.conic.norm_poly}))"
 
     def as_dict(self):
         return {
@@ -237,7 +228,7 @@ class ResidueConicDesc:
             "a0bar": str(self.a0bar), "b0bar": str(self.b0bar),
             "a0": str(self.a0), "b0": str(self.b0),
             "scaling_u": str(self.u), "scaling_nu": str(self.nu),
-            "generators": [self.tvar, self.svar],
+            "generators": [self.conic.var, self.conic.sname],
             "relation": self.relation(),
         }
 
@@ -305,61 +296,6 @@ class ResidueRationalDesc:
             "zbar_in_r": str(self.zbar_expr),
             "sqrt_in_r": str(self.sqrt_expr),
         }
-
-
-class ConicResidueElement:
-    """P + Q*S in the conic residue field, with P, Q rational functions in T."""
-
-    __slots__ = ("desc", "p", "q")
-
-    def __init__(self, desc: ResidueConicDesc, p, q=0):
-        self.desc = desc
-        self.p = desc.tfield.coerce(p)
-        self.q = desc.tfield.coerce(q)
-
-    def _pair(self, other):
-        if isinstance(other, ConicResidueElement):
-            return other
-        return ConicResidueElement(self.desc, other, 0)
-
-    def __add__(self, other):
-        o = self._pair(other)
-        return ConicResidueElement(self.desc, self.p + o.p, self.q + o.q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._pair(other)
-        return ConicResidueElement(self.desc, self.p - o.p, self.q - o.q)
-
-    def __neg__(self):
-        return ConicResidueElement(self.desc, -self.p, -self.q)
-
-    def __mul__(self, other):
-        o = self._pair(other)
-        d = self.desc
-        ssq = d.tfield.from_poly(d.tfield.ring.poly(
-            [d.b0bar, d.kappa.zero(), d.a0bar]))
-        return ConicResidueElement(d, self.p * o.p + self.q * o.q * ssq,
-                                   self.p * o.q + self.q * o.p)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.p) or bool(self.q)
-
-    def __eq__(self, other):
-        o = self._pair(other)
-        return self.p == o.p and self.q == o.q
-
-    def __repr__(self):
-        return str(self)
-
-    def __str__(self):
-        if not self.q:
-            return str(self.p)
-        qs = f"({self.q})*{self.desc.svar}"
-        return qs if not self.p else f"({self.p}) + {qs}"
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +416,17 @@ class DistinguishedExtension:
         u, nu = self._u, self._nu
         lam = (u / nu) ** 2
         cscale = (v.base.coerce(1), u / nu, 1 / nu, u / (nu * nu))
-        desc = self.residue
+        conic = self.residue.conic
         parts = []
         for ei, ci in zip(e, cscale):
             if ei:
                 transformed = _scale_argument(ei, lam) * ci
                 parts.append(_subs_square(self._w0.residue_of(transformed),
-                                          desc.tfield))
+                                          conic.ef))
             else:
-                parts.append(desc.tfield.zero())
-        t = desc.tfield.gen()
-        return ConicResidueElement(desc, parts[0] + parts[1] * t,
-                                   parts[2] + parts[3] * t)
+                parts.append(conic.ef.zero())
+        t = conic.ef.gen()
+        return conic.element(parts[0] + parts[1] * t, parts[2] + parts[3] * t)
 
     def _residue_rational(self, e):
         desc = self.residue
@@ -500,10 +435,6 @@ class DistinguishedExtension:
         rj = (self.w1.residue_of(e[j] * (1 / self._mj))
               if e[j] else self.w1.residue_field.zero())
         return desc.embed(r0) + desc.embed(rj) * desc.sqrt_expr
-
-
-def distinguished_residue_field(v: Valuation, cf: ConicFunctionField):
-    return DistinguishedExtension(v, cf).residue
 
 
 # ---------------------------------------------------------------------------

@@ -735,13 +735,6 @@ class Poly:
         return Poly(self.ring, tuple(-c if k % 2 else c
                                      for k, c in enumerate(self.coeffs)))
 
-    def even_part(self) -> "Poly":
-        """q with p(X) = q(X^2) + X * (odd part)(X^2)."""
-        return self.ring.poly(list(self.coeffs[0::2]))
-
-    def odd_part(self) -> "Poly":
-        return self.ring.poly(list(self.coeffs[1::2]))
-
     def __repr__(self):
         return str(self)
 

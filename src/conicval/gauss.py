@@ -14,19 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (ConstantInput, InvalidPivot, InvariantViolated,
-                     NegativeValue, NonzeroValue, SquareInput, ZeroInput)
+from .errors import (ConstantInput, InvalidPivot, NegativeValue,
+                     NonzeroValue, SquareInput, ZeroInput)
 from .fields import (FF, FunctionField, Poly, RatFunc, is_square,
                      quadratic_extension_field)
 from .value import INFINITY, Value
 from .valuation import Valuation
 
 
-class GaussExtension:
+class GaussExtension(Valuation):
     """The Gauss extension of ``v`` to ``pivot.field`` with respect to ``pivot``.
 
-    Exposes the same interface as a base valuation (value_of, residue_of,
-    unit_part), with residues living in kappa(Ybar).
+    A valuation on E(x) with the interface of a base valuation (value_of,
+    residue_of, and unit_part inherited), with residues living in
+    kappa(Ybar).
     """
 
     def __init__(self, v: Valuation, pivot: RatFunc, residue_var: str | None = None):
@@ -129,22 +130,8 @@ class GaussExtension:
             [self.v.residue_of(c) for c in den.coeffs])
         return RatFunc(self.residue_field, rnum, rden)
 
-    def unit_part(self, h):
-        h = self.field.coerce(h)
-        if not h:
-            raise ZeroInput("unit part of zero")
-        m = self.value_of(h).fraction
-        if m.denominator != 1:
-            raise InvariantViolated(f"unit_part of an element of value {m}")
-        m = int(m)
-        u = h * self.field.coerce(self.v.uniformizer ** (-m)) if m else h
-        return m, u
-
     def describe(self) -> str:
         return f"gauss({self.v.describe()}; pivot={self.pivot})"
-
-    def __repr__(self):
-        return self.describe()
 
 
 def gauss_extension(v: Valuation, field: FunctionField,

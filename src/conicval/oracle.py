@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolated, PrecisionTooLow, ZeroInput
-from .fields import FF, FunctionField, QQ, RatFunc, RationalField, infer_context
+from .fields import FF, FunctionField, RatFunc, RationalField, infer_context
 from .value import INFINITY
 from .valuation import PAdicValuation, Valuation
 

@@ -1,10 +1,12 @@
 """Quaternion algebras (a,b) over the supported base fields.
 
 Provides square-class normalization with respect to a valuation, residue
-algebras, splitting tests (finite fields exhaustively, Q by Hilbert symbols
-at all relevant places, F_q(t) by local symbols at the places supporting a
-and b plus infinity), isomorphism testing over Q, and the decision whether a
-valuation admits an unramified extension to the algebra.
+algebras, splitting tests (finite fields by a Tonelli-Shanks scan for a conic
+point, Q and F_q(t) by one loop of local symbols over the places where they
+can be -1), isomorphism testing over Q, and the decision whether a valuation
+admits an unramified extension to the algebra.  One tame symbol serves every
+nondyadic place with a finite residue field; over Q only 2 and infinity have
+their own formulas.
 
 The decision is presentation-independent: square scalings, swapping a and b,
 and replacing b by -ab change neither the algebra nor the verdict, which is
@@ -21,9 +23,10 @@ import sympy
 
 from .errors import (InvariantViolated, NotUnitUnit, UnsupportedField,
                      ZeroInput)
-from .fields import (FF, FunctionField, QQ, RatFunc, RationalField, factor,
-                     infer_context, is_square, square_class_reduce)
-from .valuation import (InfinitePlaceValuation, PlaceValuation, Valuation)
+from .fields import (FF, FunctionField, RationalField, factor, is_square,
+                     square_class_reduce)
+from .valuation import (InfinitePlaceValuation, PAdicValuation, PlaceValuation,
+                        Valuation)
 
 
 class QuaternionAlgebra:
@@ -130,35 +133,55 @@ def residue_algebra(q: QuaternionAlgebra, v: Valuation) -> QuaternionAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert symbols over Q
+# local symbols
 # ---------------------------------------------------------------------------
 
 
-def _legendre(n: int, p: int) -> int:
-    r = pow(n % p, (p - 1) // 2, p)
-    return 1 if r == 1 else (-1 if r == p - 1 else 0)
+def _local_symbol(a, b, w: Valuation) -> int:
+    """The tame symbol (a, b) at a nondyadic place w with finite residue
+    field: with a = pi^alpha * u and b = pi^beta * u' for units u and u',
+    (-1)^(alpha*beta) * ubar^beta * u'bar^alpha, each factor sent to +-1 by
+    Euler's criterion."""
+    alpha = int(w.value_of(a).fraction)
+    beta = int(w.value_of(b).fraction)
+    k = w.residue_field
+    exp = (k.order - 1) // 2
+
+    def chi(r):
+        return 1 if r ** exp == k.one() else -1
+
+    s = 1
+    if alpha % 2 and beta % 2:
+        s *= chi(k.from_int(-1))
+    if beta % 2:
+        s *= chi(w.residue_of(w.unit_part(a)[1]))
+    if alpha % 2:
+        s *= chi(w.residue_of(w.unit_part(b)[1]))
+    return s
 
 
 def _unit_mod(x: Fraction, modulus: int) -> int:
     return x.numerator * pow(x.denominator, -1, modulus) % modulus
 
 
-def _split_p(x: Fraction, p: int) -> tuple[int, Fraction]:
+def _split_2(x: Fraction) -> tuple[int, Fraction]:
     m = 0
     num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
+    while num % 2 == 0:
+        num //= 2
         m += 1
-    while den % p == 0:
-        den //= p
+    while den % 2 == 0:
+        den //= 2
         m -= 1
     return m, Fraction(num, den)
 
 
 def hilbert_symbol(a, b, place) -> int:
-    """The Hilbert symbol (a,b) at an odd prime, at 2, or at infinity.
+    """The Hilbert symbol (a,b) over Q at a prime or at infinity.
 
     +1 iff z^2 = a*x^2 + b*y^2 has a nontrivial solution over the completion.
+    Only 2 and infinity are special; an odd prime takes the tame symbol of
+    its p-adic valuation, and a place that is neither raises UnsupportedPlace.
     """
     a, b = Fraction(a), Fraction(b)
     if not a or not b:
@@ -166,19 +189,15 @@ def hilbert_symbol(a, b, place) -> int:
     if place in ("inf", "infty", "oo", math.inf):
         return -1 if a < 0 and b < 0 else 1
     p = int(place)
-    alpha, u = _split_p(a, p)
-    beta, w = _split_p(b, p)
-    if p == 2:
-        u8, w8 = _unit_mod(u, 8), _unit_mod(w, 8)
-        eps_u, eps_w = (u8 - 1) // 2 % 2, (w8 - 1) // 2 % 2
-        om_u, om_w = (u8 * u8 - 1) // 8 % 2, (w8 * w8 - 1) // 8 % 2
-        e = eps_u * eps_w + alpha * om_w + beta * om_u
-        return -1 if e % 2 else 1
-    lu = _legendre(_unit_mod(u, p), p)
-    lw = _legendre(_unit_mod(w, p), p)
-    lm1 = _legendre(p - 1, p)
-    s = (lm1 ** (alpha * beta % 2)) * (lu ** (beta % 2)) * (lw ** (alpha % 2))
-    return s
+    if p != 2:
+        return _local_symbol(a, b, PAdicValuation(p))
+    alpha, u = _split_2(a)
+    beta, w = _split_2(b)
+    u8, w8 = _unit_mod(u, 8), _unit_mod(w, 8)
+    eps_u, eps_w = (u8 - 1) // 2 % 2, (w8 - 1) // 2 % 2
+    om_u, om_w = (u8 * u8 - 1) // 8 % 2, (w8 * w8 - 1) // 8 % 2
+    e = eps_u * eps_w + alpha * om_w + beta * om_u
+    return -1 if e % 2 else 1
 
 
 def rational_support(*values) -> list[int]:
@@ -191,6 +210,12 @@ def rational_support(*values) -> list[int]:
                 if prime not in (1, 2):
                     primes.add(int(prime))
     return sorted(primes)
+
+
+def _rational_places(*values) -> list:
+    """The places of Q where a Hilbert symbol of the values can be -1:
+    infinity, 2 and the odd primes supporting them."""
+    return ["inf", 2] + rational_support(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +248,51 @@ def is_split(q: QuaternionAlgebra, search_bound: int = 200) -> SplitResult:
 
     Finite fields: always split; the certificate is a point of
     a*x^2 + b*y^2 = z^2 found by Tonelli-Shanks, preferring coordinates that
-    are all nonzero.  Q: local symbols at 2, infinity and the odd primes
-    supporting a and b; when split, a bounded point search supplies the
-    certificate (its failure is reported as a note, never as a verdict).
-    F_q(t): local symbols at the places dividing a and b and at infinity.
+    are all nonzero.  Q and F_q(t): one loop over the places where the local
+    symbol can be -1, recording every symbol and naming the first place with
+    -1.  Over Q these are infinity, 2 and the odd primes supporting a and b;
+    over F_q(t) the irreducible factors of num and den of a, then of b, then
+    infinity.  At every other place the symbol is +1, so when every listed
+    symbol is +1 the algebra splits locally everywhere, hence globally; over
+    Q a bounded point search then supplies the certificate, and its failure
+    is reported as a note, never as a verdict.
     """
     field = q.field
     if isinstance(field, FF):
         return SplitResult(split=True, certificate=_conic_point_ff(q.a, q.b, field))
+    symbols = tuple(_local_symbols(q))
+    failing = next((pl for pl, s in symbols if s == -1), None)
+    if failing is not None:
+        return SplitResult(split=False, failing_place=failing, symbols=symbols)
+    if isinstance(field, FunctionField):
+        return SplitResult(split=True, symbols=symbols,
+                           note="split at every place supporting a and b")
+    from .oracle import isotropy_search
+    point = isotropy_search(q.a, q.b, bound=search_bound)
+    note = None if point is not None else (
+        f"split by local symbols, but no point of height <= {search_bound} found")
+    return SplitResult(split=True, certificate=point, symbols=symbols,
+                       note=note)
+
+
+def _local_symbols(q: QuaternionAlgebra) -> list:
+    """(place, local symbol of (a, b)) at every place of q's field where the
+    symbol can be -1, in the order is_split names them."""
+    field, a, b = q.field, q.a, q.b
     if isinstance(field, RationalField):
-        return _is_split_rational(q, search_bound)
-    if isinstance(field, FunctionField) and isinstance(field.coefficient_field, FF):
-        return _is_split_global_ff(q)
-    raise UnsupportedField(f"splitting over {field!r} is not decidable here")
+        return [(str(pl), hilbert_symbol(a, b, pl))
+                for pl in _rational_places(a, b)]
+    if not (isinstance(field, FunctionField)
+            and isinstance(field.coefficient_field, FF)):
+        raise UnsupportedField(f"splitting over {field!r} is not decidable here")
+    pis = {}
+    for poly in (a.num, a.den, b.num, b.den):
+        if poly.degree() > 0:
+            for g, _ in factor(poly)[1]:
+                pis[g] = None
+    places = [(str(g), PlaceValuation(field, g)) for g in pis]
+    places.append(("inf", InfinitePlaceValuation(field)))
+    return [(name, _local_symbol(a, b, w)) for name, w in places]
 
 
 def _conic_point_ff(a, b, k: FF):
@@ -262,88 +319,13 @@ def _conic_point_ff(a, b, k: FF):
     raise InvariantViolated("finite-field conic without points (impossible)")
 
 
-def _is_split_rational(q: QuaternionAlgebra, search_bound: int) -> SplitResult:
-    a, b = Fraction(q.a), Fraction(q.b)
-    places = ["inf", 2] + rational_support(a, b)
-    symbols = []
-    failing = None
-    for pl in places:
-        s = hilbert_symbol(a, b, pl)
-        symbols.append((str(pl), s))
-        if s == -1 and failing is None:
-            failing = str(pl)
-    if failing is not None:
-        return SplitResult(split=False, failing_place=failing,
-                           symbols=tuple(symbols))
-    from .oracle import isotropy_search
-    point = isotropy_search(a, b, bound=search_bound)
-    note = None if point is not None else (
-        f"split by local symbols, but no point of height <= {search_bound} found")
-    return SplitResult(split=True, certificate=point, symbols=tuple(symbols),
-                       note=note)
-
-
-def _function_field_places(x: RatFunc):
-    for poly in (x.num, x.den):
-        if poly.degree() > 0:
-            for g, _ in factor(poly)[1]:
-                yield g
-
-
-def _local_symbol_ff(a: RatFunc, b: RatFunc, w: Valuation) -> int:
-    alpha = int(w.value_of(a).fraction)
-    beta = int(w.value_of(b).fraction)
-    k = w.residue_field
-    exp = (k.order - 1) // 2
-
-    def chi(r):
-        return 1 if r ** exp == k.one() else -1
-
-    s = 1
-    if alpha % 2 and beta % 2:
-        s *= chi(k.from_int(-1))
-    if beta % 2:
-        s *= chi(w.residue_of(w.unit_part(a)[1]))
-    if alpha % 2:
-        s *= chi(w.residue_of(w.unit_part(b)[1]))
-    return s
-
-
-def _is_split_global_ff(q: QuaternionAlgebra) -> SplitResult:
-    field = q.field
-    pis = {}
-    for g in _function_field_places(q.a):
-        pis[g] = None
-    for g in _function_field_places(q.b):
-        pis[g] = None
-    symbols = []
-    failing = None
-    for g in pis:
-        w = PlaceValuation(field, g)
-        s = _local_symbol_ff(q.a, q.b, w)
-        symbols.append((str(g), s))
-        if s == -1 and failing is None:
-            failing = str(g)
-    w = InfinitePlaceValuation(field)
-    s = _local_symbol_ff(q.a, q.b, w)
-    symbols.append(("inf", s))
-    if s == -1 and failing is None:
-        failing = "inf"
-    if failing is not None:
-        return SplitResult(split=False, failing_place=failing,
-                           symbols=tuple(symbols))
-    return SplitResult(split=True, symbols=tuple(symbols),
-                       note="split at every place supporting a and b")
-
-
 def quaternion_isomorphic(q1: QuaternionAlgebra, q2: QuaternionAlgebra) -> bool:
     """Isomorphism over Q: equality of Hilbert symbols at every relevant place
     (the ramification set determines the algebra)."""
     if not isinstance(q1.field, RationalField) or not isinstance(q2.field, RationalField):
         raise UnsupportedField("isomorphism testing is implemented over Q only")
-    places = ["inf", 2] + rational_support(q1.a, q1.b, q2.a, q2.b)
     return all(hilbert_symbol(q1.a, q1.b, pl) == hilbert_symbol(q2.a, q2.b, pl)
-               for pl in places)
+               for pl in _rational_places(q1.a, q1.b, q2.a, q2.b))
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +372,16 @@ def _global_split(q: QuaternionAlgebra, search_bound: int) -> SplitResult | None
     Over Q(t) only the trivial certificates are consulted: a, b or -ab a
     square makes the algebra split; anything deeper is out of scope."""
     field = q.field
-    if isinstance(field, RationalField):
+    if isinstance(field, RationalField) or (
+            isinstance(field, FunctionField)
+            and isinstance(field.coefficient_field, FF)):
         return is_split(q, search_bound)
     if isinstance(field, FunctionField):
-        if isinstance(field.coefficient_field, FF):
-            return is_split(q)
         for tag, cand in (("a", q.a), ("b", q.b), ("-ab", -q.a * q.b)):
             ok, root = is_square(cand, field)
             if ok:
                 return SplitResult(split=True,
                                    note=f"{tag} = ({root})^2 is a square")
-        return None
     return None
 
 

@@ -47,8 +47,7 @@ class Valuation:
 
     def unit_part(self, x):
         """Write x = pi^m * u exactly, with v(u) = 0; returns (m, u)."""
-        if isinstance(x, int):
-            x = self.base.coerce(x)
+        x = self.domain.coerce(x)
         if not x:
             raise ZeroInput("unit part of zero")
         m = self.value_of(x).fraction

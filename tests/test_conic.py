@@ -3,8 +3,9 @@ import time
 
 import pytest
 
-from conicval.conic import (ConicFunctionField, DistinguishedExtension,
-                            _even_odd, sample_conic_element)
+from conicval.conic import (ConicFieldElement, ConicFunctionField,
+                            DistinguishedExtension, _even_odd,
+                            sample_conic_element)
 from conicval.fields import QQ, RatFunc
 from conicval.oracle import valuation_axiom_fuzz
 from conicval.valuation import PAdicValuation
@@ -103,6 +104,36 @@ class TestResidueMultiplicativity:
             e1, e2 = unit(), unit()
             assert w.residue_of(e1 * e2) == \
                 w.residue_of(e1) * w.residue_of(e2), (e1, e2)
+
+
+class TestResidueConic:
+    """In case3_units the residue field of w* is the conic field
+    kappa(T)(S), S^2 = a0bar*T^2 + b0bar, and residues are its elements."""
+
+    def test_residue_is_an_element_of_the_residue_conic(self, wstar_minus_one):
+        w = wstar_minus_one
+        assert w.case_tag == "case3_units"
+        cf = w.conic_field
+        r = w.residue_of(cf.x() + cf.s())
+        assert isinstance(r, ConicFieldElement)
+        assert r.cf is w.residue.conic
+
+    def test_golden_strings(self, wstar_minus_one):
+        w = wstar_minus_one
+        cf = w.conic_field
+        x, s, t = cf.x(), cf.s(), cf.ef.coerce(cf.base.gen())
+        residues = [str(w.residue_of(e)) for e in (
+            x, s, x + s, (x * s + t) / (x + 1),
+            (x * x + s) * (x + t * s) / (x * x + x + t + 1))]
+        assert residues == [
+            "T", "(1)*S", "(T) + (1)*S", "((T)/(T + 1))*S",
+            "((T^3)/(T^2 + T + 1)) + ((T)/(T^2 + T + 1))*S"]
+        assert str(w.residue) == "Q(T)(sqrt(-T^2 - 1))"
+        assert w.residue.relation() == "S^2 = -T^2 - 1"
+        assert w.residue.as_dict() == {
+            "variant": "conic", "kappa": "Q", "a0bar": "-1", "b0bar": "-1",
+            "a0": "-1", "b0": "-1", "scaling_u": "1", "scaling_nu": "1",
+            "generators": ["T", "S"], "relation": "S^2 = -T^2 - 1"}
 
 
 class TestLargeResidueFields:

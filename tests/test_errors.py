@@ -20,3 +20,47 @@ def test_no_assert_statements_in_package():
 
 def test_invariant_violation_is_a_conicval_error():
     assert issubclass(InvariantViolated, ConicvalError)
+
+
+def _imported_names(tree):
+    """(name, line) for each name bound by an import, __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, node.lineno
+
+
+def _referenced_names(tree):
+    """Every identifier the module uses as a name, including those inside
+    string annotations."""
+    names = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in annotations:
+        for sub in ast.walk(ann) if ann is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names |= _referenced_names(ast.parse(sub.value, mode="eval"))
+    return names
+
+
+def test_no_unused_imports_in_package():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = _referenced_names(tree)
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in _imported_names(tree) if name not in used]
+    assert not found

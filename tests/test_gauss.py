@@ -176,6 +176,26 @@ class TestHomogeneousRewrite:
                 checked += 1
 
 
+class TestUnitPartOffIdentity:
+    """unit_part is the one inherited from Valuation, on pivots other than x."""
+
+    @pytest.mark.parametrize("val, pivot", PIVOT_FIXTURES)
+    def test_unit_times_uniformizer_power(self, val, pivot):
+        v = parse_valuation(val)
+        ex = FunctionField(v.base, "x")
+        variables = dict(field_variables(v.base), x=ex.gen())
+        w = GaussExtension(v, ex.coerce(parse_element(pivot, ex, variables)))
+        rng = random.Random(23)
+        exponents = set()
+        while len(exponents) < 2:
+            h = sample_ratfunc(rng, ex, 3, 2) * w.uniformizer ** rng.randint(-2, 2)
+            if h.degree() > 0:
+                m, u = w.unit_part(h)
+                assert w.value_of(u) == Value(0), h
+                assert u * ex.coerce(v.uniformizer ** m) == h, h
+                exponents.add(m)
+
+
 class TestSubfieldDegree:
     def test_example_integral(self, ex):
         y = ex.ratfunc(ex.ring.poly([1, 0, 1]), ex.ring.gen())

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from conicval.errors import NotUnitUnit, UnsupportedField, ZeroInput
+from conicval.errors import (NotUnitUnit, UnsupportedField, UnsupportedPlace,
+                             ZeroInput)
 from conicval.fields import FF, FunctionField, GF, QQ, is_square
 from conicval.oracle import isotropy_search, sample_rational
 from conicval.quaternion import (NO_EXTENSION_ALGEBRA_SPLIT,
@@ -61,6 +63,61 @@ class TestHilbertSymbol:
     def test_zero_rejected(self):
         with pytest.raises(ZeroInput):
             hilbert_symbol(0, 1, 5)
+
+    def test_odd_prime_equals_legendre_formula(self):
+        # p up to about 1e30 dividing a, b, both or neither, with both
+        # classes of p mod 4 (which decide (-1|p))
+        rng = random.Random(11)
+        seen = set()
+        for i in range(320):
+            digits = rng.randint(1, 30)
+            p = sympy.randprime(max(3, 10 ** (digits - 1)), 10 ** digits)
+            divides = (i % 2 == 1, i % 4 >= 2)
+            a, b = (_p_power_times_unit(rng, p, d) for d in divides)
+            assert hilbert_symbol(a, b, p) == _hilbert_by_legendre(a, b, p), \
+                (a, b, p)
+            seen.add((divides, p % 4))
+        assert len(seen) == 8
+
+    def test_non_prime_place_rejected(self):
+        with pytest.raises(UnsupportedPlace):
+            hilbert_symbol(2, 3, 9)
+
+
+def _legendre(n: int, p: int) -> int:
+    r = pow(n % p, (p - 1) // 2, p)
+    return 1 if r == 1 else (-1 if r == p - 1 else 0)
+
+
+def _p_split(x: Fraction, p: int):
+    """(m, u) with x = p^m * u and p dividing neither part of u."""
+    m, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num, m = num // p, m + 1
+    while den % p == 0:
+        den, m = den // p, m - 1
+    return m, num * pow(den, -1, p)
+
+
+def _hilbert_by_legendre(a, b, p: int) -> int:
+    """(a, b)_p = (-1|p)^(alpha*beta) * (u|p)^beta * (w|p)^alpha for
+    a = p^alpha * u and b = p^beta * w, u and w units."""
+    alpha, u = _p_split(Fraction(a), p)
+    beta, w = _p_split(Fraction(b), p)
+    return (_legendre(-1, p) ** (alpha * beta % 2) * _legendre(u, p) ** (beta % 2)
+            * _legendre(w, p) ** (alpha % 2))
+
+
+def _p_power_times_unit(rng, p: int, divisible: bool) -> Fraction:
+    """A random rational of nonzero p-adic value in [-3, 3] when divisible,
+    else of value 0."""
+    def unit_part():
+        while True:
+            n = rng.randint(1, 10 ** rng.randint(1, 40))
+            if n % p:
+                return n
+    x = Fraction(rng.choice((1, -1)) * unit_part(), unit_part())
+    return x * Fraction(p) ** rng.choice((-3, -2, -1, 1, 2, 3)) if divisible else x
 
 
 class TestIsSplit:
