@@ -30,7 +30,7 @@ from fractions import Fraction
 from .errors import (InvariantViolated, NonzeroValue, PreconditionViolated,
                      WitnessNotFound, ZeroElement, ZeroInput)
 from .fields import (FF, FunctionField, Poly, RatFunc, RationalField,
-                     is_square)
+                     _rational_ratfunc, _tower_rows, is_square)
 from .gauss import (GaussExtension, RAMIFIED, SPLIT_PAIR,
                     quadratic_extension_analysis)
 from .quaternion import (QuaternionAlgebra, UNRAMIFIED_EXTENSION,
@@ -38,6 +38,12 @@ from .quaternion import (QuaternionAlgebra, UNRAMIFIED_EXTENSION,
                          is_split)
 from .value import INFINITY, Value, ValueGroup
 from .valuation import Valuation
+
+# After the package's modules, so that fields.py imports sympy first: with
+# sympy first imported from here, the same modules load but the process
+# stays about 2.5 MB larger (VmRSS after ``import conicval.cli``).
+from sympy.polys.densearith import dmp_mul, dup_mul, dup_neg
+from sympy.polys.domains import ZZ
 
 
 class ConicFunctionField:
@@ -386,10 +392,23 @@ class DistinguishedExtension:
         return (f"w*[{self.v.describe()}; s^2 = ({cf.a})*{cf.var}^2 + ({cf.b})]")
 
     def value_of(self, elem) -> Value:
+        """min of w1(e_i) + beta_i over the quadruple (e0, e1, e2, e3).
+
+        Over Q(t) the quadruple is not built: for each of f and g in
+        f + g*s, with f = num/den and rows Rn, Rd of Z[t][x] over lcms
+        l_num, l_den (``_tower_rows``), M = Rn*Rd(-x) and D = Rd*Rd(-x) give
+        w1(e_i) = w1(M_part) - w1(D_even) + v(l_den) - v(l_num), M_part the
+        even or odd x-degree rows of M.  A part constant in z while w1's
+        pivot is not the identity is built as that constant of E and valued
+        by ``w1.value_of``, whose ``_rewrite`` keeps the Gauss-constant
+        defect.
+        """
         if isinstance(elem, (int, RatFunc, Poly)):
             elem = self.conic_field.element(elem)
         if not elem:
             raise ZeroElement("the distinguished extension has no value at 0")
+        if self.w1._on_rows:
+            return self._value_on_rows(elem)
         best = INFINITY
         for ei, bi in zip(elem.quadruple(), self.beta):
             if ei:
@@ -397,6 +416,39 @@ class DistinguishedExtension:
                 if val < best:
                     best = val
         return best
+
+    def _value_on_rows(self, elem) -> Value:
+        w1, values = self.w1, []
+        for k, h in enumerate((elem.f, elem.g)):
+            if not h:
+                continue
+            rn, mn, ln = _tower_rows(h.num.coeffs)
+            rd, md, ld = _tower_rows(h.den.coeffs)
+            top = len(rd) - 1
+            neg = [dup_neg(r, ZZ) if (top - i) % 2 else r
+                   for i, r in enumerate(rd)]                # Rd(-x)
+            m = dmp_mul(rn, neg, 1, ZZ)
+            d = dmp_mul(rd, neg, 1, ZZ)[::2]                 # D is even
+            shift = (self.v.row_order(ld) - self.v.row_order(ln)
+                     - w1.row_value(d))
+            even = (len(m) - 1) % 2        # m[even::2] has even x-degrees
+            for i, part in ((2 * k, m[even::2]), (2 * k + 1, m[1 - even::2])):
+                while part and not part[0]:
+                    part = part[1:]
+                if not part:
+                    continue
+                if (not w1._identity and len(part) == len(d)
+                        and [dup_mul(r, d[0], ZZ) for r in part]
+                        == [dup_mul(r, part[0], ZZ) for r in d]):
+                    # e_i is the constant (lc(M_part) * md * l_den) /
+                    # (lc(D) * mn * l_num) of E
+                    c = _rational_ratfunc(self.v.base, dup_mul(part[0], ld, ZZ),
+                                          dup_mul(d[0], ln, ZZ), md, mn)
+                    values.append(w1.value_of(c) + self.beta[i])
+                else:
+                    values.append(Value(w1.row_value(part) + shift)
+                                  + self.beta[i])
+        return min(values)
 
     def residue_of(self, elem):
         """Residue of a value-zero element, in the generators of the

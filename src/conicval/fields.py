@@ -205,7 +205,9 @@ class FF:
     """Finite field F_p[u]/(m(u)) with p an odd prime and m monic irreducible.
 
     The prime field is the degree-1 case with m = u.  Elements are coefficient
-    vectors of length deg(m) with entries reduced modulo p.  ``sqrt`` gives
+    vectors of length deg(m) with entries reduced modulo p; in the prime
+    field they multiply, invert and power as ints modulo p, and F_{p^k}
+    runs polynomial arithmetic on the vectors modulo m.  ``sqrt`` gives
     the root of least ``element_at`` index by Euler's test and Tonelli-Shanks.
     """
 
@@ -236,6 +238,8 @@ class FF:
         return self.p
 
     def element(self, coeffs) -> "FFElement":
+        if self.degree == 1:    # modulo u only the constant term is left
+            return FFElement(self, (coeffs[0] % self.p if coeffs else 0,))
         c = [x % self.p for x in coeffs]
         if len(c) > self.degree:
             c = list(_ip_mod(tuple(c), self.modulus, self.p))
@@ -345,7 +349,7 @@ class FFElement:
 
     def _other(self, other):
         if isinstance(other, FFElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ContextMismatch("finite field contexts differ")
             return other
         if isinstance(other, int):
@@ -378,6 +382,8 @@ class FFElement:
         if o is None:
             return NotImplemented
         f = self.field
+        if f.degree == 1:
+            return FFElement(f, (self.coeffs[0] * o.coeffs[0] % f.p,))
         prod = _ip_mod(_ip_mul(_ip_trim(list(self.coeffs)),
                                _ip_trim(list(o.coeffs)), f.p), f.modulus, f.p)
         return f.element(prod)
@@ -388,6 +394,8 @@ class FFElement:
         if not self:
             raise DivisionByZero("inverse of zero in finite field")
         f = self.field
+        if f.degree == 1:
+            return FFElement(f, (pow(self.coeffs[0], -1, f.p),))
         g, s, _ = _ip_xgcd(_ip_trim(list(self.coeffs)), f.modulus, f.p)
         if g != (1,):
             raise DivisionByZero("element not invertible (modulus reducible?)")
@@ -406,9 +414,11 @@ class FFElement:
         return o * self.inverse()
 
     def __pow__(self, e: int):
+        f = self.field
+        if f.degree == 1 and (e >= 0 or self.coeffs[0]):
+            return FFElement(f, (pow(self.coeffs[0], e, f.p),))
         if e < 0:
             return self.inverse() ** (-e)
-        f = self.field
         out = _ip_pow_mod(_ip_trim(list(self.coeffs)), e, f.modulus, f.p)
         return f.element(out)
 
@@ -422,8 +432,8 @@ class FFElement:
     def __eq__(self, other):
         if isinstance(other, int):
             return self == self.field.from_int(other)
-        return (isinstance(other, FFElement) and other.field == self.field
-                and other.coeffs == self.coeffs)
+        return (isinstance(other, FFElement) and other.coeffs == self.coeffs
+                and (other.field is self.field or other.field == self.field))
 
     def __hash__(self):
         return hash((self.field, self.coeffs))
@@ -1160,12 +1170,25 @@ class RatFunc:
             return NotImplemented
         return o / self
 
+    def _constant(self):
+        """The coefficient c when self is a nonzero constant of the
+        coefficient field (a canonical constant has den 1), else None."""
+        if len(self.num.coeffs) == 1 and self.den.is_one():
+            return self.num.coeffs[0]
+        return None
+
     def inverse(self) -> "RatFunc":
         if not self.num:
             raise DivisionByZero("inverse of zero")
+        c = self._constant()
+        if c is not None:
+            return self.field.from_poly(self.field.ring.poly([1 / c]))
         return RatFunc(self.field, self.den, self.num)
 
     def __pow__(self, e: int):
+        c = self._constant()
+        if c is not None:
+            return self.field.from_poly(self.field.ring.poly([c ** e]))
         if e < 0:
             return self.inverse() ** (-e)
         return RatFunc(self.field, self.num ** e, self.den ** e, _reduced=True)

@@ -24,7 +24,7 @@ import sympy
 from .errors import (ContextMismatch, InvariantViolated, NegativeValue,
                      UnsupportedField, UnsupportedPlace, ZeroInput)
 from .fields import (FF, FlatQuotient, FunctionField, Poly, QQ, RationalField,
-                     RatFunc)
+                     RatFunc, _integer_row)
 from .value import INFINITY, Value
 
 
@@ -163,7 +163,31 @@ class PlaceValuation(Valuation):
         x = self.base.coerce(x)
         if not x:
             return INFINITY
+        if self.residue_field is QQ:
+            return Value(self.row_order(_integer_row(x.num.coeffs)[1])
+                         - self.row_order(_integer_row(x.den.coeffs)[1]))
         return Value(_poly_order(x.num, self.pi) - _poly_order(x.den, self.pi))
+
+    def row_order(self, row: list[int]) -> int:
+        """Order at a place t - a/b of Q(t) of a nonzero integer row of Z[t]
+        (highest degree first), by synthetic division: b*t - a is primitive,
+        so by Gauss's lemma it divides the row over Z exactly when it
+        divides it over Q, and a quotient that leaves Z ends the count."""
+        a, b = self._root.numerator, self._root.denominator
+        m = 0
+        while len(row) > 1:
+            acc, quo = 0, []
+            for c in row[:-1]:
+                acc = c + a * acc
+                if b != 1:
+                    acc, r = divmod(acc, b)
+                    if r:
+                        return m
+                quo.append(acc)
+            if row[-1] + a * acc:
+                return m
+            row, m = quo, m + 1
+        return m
 
     def residue_of(self, x):
         x = self.base.coerce(x)
@@ -226,6 +250,11 @@ class InfinitePlaceValuation(Valuation):
         if not x:
             return INFINITY
         return Value(x.den.degree() - x.num.degree())
+
+    @staticmethod
+    def row_order(row: list[int]) -> int:
+        """-deg of a nonzero integer row of Z[t], highest degree first."""
+        return 1 - len(row)
 
     def residue_of(self, x):
         x = self.base.coerce(x)

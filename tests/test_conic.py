@@ -3,12 +3,15 @@ import time
 
 import pytest
 
+from conicval.cli import parse_field_element, parse_valuation
 from conicval.conic import (ConicFieldElement, ConicFunctionField,
-                            DistinguishedExtension, _even_odd,
+                            DistinguishedExtension, _even_odd, _subs_square,
                             sample_conic_element)
 from conicval.fields import QQ, RatFunc
-from conicval.oracle import valuation_axiom_fuzz
+from conicval.oracle import (sample_field_element, sample_ratfunc,
+                             valuation_axiom_fuzz)
 from conicval.valuation import PAdicValuation
+from conicval.value import INFINITY
 
 
 def _galois_norm(e):
@@ -69,6 +72,44 @@ class TestGaloisNormOracle:
         for _ in range(15):
             e = sample_conic_element(rng, w.conic_field)
             assert w.w1.value_of(_galois_norm(e)) == 4 * w.value_of(e), e
+
+
+def _quadruple_value(w, e):
+    """min of w1(e_i) + beta_i with each w1(e_i) through ``_rewrite``,
+    which keeps the Gauss-constant defect on parts constant in z."""
+    best = INFINITY
+    for ei, bi in zip(e.quadruple(), w.beta):
+        if ei:
+            r = w.w1._rewrite(ei)
+            best = min(best, w.w1._min_value(r.num) - w.w1._min_value(r.den) + bi)
+    return best
+
+
+class TestRowValues:
+    """Over Q(t), w* runs on Z[t] rows; it agrees with the quadruple,
+    parts constant in z (the fallback when a != b) included."""
+
+    @pytest.mark.parametrize("place", ["t", "t-2", "inf"])
+    @pytest.mark.parametrize("a, b", [("-1", "-1"), ("t", "1")])
+    def test_agrees_with_quadruple(self, place, a, b):
+        v = parse_valuation(f"Q(t):place={place}")
+        qt = v.base
+        w = _wstar(qt, parse_field_element(a, qt), parse_field_element(b, qt), v)
+        cf = w.conic_field
+        x = cf.ef.gen()
+        rng = random.Random(37)
+
+        def part():
+            if rng.random() < 0.4:      # constant in z, possibly zero
+                return cf.ef.coerce(sample_field_element(rng, qt))
+            return _subs_square(sample_ratfunc(rng, cf.zfield, 2, 1), cf.ef)
+
+        checked = 0
+        while checked < 20:
+            e = cf.element(part() + part() * x, part() + part() * x)
+            if e:
+                assert w.value_of(e) == _quadruple_value(w, e), e
+                checked += 1
 
 
 class TestTailPairs:

@@ -145,6 +145,78 @@ class TestTonelliShanks:
         assert _canonical_nonsquare(k) is c
 
 
+def _tuple_reference(k):
+    """*, inverse and ** of k on coefficient tuples modulo the modulus."""
+    p, mod = k.p, k.modulus
+
+    def pad(c):
+        return tuple(c) + (0,) * (k.degree - len(c))
+
+    def mul(a, b):
+        a, b = fields._ip_trim(list(a)), fields._ip_trim(list(b))
+        return pad(fields._ip_mod(fields._ip_mul(a, b, p), mod, p))
+
+    def inverse(a):
+        return pad(fields._ip_xgcd(fields._ip_trim(list(a)), mod, p)[1])
+
+    def power(a, e):
+        base = fields._ip_trim(list(a if e >= 0 else inverse(a)))
+        return pad(fields._ip_pow_mod(base, abs(e), mod, p))
+
+    return mul, inverse, power
+
+
+class TestPrimeFieldFastPath:
+    """Prime-field elements multiply, invert and power on ints; the results
+    equal the tuple routines, which F_{p^k} keeps."""
+
+    @staticmethod
+    def _check(k, pairs, exponents):
+        mul, inverse, power = _tuple_reference(k)
+        for x, y in pairs:
+            assert (x * y).coeffs == mul(x.coeffs, y.coeffs), (x, y)
+            if y:
+                assert (x / y).coeffs == \
+                    mul(x.coeffs, inverse(y.coeffs)), (x, y)
+        for x in dict.fromkeys(x for x, _ in pairs):
+            if x:
+                assert x.inverse().coeffs == inverse(x.coeffs), x
+            for e in exponents:
+                if x or e >= 0:
+                    assert (x ** e).coeffs == power(x.coeffs, e), (x, e)
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 101, 9, 25])
+    def test_all_pairs_agree_with_tuple_routines(self, q):
+        k = GF(q)
+        elements = list(k.elements())
+        self._check(k, [(x, y) for x in elements for y in elements],
+                    [-q, -3, -1, 0, 1, 2, q - 2, q, 2 * q + 3])
+
+    def test_draws_at_a_mersenne_prime(self):
+        p = 2 ** 61 - 1
+        k = FF(p)
+        rng = random.Random(41)
+        draws = [(k.from_int(rng.randrange(p)), k.from_int(rng.randrange(p)))
+                 for _ in range(200)]
+        self._check(k, draws, [-rng.randrange(p) for _ in range(3)]
+                    + [0, 1, p - 2, rng.randrange(p ** 2)])
+
+    def test_element_keeps_the_constant_term(self):
+        k = FF(7)
+        assert k.element([9, 3, 5]).coeffs == \
+            fields._ip_mod((2, 3, 5), k.modulus, 7) == (2,)
+        assert k.element([]) == k.zero()
+
+    def test_zero_has_no_inverse(self):
+        k = FF(101)
+        with pytest.raises(DivisionByZero):
+            k.zero().inverse()
+        with pytest.raises(DivisionByZero):
+            k.zero() ** -2
+        with pytest.raises(DivisionByZero):
+            k.one() / k.zero()
+
+
 class TestPolynomials:
     def test_gcd_over_q(self):
         r = PolyRing(QQ, "X")
@@ -385,6 +457,26 @@ class TestRationalFunctions:
             if b:
                 assert (a / b) * b == a
             assert a + b - b == a
+
+    @pytest.mark.parametrize("coefficients", ["Q(t)", "F5(t)", "F9(t)", "Q"])
+    def test_constant_inverse_and_powers_are_canonical(self, coefficients):
+        """A constant's inverse and powers, taken in the coefficient field,
+        equal the normalised quotients."""
+        from conicval.oracle import sample_field_element
+        k = {"Q(t)": FunctionField(QQ, "t"), "F5(t)": FunctionField(GF(5), "t"),
+             "F9(t)": FunctionField(GF(9), "t"), "Q": QQ}[coefficients]
+        ex = FunctionField(k, "x")
+        rng = random.Random(43)
+        for _ in range(20):
+            c = ex.ring.poly([sample_field_element(rng, k, nonzero=True)])
+            one = ex.ring.one()
+            assert ex.from_poly(c).inverse() == RatFunc(ex, one, c)
+            for e in (-3, -1, 0, 2):
+                expected = (RatFunc(ex, c ** e, one) if e >= 0
+                            else RatFunc(ex, one, c ** -e))
+                assert ex.from_poly(c) ** e == expected, (c, e)
+        with pytest.raises(DivisionByZero):
+            ex.zero() ** -1
 
 
 class TestSquareClasses:

@@ -176,6 +176,42 @@ class TestHomogeneousRewrite:
                 checked += 1
 
 
+def _rewrite_value(w, h):
+    """w(h) through ``_rewrite``, with the Gauss-constant defect."""
+    r = w._rewrite(h)
+    return w._min_value(r.num) - w._min_value(r.den)
+
+
+# identity pivots, the Q(t) entries of PIVOT_FIXTURES, and Moebius pivots
+# whose inverse has a denominator of degree 1, one at a non-integral root
+ROW_FIXTURES = ([("Q(t):place=t", "x"), ("Q(t):place=inf", "x")]
+                + [f for f in PIVOT_FIXTURES if f[0].startswith("Q(t)")]
+                + [("Q(t):place=inf", "(t*x+1)/(x+t)"),
+                   ("Q(t):place=t+1/2", "(x+t)/(2*x-1)")])
+
+
+class TestRowValues:
+    """Over Q(t), value_of runs on Z[t] rows for the identity pivot and
+    for elements of positive degree; it agrees with ``_rewrite``."""
+
+    @pytest.mark.parametrize("val, pivot", ROW_FIXTURES)
+    def test_agrees_with_rewrite(self, val, pivot):
+        v = parse_valuation(val)
+        ex = FunctionField(v.base, "x")
+        variables = dict(field_variables(v.base), x=ex.gen())
+        w = GaussExtension(v, ex.coerce(parse_element(pivot, ex, variables)))
+        t = ex.coerce(v.base.gen())
+        rng = random.Random(31)
+        checked = 0
+        while checked < 40:
+            # x-degree 0 in num or den, and content in t
+            h = (sample_ratfunc(rng, ex, rng.randint(0, 3), rng.randint(0, 2))
+                 * t ** rng.randint(-2, 2) * w.uniformizer ** rng.randint(-2, 2))
+            if h and (w._identity or h.degree() > 0):
+                assert w.value_of(h) == _rewrite_value(w, h), h
+                checked += 1
+
+
 class TestUnitPartOffIdentity:
     """unit_part is the one inherited from Valuation, on pivots other than x."""
 

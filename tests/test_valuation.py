@@ -8,7 +8,7 @@ from conicval.errors import (ConicvalError, NegativeValue, UnsupportedPlace,
 from conicval.fields import FF, FunctionField, QQ
 from conicval.oracle import sample_field_element
 from conicval.valuation import (InfinitePlaceValuation, PAdicValuation,
-                                PlaceValuation)
+                                PlaceValuation, _poly_order)
 from conicval.value import INFINITY, Value, ValueGroup
 
 
@@ -111,6 +111,26 @@ class TestPlace:
     def test_place_made_monic(self, f3t):
         v = PlaceValuation(f3t, f3t.ring.poly([2, 2]))
         assert v.pi.is_monic()
+
+    @pytest.mark.parametrize("root", [0, 2, -1, Fraction(-1, 2),
+                                      Fraction(3, 5)])
+    def test_row_order_agrees_with_division(self, qt, root):
+        """Synthetic division on integer rows against Poly division by the
+        place, on rows times powers of b*t - a, a/b the root."""
+        v = PlaceValuation(qt, qt.ring.poly([-root, 1]))
+        a, b = Fraction(root).numerator, Fraction(root).denominator
+        rng = random.Random(29)
+        for _ in range(60):
+            f = qt.ring.poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))])
+            if not f:
+                continue
+            f = f * qt.ring.poly([-a, b]) ** rng.randint(0, 3)
+            row = [int(c) for c in reversed(f.coeffs)]
+            assert v.row_order(row) == _poly_order(f, v.pi), f
+            g = f + 1
+            if g:
+                assert v.value_of(qt.ratfunc(f, g)) == \
+                    Value(_poly_order(f, v.pi) - _poly_order(g, v.pi))
 
 
 class TestInfinitePlace:
