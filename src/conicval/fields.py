@@ -1346,12 +1346,12 @@ def square_class_reduce(x, ctx=None):
     if not x:
         raise ZeroInput("square class of zero is not defined")
     if isinstance(ctx, RationalField):
-        r = 1
-        for prime, e in sympy.factorint(x.numerator * x.denominator).items():
-            if prime == -1:
-                r = -r
-            elif e % 2 == 1:
-                r *= int(prime)
+        # num and den are coprime, and each is far easier to factor alone
+        r = 1 if x > 0 else -1
+        for n in (abs(x.numerator), x.denominator):
+            for prime, e in sympy.factorint(n).items():
+                if e % 2 == 1:
+                    r *= int(prime)
         r = Fraction(r)
         return r, sqrt_exact(x / r, ctx)
     if isinstance(ctx, FF):

@@ -2,8 +2,8 @@
 
 Provides square-class normalization with respect to a valuation, residue
 algebras, splitting tests (finite fields by a Tonelli-Shanks scan for a conic
-point, Q and F_q(t) by one loop of local symbols over the places where they
-can be -1), isomorphism testing over Q, and the decision whether a valuation
+point, Q and F_q(t) by one lazy loop of local symbols that stops at the
+first -1), isomorphism testing over Q, and the decision whether a valuation
 admits an unramified extension to the algebra.  One tame symbol serves every
 nondyadic place with a finite residue field; over Q only 2 and infinity have
 their own formulas.
@@ -200,22 +200,45 @@ def hilbert_symbol(a, b, place) -> int:
     return -1 if e % 2 else 1
 
 
+_TRIAL_BOUND = 1 << 12
+
+
+def _odd_primes(values):
+    """The odd primes dividing a numerator or denominator of the values,
+    ascending.  Trial division finds those below _TRIAL_BOUND, so they are
+    yielded before sympy.factorint runs on the larger cofactors left over,
+    and a consumer that stops early skips the factoring."""
+    found, rest = set(), set()
+    for x in map(Fraction, values):
+        for n in (abs(x.numerator), x.denominator):
+            n >>= (n & -n).bit_length() - 1
+            for p in range(3, _TRIAL_BOUND, 2):
+                if p * p > n:
+                    break
+                if n % p == 0:
+                    found.add(p)
+                    while n % p == 0:
+                        n //= p
+            if n > 1:
+                # no p' < p divides n, so n < p^2 is prime
+                (found if n < p * p else rest).add(n)
+    if rest:
+        yield from sorted(p for p in found if p < _TRIAL_BOUND)
+        found = {p for p in found if p > _TRIAL_BOUND}
+        found.update(int(p) for n in rest for p in sympy.factorint(n))
+    yield from sorted(found)
+
+
 def rational_support(*values) -> list[int]:
-    """Odd primes at which some value has nonzero order."""
-    primes = set()
-    for x in values:
-        x = Fraction(x)
-        for n in (x.numerator, x.denominator):
-            for prime in sympy.factorint(abs(n)):
-                if prime not in (1, 2):
-                    primes.add(int(prime))
-    return sorted(primes)
+    """Odd primes at which some value has nonzero order, ascending."""
+    return list(_odd_primes(values))
 
 
-def _rational_places(*values) -> list:
-    """The places of Q where a Hilbert symbol of the values can be -1:
-    infinity, 2 and the odd primes supporting them."""
-    return ["inf", 2] + rational_support(*values)
+def _rational_places(*values):
+    """The places of Q where a Hilbert symbol of the values can be -1, in
+    order: infinity, 2 and, lazily, the odd primes supporting them."""
+    yield from ("inf", 2)
+    yield from _odd_primes(values)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +251,7 @@ class SplitResult:
     split: bool
     certificate: tuple | None = None    # point (x, y, z) with ax^2+by^2=z^2
     failing_place: str | None = None    # a place with symbol -1
-    symbols: tuple | None = None        # ((place, symbol), ...) where computed
+    symbols: tuple | None = None        # places consulted, up to failing_place
     note: str | None = None
 
     def as_dict(self):
@@ -249,21 +272,26 @@ def is_split(q: QuaternionAlgebra, search_bound: int = 200) -> SplitResult:
     Finite fields: always split; the certificate is a point of
     a*x^2 + b*y^2 = z^2 found by Tonelli-Shanks, preferring coordinates that
     are all nonzero.  Q and F_q(t): one loop over the places where the local
-    symbol can be -1, recording every symbol and naming the first place with
-    -1.  Over Q these are infinity, 2 and the odd primes supporting a and b;
-    over F_q(t) the irreducible factors of num and den of a, then of b, then
-    infinity.  At every other place the symbol is +1, so when every listed
-    symbol is +1 the algebra splits locally everywhere, hence globally; over
-    Q a bounded point search then supplies the certificate, and its failure
-    is reported as a note, never as a verdict.
+    symbol can be -1 (over Q infinity, 2 and the odd primes supporting a and
+    b, ascending; over F_q(t) the irreducible factors of num and den of a,
+    then of b, then infinity), factoring only as far as it gets.  It stops
+    at the first -1, which alone makes a division algebra, and names that
+    place; `symbols` lists the places consulted, in order, up to and
+    including failing_place.  At every other place the symbol is +1, so when
+    every listed symbol is +1 the algebra splits locally everywhere, hence
+    globally; over Q a bounded point search then supplies the certificate,
+    and its failure is reported as a note, never as a verdict.
     """
     field = q.field
     if isinstance(field, FF):
         return SplitResult(split=True, certificate=_conic_point_ff(q.a, q.b, field))
-    symbols = tuple(_local_symbols(q))
-    failing = next((pl for pl, s in symbols if s == -1), None)
-    if failing is not None:
-        return SplitResult(split=False, failing_place=failing, symbols=symbols)
+    symbols = []
+    for place, s in _local_symbols(q):
+        symbols.append((place, s))
+        if s == -1:
+            return SplitResult(split=False, failing_place=place,
+                               symbols=tuple(symbols))
+    symbols = tuple(symbols)
     if isinstance(field, FunctionField):
         return SplitResult(split=True, symbols=symbols,
                            note="split at every place supporting a and b")
@@ -275,24 +303,25 @@ def is_split(q: QuaternionAlgebra, search_bound: int = 200) -> SplitResult:
                        note=note)
 
 
-def _local_symbols(q: QuaternionAlgebra) -> list:
-    """(place, local symbol of (a, b)) at every place of q's field where the
-    symbol can be -1, in the order is_split names them."""
+def _local_symbols(q: QuaternionAlgebra):
+    """(place, local symbol of (a, b)), lazily, at every place of q's field
+    where the symbol can be -1, in the order is_split names them."""
     field, a, b = q.field, q.a, q.b
     if isinstance(field, RationalField):
-        return [(str(pl), hilbert_symbol(a, b, pl))
-                for pl in _rational_places(a, b)]
+        for pl in _rational_places(a, b):
+            yield str(pl), hilbert_symbol(a, b, pl)
+        return
     if not (isinstance(field, FunctionField)
             and isinstance(field.coefficient_field, FF)):
         raise UnsupportedField(f"splitting over {field!r} is not decidable here")
-    pis = {}
+    seen = set()
     for poly in (a.num, a.den, b.num, b.den):
         if poly.degree() > 0:
             for g, _ in factor(poly)[1]:
-                pis[g] = None
-    places = [(str(g), PlaceValuation(field, g)) for g in pis]
-    places.append(("inf", InfinitePlaceValuation(field)))
-    return [(name, _local_symbol(a, b, w)) for name, w in places]
+                if g not in seen:
+                    seen.add(g)
+                    yield str(g), _local_symbol(a, b, PlaceValuation(field, g))
+    yield "inf", _local_symbol(a, b, InfinitePlaceValuation(field))
 
 
 def _conic_point_ff(a, b, k: FF):

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from conicval import quaternion
 from conicval.errors import (NotUnitUnit, UnsupportedField, UnsupportedPlace,
                              ZeroInput)
-from conicval.fields import FF, FunctionField, GF, QQ, is_square
+from conicval.fields import (FF, FunctionField, GF, QQ, is_square,
+                             square_class_reduce)
 from conicval.oracle import isotropy_search, sample_rational
 from conicval.quaternion import (NO_EXTENSION_ALGEBRA_SPLIT,
                                  NO_EXTENSION_SPLIT_RESIDUE,
@@ -191,6 +193,82 @@ class TestIsSplit:
             is_split(QuaternionAlgebra(qt, qt.gen(), qt.one()))
 
 
+# 3000000000000041 * 100000000000031; its symbol at 2 with 7 is already -1
+SEMIPRIME30 = 300000000000097100000000001271
+
+
+@pytest.fixture
+def no_factorint(monkeypatch):
+    def refuse(n, *args, **kwargs):
+        raise AssertionError(f"factorint({n}) called")
+    monkeypatch.setattr(sympy, "factorint", refuse)
+
+
+def _known_factor_int(rng, primes: set) -> int:
+    """A product of up to two prime powers from below 100 or around the
+    trial-division bound (4096), times, one time in four, a product of two
+    8-10-digit primes; adds the primes to primes."""
+    def prime(lo, hi):
+        p = int(sympy.nextprime(rng.randrange(lo, hi)))
+        primes.add(p)
+        return p
+    n = 1
+    for _ in range(rng.randint(0, 2)):
+        n *= prime(*rng.choice(((2, 100), (1000, 20000)))) ** rng.randint(1, 2)
+    if rng.random() < 0.25:
+        for d in rng.choices((8, 9, 10), k=2):
+            n *= prime(10 ** (d - 1), 10 ** d)
+    return n
+
+
+class TestLazySymbols:
+    def test_prefix_of_full_symbol_list(self):
+        rng = random.Random(12)
+        failing_seen = set()
+        for _ in range(80):
+            primes = set()
+            a, b = (Fraction(rng.choice((1, -1)) * _known_factor_int(rng, primes),
+                             _known_factor_int(rng, primes)) for _ in "ab")
+            full = [(str(pl), hilbert_symbol(a, b, pl))
+                    for pl in ["inf", 2] + sorted(primes - {2})]
+            failing = next((pl for pl, s in full if s == -1), None)
+            r = is_split(QuaternionAlgebra(QQ, a, b), search_bound=2)
+            assert (r.split, r.failing_place) == (failing is None, failing)
+            assert r.symbols == tuple(full[:len(r.symbols)])
+            if failing is None:
+                assert len(r.symbols) == len(full)
+            else:
+                assert r.symbols[-1] == (failing, -1)
+                failing_seen.add(failing in ("inf", "2"))
+        assert failing_seen == {True, False}
+
+    def test_stops_at_two_without_factorint(self, no_factorint):
+        r = is_split(QuaternionAlgebra(QQ, SEMIPRIME30, 7))
+        assert not r.split and r.failing_place == "2"
+        assert r.symbols == (("inf", 1), ("2", -1))
+
+    def test_function_field_factors_only_up_to_failing_place(self, f3t,
+                                                             monkeypatch):
+        # (t, t^2+t+2) over F_3(t): at t the symbol is chi(2) = -1
+        calls = []
+        real = quaternion.factor
+        monkeypatch.setattr(quaternion, "factor",
+                            lambda poly: calls.append(poly) or real(poly))
+        t = f3t.gen()
+        r = is_split(QuaternionAlgebra(f3t, t, t * t + t + 2))
+        assert (r.split, r.failing_place, r.symbols) == (False, "t", (("t", -1),))
+        assert calls == [t.num]
+
+    def test_square_class_factors_num_and_den_apart(self, monkeypatch):
+        p, q = 10000000000000000051, 30000000000000000041
+        calls = []
+        real = sympy.factorint
+        monkeypatch.setattr(sympy, "factorint",
+                            lambda n: calls.append(n) or real(n))
+        assert square_class_reduce(Fraction(-p, q), QQ) == (-p * q, Fraction(1, q))
+        assert sorted(calls) == [p, q]
+
+
 class TestIsomorphism:
     def test_same_ramification(self):
         assert quaternion_isomorphic(QuaternionAlgebra(QQ, -1, -1),
@@ -210,6 +288,11 @@ class TestIsomorphism:
             assert quaternion_isomorphic(QuaternionAlgebra(QQ, a, b),
                                          QuaternionAlgebra(QQ, b, a))
             count += 1
+
+    def test_differs_before_any_factorint(self, no_factorint):
+        # both read -1 at 2; at 3, (-1, 3) has -1 and (SEMIPRIME30, 7) +1
+        assert not quaternion_isomorphic(QuaternionAlgebra(QQ, SEMIPRIME30, 7),
+                                         QuaternionAlgebra(QQ, -1, 3))
 
     def test_unsupported(self, qt):
         with pytest.raises(UnsupportedField):
