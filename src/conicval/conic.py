@@ -30,7 +30,7 @@ from fractions import Fraction
 from .errors import (InvariantViolated, NonzeroValue, PreconditionViolated,
                      WitnessNotFound, ZeroElement, ZeroInput)
 from .fields import (FF, FunctionField, Poly, RatFunc, RationalField,
-                     _rational_ratfunc, _tower_rows, is_square)
+                     _rational_ratfunc, is_square)
 from .gauss import (GaussExtension, RAMIFIED, SPLIT_PAIR,
                     quadratic_extension_analysis)
 from .quaternion import (QuaternionAlgebra, UNRAMIFIED_EXTENSION,
@@ -395,19 +395,18 @@ class DistinguishedExtension:
         """min of w1(e_i) + beta_i over the quadruple (e0, e1, e2, e3).
 
         Over Q(t) the quadruple is not built: for each of f and g in
-        f + g*s, with f = num/den and rows Rn, Rd of Z[t][x] over lcms
-        l_num, l_den (``_tower_rows``), M = Rn*Rd(-x) and D = Rd*Rd(-x) give
-        w1(e_i) = w1(M_part) - w1(D_even) + v(l_den) - v(l_num), M_part the
-        even or odd x-degree rows of M.  A part constant in z while w1's
-        pivot is not the identity is built as that constant of E and valued
-        by ``w1.value_of``, whose ``_rewrite`` keeps the Gauss-constant
-        defect.
+        f + g*s, with f = Rn/Rd its reduced rows of Z[t][x]
+        (``RatFunc.rows``), M = Rn*Rd(-x) and D = Rd*Rd(-x) give
+        w1(e_i) = w1(M_part) - w1(D_even), M_part the even or odd x-degree
+        rows of M.  A part constant in z while w1's pivot is not the
+        identity is built as that constant of E and valued by
+        ``w1.value_of``, whose ``_rewrite`` keeps the Gauss-constant defect.
         """
         if isinstance(elem, (int, RatFunc, Poly)):
             elem = self.conic_field.element(elem)
         if not elem:
             raise ZeroElement("the distinguished extension has no value at 0")
-        if self.w1._on_rows:
+        if self.w1.field.on_rows:
             return self._value_on_rows(elem)
         best = INFINITY
         for ei, bi in zip(elem.quadruple(), self.beta):
@@ -422,15 +421,13 @@ class DistinguishedExtension:
         for k, h in enumerate((elem.f, elem.g)):
             if not h:
                 continue
-            rn, mn, ln = _tower_rows(h.num.coeffs)
-            rd, md, ld = _tower_rows(h.den.coeffs)
+            rn, rd = h.rows
             top = len(rd) - 1
             neg = [dup_neg(r, ZZ) if (top - i) % 2 else r
                    for i, r in enumerate(rd)]                # Rd(-x)
             m = dmp_mul(rn, neg, 1, ZZ)
             d = dmp_mul(rd, neg, 1, ZZ)[::2]                 # D is even
-            shift = (self.v.row_order(ld) - self.v.row_order(ln)
-                     - w1.row_value(d))
+            shift = -w1.row_value(d)
             even = (len(m) - 1) % 2        # m[even::2] has even x-degrees
             for i, part in ((2 * k, m[even::2]), (2 * k + 1, m[1 - even::2])):
                 while part and not part[0]:
@@ -440,10 +437,8 @@ class DistinguishedExtension:
                 if (not w1._identity and len(part) == len(d)
                         and [dup_mul(r, d[0], ZZ) for r in part]
                         == [dup_mul(r, part[0], ZZ) for r in d]):
-                    # e_i is the constant (lc(M_part) * md * l_den) /
-                    # (lc(D) * mn * l_num) of E
-                    c = _rational_ratfunc(self.v.base, dup_mul(part[0], ld, ZZ),
-                                          dup_mul(d[0], ln, ZZ), md, mn)
+                    # e_i is the constant lc(M_part) / lc(D) of E
+                    c = _rational_ratfunc(self.v.base, part[0], d[0])
                     values.append(w1.value_of(c) + self.beta[i])
                 else:
                     values.append(Value(w1.row_value(part) + shift)

@@ -16,9 +16,12 @@ degree-1 case with m = u, so residue-field code has a single representation
 to deal with.
 
 Over Q and Q(t), products, gcds and canonical forms run on integer rows in
-sympy's dense form (over Q(t): Z[t][x] rows over an integer times a
-primitive Z[t] row, see ``_tower_rows``), and each output coefficient is
-built once; F_q and F_q(t) keep schoolbook and Euclid (sympy has no F_{p^k}).
+sympy's dense form (a polynomial over Q(t) is Z[t][x] rows over an integer
+times a primitive Z[t] row, see ``_tower_rows``), and each output
+coefficient is built once.  An element of Q(t)(x) is stored as its reduced
+rows of Z[t][x] and computed on them.  Polynomials over a prime field
+multiply, divide and take gcds on int rows with sympy's ``galoistools``;
+F_{p^k} (which sympy lacks) keeps schoolbook and Euclid.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ from fractions import Fraction
 
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.densearith import dmp_mul, dup_exquo, dup_mul, dup_mul_ground
+from sympy.polys.densearith import (dmp_add, dmp_mul, dmp_neg, dmp_pow,
+                                    dup_exquo, dup_mul, dup_mul_ground)
 from sympy.polys.euclidtools import dmp_inner_gcd, dup_inner_gcd
+from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul
 
 from .errors import (ContextMismatch, DegreeTooLarge, DivisionByZero,
                      InvariantViolated, SquareInput, UnsupportedField,
@@ -44,12 +49,6 @@ def _ip_trim(c: list[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _ip_add(a, b, p):
-    n = max(len(a), len(b))
-    return _ip_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                     for i in range(n)])
 
 
 def _ip_sub(a, b, p):
@@ -504,11 +503,14 @@ def canonical_modulus(p: int, d: int) -> tuple[int, ...]:
 
 
 class PolyRing:
-    """Univariate polynomial ring over a field context."""
+    """Univariate polynomial ring over a field context; ``gf_p`` is p over
+    a prime field F_p, whose polynomials compute on galoistools' int rows,
+    and None otherwise."""
 
     def __init__(self, field, var: str):
         self.field = field
         self.var = var
+        self.gf_p = field.p if isinstance(field, FF) and field.degree == 1 else None
 
     def poly(self, coeffs) -> "Poly":
         cs = [self.field.coerce(c) for c in coeffs]
@@ -646,10 +648,11 @@ class Poly:
             return Poly(self.ring, _rational_mul(a, b))
         if _is_rational_tower(self.ring.field):
             (ra, ma, la), (rb, mb, lb) = _tower_rows(a), _tower_rows(b)
-            den = dup_mul(la, lb, ZZ)
-            return Poly(self.ring, tuple(
-                _rational_ratfunc(self.ring.field, c, den, 1, ma * mb)
-                for c in reversed(dmp_mul(ra, rb, 1, ZZ))))
+            return _row_poly(self.ring, dmp_mul(ra, rb, 1, ZZ),
+                             dup_mul(la, lb, ZZ), ma * mb)
+        p = self.ring.gf_p
+        if p is not None:
+            return _gf_poly(self.ring, gf_mul(_gf_row(a), _gf_row(b), p, ZZ))
         zero = self.ring.field.zero()
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -675,6 +678,10 @@ class Poly:
             return NotImplemented
         if not o.coeffs:
             raise DivisionByZero("polynomial division by zero")
+        p = self.ring.gf_p
+        if p is not None:
+            q, r = gf_div(_gf_row(self.coeffs), _gf_row(o.coeffs), p, ZZ)
+            return _gf_poly(self.ring, q), _gf_poly(self.ring, r)
         inv_lead = self.ring.field.one() / o.coeffs[-1]
         rem = list(self.coeffs)
         zero = self.ring.field.zero()
@@ -783,9 +790,10 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) is an error.
 
     Over Q and Q(t) denominators are cleared and sympy takes the gcd over
-    the integers (heuristic gcd, with a pseudo-remainder fallback); F_q[x]
-    runs Euclid and F_q(t)[x] runs ``_tower_gcd``.  ``RatFunc`` over Q and
-    Q(t) uses the integer gcd's cofactors instead.
+    the integers (heuristic gcd, with a pseudo-remainder fallback); over a
+    prime field it is galoistools' ``gf_gcd`` on int rows, F_{p^k}[x] runs
+    Euclid and F_q(t)[x] runs ``_tower_gcd``.  ``RatFunc`` over Q and
+    Q(t)(x) uses the integer gcd's cofactors instead.
     """
     if not f and not g:
         raise ZeroPolynomial("gcd(0, 0) is undefined")
@@ -800,10 +808,25 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         if isinstance(field.coefficient_field, RationalField):
             return _rational_tower_gcd(f, g)
         return _tower_gcd(f, g)
+    p = f.ring.gf_p
+    if p is not None:
+        return _gf_poly(f.ring, gf_gcd(_gf_row(f.coeffs), _gf_row(g.coeffs), p, ZZ))
     a, b = f, g
     while b:
         a, b = b, a % b
     return a.monic()
+
+
+def _gf_row(coeffs) -> list[int]:
+    """Prime-field coefficients (lowest degree first) as a galoistools int
+    row, highest degree first."""
+    return [c.coeffs[0] for c in reversed(coeffs)]
+
+
+def _gf_poly(ring: PolyRing, row: list[int]) -> Poly:
+    """The polynomial of a stripped galoistools row over ring's prime field."""
+    field = ring.field
+    return Poly(ring, tuple(FFElement(field, (c,)) for c in reversed(row)))
 
 
 def _integer_row(coeffs) -> tuple[int, list[int]]:
@@ -843,10 +866,18 @@ def _rational_quotient(ring: PolyRing, n: list, d: list, sn: int = 1,
 
 
 def _rational_ratfunc(field: "FunctionField", n: list, d: list,
-                      sn: int = 1, sd: int = 1) -> "RatFunc":
-    """(sn * n) / (sd * d) in Q(t), from integer rows of Z[t]."""
-    num, den = _rational_quotient(field.ring, n, d, sn, sd)
+                      sd: int = 1) -> "RatFunc":
+    """n / (sd * d) in Q(t), from integer rows of Z[t]."""
+    num, den = _rational_quotient(field.ring, n, d, 1, sd)
     return RatFunc(field, num, den, _reduced=True)
+
+
+def _row_poly(ring: PolyRing, rows, lead: list, sd: int = 1) -> Poly:
+    """The polynomial over Q(t) of rows / (sd * lead), for rows of Z[t][x]
+    (x outer) and a row lead != 0 of Z[t]: one canonical coefficient each."""
+    kt = ring.field
+    return Poly(ring, tuple(_rational_ratfunc(kt, c, lead, sd)
+                            for c in reversed(rows)))
 
 
 def _is_rational_tower(field) -> bool:
@@ -869,10 +900,7 @@ def _rational_tower_gcd(f: Poly, g: Poly) -> Poly:
     """
     h = dmp_inner_gcd(_tower_rows(f.coeffs)[0], _tower_rows(g.coeffs)[0],
                       1, ZZ)[0]
-    if len(h) == 1:
-        return f.ring.one()
-    return Poly(f.ring, tuple(_rational_ratfunc(f.ring.field, c, h[0])
-                              for c in reversed(h)))
+    return _row_poly(f.ring, h, h[0])
 
 
 def _tower_rows(coeffs) -> tuple[list[list[int]], int, list[int]]:
@@ -886,7 +914,8 @@ def _tower_rows(coeffs) -> tuple[list[list[int]], int, list[int]]:
     lcm = [1]
     for _, den in dens:
         if len(den) > 1:
-            lcm = dup_mul(lcm, dup_inner_gcd(lcm, den, ZZ)[2], ZZ)
+            lcm = (den if lcm == [1]
+                   else dup_mul(lcm, dup_inner_gcd(lcm, den, ZZ)[2], ZZ))
     m = math.lcm(*(d for d, _ in nums))
     rows = []
     for (d, n), (e, den) in zip(reversed(nums), reversed(dens)):
@@ -896,19 +925,37 @@ def _tower_rows(coeffs) -> tuple[list[list[int]], int, list[int]]:
     return rows, m, lcm
 
 
-def _rational_tower_quotient(ring: PolyRing, num: Poly, den: Poly):
-    """Canonical (num, den) over Q(t) from the cofactors of the gcd of their
-    rows over Z[t][x], each coefficient over the lead of den's cofactor."""
+def _quotient_rows(num: Poly, den: Poly):
+    """Rows (N, D) of Z[t][x] with N / D = num / den over Q(t), not yet
+    reduced: each side's rows times the other side's integer and lcm."""
+    if not num:
+        return [[]], [[1]]
     rn, mn, ln = _tower_rows(num.coeffs)
     rd, md, ld = _tower_rows(den.coeffs)
-    if len(rn) > 1 and len(rd) > 1:
-        _, rn, rd = dmp_inner_gcd(rn, rd, 1, ZZ)
-    kt, lead = ring.field, rd[0]
-    over = dup_mul(ln, lead, ZZ)
-    num = [_rational_ratfunc(kt, dup_mul(c, ld, ZZ), over, md, mn)
-           for c in rn]
-    den = [_rational_ratfunc(kt, c, lead) for c in rd]
-    return Poly(ring, tuple(num[::-1])), Poly(ring, tuple(den[::-1]))
+    return (dmp_mul(rn, [dup_mul_ground(ld, md, ZZ)], 1, ZZ),
+            dmp_mul(rd, [dup_mul_ground(ln, mn, ZZ)], 1, ZZ))
+
+
+def _reduced_rows(n, d):
+    """The canonical form of n / d over Q(t)(x), for rows n, d != 0 of
+    Z[t][x]: the cofactors of their gcd, with the leading integer of the
+    denominator made positive.  Z[t][x] is a UFD, so a reduced fraction
+    there is unique up to sign and this is a normal form."""
+    if n == [[]]:
+        return n, [[1]]
+    if d != [[1]]:
+        _, n, d = dmp_inner_gcd(n, d, 1, ZZ)
+        if d[0][0] < 0:
+            n, d = dmp_neg(n, 1, ZZ), dmp_neg(d, 1, ZZ)
+    return n, d
+
+
+def _row_polys(ring: PolyRing, n, d) -> tuple[Poly, Poly]:
+    """Canonical (num, den) over Q(t) of reduced rows n / d: both over the
+    lead of d, so den is monic."""
+    if n == [[]]:
+        return ring.zero(), ring.one()
+    return _row_poly(ring, n, d[0]), _row_poly(ring, d, d[0])
 
 
 def _tower_gcd(f: Poly, g: Poly) -> Poly:
@@ -1001,6 +1048,7 @@ class FunctionField:
     def __init__(self, field, var: str):
         self.ring = PolyRing(field, var)
         self.var = var
+        self.on_rows = _is_rational_tower(field)    # Q(t)(x), see RatFunc
 
     @property
     def coefficient_field(self):
@@ -1053,17 +1101,32 @@ class RatFunc:
     """Rational function in canonical form: gcd(num, den) = 1, den monic.
 
     The canonical form is a normal form: two constructions of the same
-    function produce identical representations.  Over Q and Q(t) it comes
-    from the cofactors of the integer gcd of num's and den's rows, with no
-    polynomial division; over F_q and F_q(t) from ``poly_gcd`` and ``//``.
+    function produce identical representations.  Over Q it comes from the
+    cofactors of the integer gcd of num's and den's rows, with no polynomial
+    division; over F_q and F_q(t) from ``poly_gcd`` and ``//``.
+
+    Over Q(t)(x) the stored form is ``rows``: reduced rows (N, D) of
+    Z[t][x] in sympy's dense form, x outer (``_reduced_rows``).  Arithmetic
+    runs on them, one ``dmp_mul`` or ``dmp_add`` and one ``dmp_inner_gcd``
+    in ``__init__``, and num and den are built from them on first use.
+    Elsewhere ``rows`` is None.
     """
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "rows", "_num", "_den")
 
-    def __init__(self, field: FunctionField, num: Poly, den: Poly,
-                 _reduced: bool = False):
-        if not den:
+    def __init__(self, field: FunctionField, num: Poly | None = None,
+                 den: Poly | None = None, _reduced: bool = False, _rows=None):
+        if _rows is None and not den:
             raise DivisionByZero("rational function with zero denominator")
+        self.field = field
+        if field.on_rows:
+            # Polys are always converted and reduced; _reduced vouches only
+            # for rows that are already canonical
+            if _rows is None:
+                _rows, _reduced = _quotient_rows(num, den), False
+            self.rows = _rows if _reduced else _reduced_rows(*_rows)
+            self._num = self._den = None
+            return
         if not _reduced and not den.is_one():
             cf = field.ring.field
             if not num:
@@ -1072,8 +1135,6 @@ class RatFunc:
                 dn, n = _integer_row(num.coeffs)
                 dd, d = _integer_row(den.coeffs)
                 num, den = _rational_quotient(field.ring, n, d, dd, dn)
-            elif _is_rational_tower(cf):
-                num, den = _rational_tower_quotient(field.ring, num, den)
             else:
                 if den.degree() > 0 and num.degree() > 0:
                     g = poly_gcd(num, den)
@@ -1085,9 +1146,21 @@ class RatFunc:
                     inv = field.ring.field.one() / lead
                     num = num.scale(inv)
                     den = den.scale(inv)
-        self.field = field
-        self.num = num
-        self.den = den
+        self.rows = None
+        self._num = num
+        self._den = den
+
+    @property
+    def num(self) -> Poly:
+        if self._num is None:
+            self._num, self._den = _row_polys(self.field.ring, *self.rows)
+        return self._num
+
+    @property
+    def den(self) -> Poly:
+        if self._den is None:
+            self._num, self._den = _row_polys(self.field.ring, *self.rows)
+        return self._den
 
     def _other(self, other):
         if isinstance(other, RatFunc) and other.field == self.field:
@@ -1124,6 +1197,13 @@ class RatFunc:
         if o is None:
             p = self._promote_into(other)
             return NotImplemented if p is None else p + other
+        if self.rows is not None:
+            (n1, d1), (n2, d2) = self.rows, o.rows
+            if d1 == d2:
+                return RatFunc(self.field, _rows=(dmp_add(n1, n2, 1, ZZ), d1))
+            return RatFunc(self.field, _rows=(
+                dmp_add(dmp_mul(n1, d2, 1, ZZ), dmp_mul(n2, d1, 1, ZZ), 1, ZZ),
+                dmp_mul(d1, d2, 1, ZZ)))
         if self.den.is_one() and o.den.is_one():
             return RatFunc(self.field, self.num + o.num, self.den, _reduced=True)
         return RatFunc(self.field, self.num * o.den + o.num * self.den,
@@ -1142,6 +1222,10 @@ class RatFunc:
         return (-self) + other
 
     def __neg__(self):
+        if self.rows is not None:
+            n, d = self.rows
+            return RatFunc(self.field, _rows=(dmp_neg(n, 1, ZZ), d),
+                           _reduced=True)
         return RatFunc(self.field, -self.num, self.den, _reduced=True)
 
     def __mul__(self, other):
@@ -1149,6 +1233,10 @@ class RatFunc:
         if o is None:
             p = self._promote_into(other)
             return NotImplemented if p is None else p * other
+        if self.rows is not None:
+            (n1, d1), (n2, d2) = self.rows, o.rows
+            return RatFunc(self.field, _rows=(dmp_mul(n1, n2, 1, ZZ),
+                                              dmp_mul(d1, d2, 1, ZZ)))
         if self.den.is_one() and o.den.is_one():
             return RatFunc(self.field, self.num * o.num, self.den, _reduced=True)
         return RatFunc(self.field, self.num * o.num, self.den * o.den)
@@ -1160,8 +1248,12 @@ class RatFunc:
         if o is None:
             p = self._promote_into(other)
             return NotImplemented if p is None else p / other
-        if not o.num:
+        if not o:
             raise DivisionByZero("division by the zero rational function")
+        if self.rows is not None:
+            (n1, d1), (n2, d2) = self.rows, o.rows
+            return RatFunc(self.field, _rows=(dmp_mul(n1, d2, 1, ZZ),
+                                              dmp_mul(d1, n2, 1, ZZ)))
         return RatFunc(self.field, self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
@@ -1178,15 +1270,23 @@ class RatFunc:
         return None
 
     def inverse(self) -> "RatFunc":
-        if not self.num:
+        if not self:
             raise DivisionByZero("inverse of zero")
+        if self.rows is not None:
+            n, d = self.rows
+            return RatFunc(self.field, _rows=(d, n))
         c = self._constant()
         if c is not None:
             return self.field.from_poly(self.field.ring.poly([1 / c]))
         return RatFunc(self.field, self.den, self.num)
 
     def __pow__(self, e: int):
-        c = self._constant()
+        if self.rows is not None and e >= 0:
+            n, d = self.rows
+            return RatFunc(self.field, _rows=(dmp_pow(n, e, 1, ZZ),
+                                              dmp_pow(d, e, 1, ZZ)),
+                           _reduced=True)
+        c = self._constant() if self.rows is None else None
         if c is not None:
             return self.field.from_poly(self.field.ring.poly([c ** e]))
         if e < 0:
@@ -1194,18 +1294,25 @@ class RatFunc:
         return RatFunc(self.field, self.num ** e, self.den ** e, _reduced=True)
 
     def __bool__(self):
+        if self.rows is not None:
+            return self.rows[0] != [[]]
         return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
-            return (other.field == self.field and other.num == self.num
-                    and other.den == self.den)
+            if other.field != self.field:
+                return False
+            if self.rows is not None:
+                return other.rows == self.rows
+            return other.num == self.num and other.den == self.den
         o = self._other(other)
         if o is None:
             return NotImplemented
         return self == o
 
     def __hash__(self):
+        if self.rows is not None:
+            return hash((self.field, *(tuple(map(tuple, r)) for r in self.rows)))
         return hash((self.field, self.num, self.den))
 
     def __call__(self, x0):
@@ -1218,6 +1325,8 @@ class RatFunc:
 
     def degree(self) -> int:
         """max(deg num, deg den); the degree of the map P^1 -> P^1."""
+        if self.rows is not None:
+            return max(map(len, self.rows)) - 1
         return max(self.num.degree(), self.den.degree())
 
     def __repr__(self):

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy.polys.densearith import dmp_add, dmp_mul, dup_mul, dup_mul_ground
+from sympy.polys.densearith import dmp_add, dmp_mul
 from sympy.polys.domains import ZZ
 
 from .errors import (ConstantInput, InvalidPivot, NegativeValue,
                      NonzeroValue, SquareInput, ZeroInput)
-from .fields import (FF, FunctionField, Poly, RatFunc, _is_rational_tower,
-                     _tower_rows, is_square, quadratic_extension_field)
+from .fields import (FF, FunctionField, Poly, RatFunc, is_square,
+                     quadratic_extension_field)
 from .value import INFINITY, Value
 from .valuation import Valuation
 
@@ -64,15 +64,11 @@ class GaussExtension(Valuation):
             yfield = FunctionField(v.base, "_y")
             self._inverse = RatFunc(yfield, yfield.ring.poly([-b, d]),
                                     yfield.ring.poly([a, -c]))
-        # over Q(t), values run on Z[t] rows; x = P'/Q' with P', Q' rows of
-        # Z[t][_y], each P or Q times the other's integer and lcm
-        self._on_rows = _is_rational_tower(v.base)
+        # over Q(t), values run on Z[t] rows; x = P'/Q' with (P', Q') the
+        # rows of the inverse in Z[t][_y]
         self._pivot_rows = None
-        if self._on_rows and not self._identity:
-            (rp, mp, lp), (rq, mq, lq) = (_tower_rows(self._inverse.num.coeffs),
-                                          _tower_rows(self._inverse.den.coeffs))
-            p = [dup_mul(dup_mul_ground(r, mq, ZZ), lq, ZZ) for r in rp]
-            q = [dup_mul(dup_mul_ground(r, mp, ZZ), lp, ZZ) for r in rq]
+        if field.on_rows and not self._identity:
+            p, q = self._inverse.rows
             self._pivot_rows = (p, q, min(v.row_order(r) for r in q if r))
 
     @property
@@ -120,25 +116,20 @@ class GaussExtension(Valuation):
     def value_of(self, h) -> Value:
         """w(h) = w(num) - w(den), as the Gauss valuation is multiplicative.
 
-        Over Q(t), for the identity pivot or h of positive degree, each part
-        is taken as Z[t] rows (``_tower_rows``) and valued by ``row_value``,
-        with no RatFunc built and no gcd run.  Otherwise (over Q or F_q(t),
+        Over Q(t), for the identity pivot or h of positive degree, the rows
+        N and D of h (``RatFunc.rows``) are valued by ``row_value``, with
+        no RatFunc built and no gcd run.  Otherwise (over Q or F_q(t),
         or a constant h with another pivot) h goes through ``_rewrite``,
         which keeps the Gauss-constant defect.
         """
         h = self.field.coerce(h)
         if not h:
             return INFINITY
-        if self._on_rows and (self._identity or h.degree() > 0):
-            return Value(self._poly_value(h.num) - self._poly_value(h.den))
+        if self.field.on_rows and (self._identity or h.degree() > 0):
+            n, d = h.rows
+            return Value(self.row_value(n) - self.row_value(d))
         h = self._rewrite(h)
         return self._min_value(h.num) - self._min_value(h.den)
-
-    def _poly_value(self, f: Poly) -> int:
-        if f.is_one():
-            return 0
-        rows, _, lcm = _tower_rows(f.coeffs)
-        return self.row_value(rows) - self.v.row_order(lcm)
 
     def row_value(self, rows) -> int:
         """w of a nonzero polynomial of Z[t][x] over Q(t), given as rows (x

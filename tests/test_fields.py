@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from conicval import fields
 from conicval.errors import (ContextMismatch, DegreeTooLarge, DivisionByZero,
@@ -477,6 +478,88 @@ class TestRationalFunctions:
                 assert ex.from_poly(c) ** e == expected, (c, e)
         with pytest.raises(DivisionByZero):
             ex.zero() ** -1
+
+
+class TestTowerRows:
+    """Over Q(t)(x) a RatFunc is stored as reduced rows of Z[t][x] and its
+    arithmetic runs on them; each result must be the canonical form that
+    the same quotient gets when built from Polys over Q(t)."""
+
+    def test_row_arithmetic_agrees_with_poly_construction(self, qt):
+        from conicval.oracle import sample_field_element
+        ex = FunctionField(qt, "x")
+        rng = random.Random(48)
+
+        def built(num, den):
+            return RatFunc(ex, num, den)
+
+        for _ in range(60):
+            a, b = (sample_field_element(rng, ex, nonzero=True) for _ in range(2))
+            k = rng.randint(1, 3)
+            results = [
+                (a + b, built(a.num * b.den + b.num * a.den, a.den * b.den)),
+                (a - b, built(a.num * b.den - b.num * a.den, a.den * b.den)),
+                (a * b, built(a.num * b.num, a.den * b.den)),
+                (a / b, built(a.num * b.den, a.den * b.num)),
+                (-a, built(-a.num, a.den)),
+                (a.inverse(), built(a.den, a.num)),
+                (a ** k, built(a.num ** k, a.den ** k)),
+                (a ** -k, built(a.den ** k, a.num ** k)),
+            ]
+            for got, want in results:
+                assert (got.num, got.den) == (want.num, want.den)
+                assert got == want and hash(got) == hash(want)
+                assert got.den.is_monic()
+            assert not a - a and a - a == ex.zero()
+            # equal denominators whose sum cancels: (N + D - N) / D = 1
+            assert a + (1 - a) == ex.one() and (a + (1 - a)).rows == ([[1]], [[1]])
+            with pytest.raises(DivisionByZero):
+                a / 0
+            with pytest.raises(DivisionByZero):
+                a / ex.zero()
+
+    def test_rows_are_reduced_with_positive_lead(self, qt):
+        from sympy.polys.euclidtools import dmp_gcd
+        from sympy.polys.domains import ZZ
+        from conicval.oracle import sample_field_element
+        ex = FunctionField(qt, "x")
+        rng = random.Random(49)
+        for _ in range(60):
+            a = sample_field_element(rng, ex, nonzero=True)
+            n, d = (a * a + a).rows
+            assert dmp_gcd(n, d, 1, ZZ) == [[1]] and d[0][0] > 0
+
+
+def _sympy_poly(f, p):
+    """f over F_p as a sympy Poly with the same coefficients."""
+    return sympy.Poly([c.lift_int() for c in reversed(f.coeffs)] or [0],
+                      sympy.Symbol("x"), modulus=p)
+
+
+def _gf_ints(f):
+    return [c.lift_int() for c in reversed(f.coeffs)]
+
+
+class TestPrimeFieldPolynomials:
+    """Over a prime field, products, division and gcd run on galoistools'
+    int rows; each is checked against its defining property and sympy."""
+
+    @pytest.mark.parametrize("p", [3, 5, 101])
+    def test_divmod_gcd_and_products(self, p):
+        ring = PolyRing(FF(p), "x")
+        rng = random.Random(p)
+        for _ in range(100):
+            f = sample_poly(rng, ring, 8)
+            g, c = _nonzero_poly(rng, ring, 5), _nonzero_poly(rng, ring, 3)
+            q, r = divmod(f, g)
+            assert q * g + r == f and r.degree() < g.degree()
+            h = poly_gcd(f * c, g * c)
+            assert h.is_monic() and not (f * c) % h and not (g * c) % h
+            assert not h % c.monic()
+            assert _gf_ints(h) == [int(x) % p for x in _sympy_poly(
+                f * c, p).gcd(_sympy_poly(g * c, p)).all_coeffs()]
+            want = (_sympy_poly(f, p) * _sympy_poly(g, p)).all_coeffs()
+            assert _gf_ints(f * g) == ([int(x) % p for x in want] if f else [])
 
 
 class TestSquareClasses:
