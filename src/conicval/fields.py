@@ -22,11 +22,18 @@ coefficient is built once.  An element of Q(t)(x) is stored as its reduced
 rows of Z[t][x] and computed on them.  Polynomials over a prime field
 multiply, divide and take gcds on int rows with sympy's ``galoistools``;
 F_{p^k} (which sympy lacks) keeps schoolbook and Euclid.
+
+Over every finite field F_q, polynomials factor by one distinct-degree
+routine (``_ddf``, iterated Frobenius x^(q^d) mod g) and a seeded
+equal-degree split (``_edf``), in time polynomial in the degree and log q;
+irreducibility is ``_ddf`` stopped at its first factor.  The modulus m of
+F_p[u]/(m) is checked with galoistools' Rabin test on its int row.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import sympy
@@ -34,7 +41,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.densearith import (dmp_add, dmp_mul, dmp_neg, dmp_pow,
                                     dup_exquo, dup_mul, dup_mul_ground)
 from sympy.polys.euclidtools import dmp_inner_gcd, dup_inner_gcd
-from sympy.polys.galoistools import gf_div, gf_gcd, gf_mul
+from sympy.polys.galoistools import gf_div, gf_gcd, gf_irred_p_rabin, gf_mul
 
 from .errors import (ContextMismatch, DegreeTooLarge, DivisionByZero,
                      InvariantViolated, SquareInput, UnsupportedField,
@@ -120,44 +127,6 @@ def _ip_pow_mod(a, e, mod, p):
     return result
 
 
-def _ip_gcd(a, b, p):
-    while b:
-        a, b = b, _ip_mod(a, b, p)
-    if a:
-        a = _ip_mul(a, (pow(a[-1], -1, p),), p)
-    return a
-
-
-def _ip_is_irreducible(m, p):
-    """Rabin's test for a monic polynomial over F_p given as an int tuple."""
-    n = len(m) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = (0, 1)
-    # x^(p^n) == x mod m, and gcd(x^(p^(n/r)) - x, m) == 1 for prime r | n
-    for r in _prime_divisors(n):
-        h = _ip_sub(_ip_pow_mod(x, p ** (n // r), m, p), x, p)
-        if len(_ip_gcd(h, m, p)) > 1:
-            return False
-    return _ip_pow_mod(x, p ** n, m, p) == x
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # field contexts
 # ---------------------------------------------------------------------------
@@ -223,7 +192,7 @@ class FF:
             raise UnsupportedField("modulus must have degree >= 1")
         if modulus[-1] != 1:
             raise UnsupportedField("modulus must be monic")
-        if _validate and len(modulus) > 2 and not _ip_is_irreducible(modulus, p):
+        if _validate and not gf_irred_p_rabin(list(reversed(modulus)), p, ZZ):
             raise UnsupportedField(f"modulus {modulus} is reducible mod {p}")
         self.p = p
         self.modulus = modulus
@@ -460,18 +429,13 @@ def GF(q: int, var: str = "u") -> FF:
 
 
 def _split_prime_power(q: int) -> tuple[int, int]:
-    for p in range(3, q + 1, 2):
-        if q % p == 0:
-            if not sympy.isprime(p):
-                break
-            d = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                d += 1
-            if m != 1:
-                break
-            return p, d
+    if q > 2 and q % 2:
+        if sympy.isprime(q):
+            return q, 1
+        # the base of the largest exponent is prime exactly for a prime power
+        power = sympy.perfect_power(q)
+        if power and sympy.isprime(power[0]):
+            return int(power[0]), int(power[1])
     raise UnsupportedField(f"{q} is not an odd prime power")
 
 
@@ -491,7 +455,7 @@ def canonical_modulus(p: int, d: int) -> tuple[int, ...]:
                 i, r = divmod(i, p)
                 digits.append(r)
             m = tuple(digits) + (1,)
-            if _ip_is_irreducible(m, p):
+            if gf_irred_p_rabin(list(reversed(m)), p, ZZ):
                 _CANONICAL_MODULI[key] = m
                 break
     return _CANONICAL_MODULI[key]
@@ -1575,6 +1539,8 @@ def _ff_pth_root(c):
 
 
 def is_irreducible(f: Poly) -> bool:
+    """Whether f is irreducible: over F_q by distinct-degree factorisation
+    (``_is_irreducible_ff``), over Q by factoring (degree <= 8)."""
     if not f:
         raise ZeroPolynomial("irreducibility of the zero polynomial")
     field = f.ring.field
@@ -1589,20 +1555,12 @@ def is_irreducible(f: Poly) -> bool:
 
 
 def _is_irreducible_ff(f: Poly) -> bool:
+    """Irreducibility over F_q: a reducible f of degree n has an irreducible
+    factor of degree <= n/2, which the distinct-degree factorisation meets
+    first, so it is stopped at its first factor (repeated factors included,
+    because gcd(x^(q^d) - x, f) holds every irreducible factor of degree d)."""
     n = f.degree()
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    field = f.ring.field
-    q = field.order
-    f = f.monic()
-    x = f.ring.gen()
-    for r in _prime_divisors(n):
-        h = _poly_pow_mod(x, q ** (n // r), f) - x
-        if not h or poly_gcd(h, f).degree() > 0:
-            return False
-    return _poly_pow_mod(x, q ** n, f) == x % f
+    return n > 0 and next(_ddf(f.monic()))[0] == n
 
 
 def _poly_pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
@@ -1619,9 +1577,12 @@ def _poly_pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
 def factor(f: Poly):
     """Factor into monic irreducibles: returns (lead, [(g_i, m_i)]).
 
-    Over finite fields any order is supported.  Over Q the computation is
-    delegated to sympy and restricted to degree <= 8, which covers the
-    square-class normalizations this package needs.
+    Over a finite field F_q of any order each squarefree part is split by
+    distinct-degree and then equal-degree factorisation, in time polynomial
+    in deg f and log q; the factors are sorted by degree and index, so the
+    seeded random draws of the equal-degree split never show.  Over Q the
+    computation is delegated to sympy and restricted to degree <= 8, which
+    covers the square-class normalizations this package needs.
     """
     if not f:
         raise ZeroPolynomial("factorization of the zero polynomial")
@@ -1660,37 +1621,48 @@ def _poly_index(g: Poly):
 
 
 def _factor_ff_squarefree(g: Poly) -> list[Poly]:
-    """Irreducible factors of a monic squarefree polynomial over a finite field.
+    """Irreducible factors of a monic squarefree polynomial over F_q, by
+    distinct-degree and then equal-degree factorisation (Cantor and
+    Zassenhaus, Math. Comp. 36, 1981); the random draws are seeded, and
+    ``_factor_ff`` sorts the factors."""
+    rng = random.Random(0)
+    return [h for d, gd in _ddf(g) for h in _edf(gd, d, rng)]
 
-    Divisors are searched in ascending degree, so the first hit is always
-    irreducible; Rabin's test short-circuits the common irreducible case.
-    """
-    factors = []
-    ring = g.ring
-    field = ring.field
-    while g.degree() > 0:
-        if _is_irreducible_ff(g):
-            factors.append(g)
-            break
-        found = None
-        for k in range(1, g.degree() // 2 + 1):
-            for index in range(field.order ** k):
-                coeffs = []
-                i = index
-                for _ in range(k):
-                    i, r = divmod(i, field.order)
-                    coeffs.append(field.element_at(r))
-                h = ring.poly(coeffs + [field.one()])
-                if not g % h:
-                    found = h
-                    break
-            if found is not None:
-                break
-        if found is None:
-            raise InvariantViolated("reducible polynomial without small divisor")
-        factors.append(found)
-        g = g // found
-    return factors
+
+def _ddf(g: Poly):
+    """Distinct-degree factorisation of a monic squarefree g over F_q: yields
+    (d, g_d) for increasing d, g_d the product of the irreducible factors of
+    degree d, for each d that has one.  x^(q^d) mod g comes from the previous
+    power by one more Frobenius, x^(q^d) = (x^(q^(d-1)))^q."""
+    q = g.ring.field.order
+    x = g.ring.gen()
+    h = x
+    d = 0
+    while g.degree() >= 2 * (d + 1):
+        d += 1
+        h = _poly_pow_mod(h, q, g)
+        gd = poly_gcd(h - x, g)
+        if gd.degree() > 0:
+            yield d, gd
+            g = g // gd
+    if g.degree() > 0:
+        yield g.degree(), g
+
+
+def _edf(g: Poly, d: int, rng: random.Random) -> list[Poly]:
+    """The irreducible factors of g, a monic product of distinct irreducibles
+    of degree d over F_q (q odd): for a random h, gcd(g, h^((q^d-1)/2) - 1)
+    is a proper factor with probability about 1/2."""
+    if g.degree() == d:
+        return [g]
+    field = g.ring.field
+    e = (field.order ** d - 1) // 2
+    while True:
+        h = g.ring.poly([field.element_at(rng.randrange(field.order))
+                         for _ in range(g.degree())])
+        f = poly_gcd(_poly_pow_mod(h, e, g) - 1, g)
+        if 0 < f.degree() < g.degree():
+            return _edf(f, d, rng) + _edf(g // f, d, rng)
 
 
 def _factor_rational(f: Poly):

@@ -150,10 +150,11 @@ class PlaceValuation(Valuation):
                 self.residue_field = k
                 self._root = -pi.coeffs[0]
             else:
-                from .fields import is_irreducible
-                if not is_irreducible(pi):
-                    raise UnsupportedPlace(f"{pi} is reducible, not a place")
-                self._flat = FlatQuotient(k, pi)
+                try:
+                    self._flat = FlatQuotient(k, pi)
+                except UnsupportedField:
+                    raise UnsupportedPlace(
+                        f"{pi} is reducible, not a place") from None
                 self.residue_field = self._flat.flat
                 self._root = None
         else:

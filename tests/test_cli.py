@@ -4,6 +4,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_pow_mod
 
 from conicval.parser import parse_element
 
@@ -96,3 +98,41 @@ class TestMalformedInput:
     def test_degree_at_the_bound_is_accepted(self, qt, text):
         h = parse_element(text, qt, {"t": qt.gen()})
         assert h.degree() <= 1000
+
+
+class TestFiniteFieldFactorisation:
+    """Splitting over F_q(t) when a has factors of degree d with q^d above a
+    million, each within a bound of 2 s."""
+
+    def test_f101_sextic_fails_at_the_first_cubic(self, run_cli, validator):
+        # t is a nonsquare modulo each cubic, t^((101^3 - 1)/2) = -1, so
+        # both symbols are -1; the cubic ending in 91 comes first in index
+        # order
+        e = (101 ** 3 - 1) // 2
+        for row in ([1, 100, 100, 93], [1, 100, 100, 91]):
+            assert gf_pow_mod([1, 0], e, row, 101, ZZ) == [100]
+        start = time.thread_time()
+        code, doc = run_cli("quat", "split", "--field", "Fq(t):q=101",
+                            "--b", "t", "--a",
+                            "(t^3+100*t^2+100*t+93)*(t^3+100*t^2+100*t+91)")
+        assert time.thread_time() - start < 2
+        validator.validate(doc)
+        assert code == 0
+        assert doc["result"]["split"] is False
+        assert doc["result"]["failing_place"] == "t^3 + 100*t^2 + 100*t + 91"
+
+    def test_f25_quintic_factors(self, run_cli, validator):
+        """t^5 - t - c with c = 1, 2 is irreducible over F_5 (Artin-Schreier)
+        and stays so over F_25, where the trace 2c of c is nonzero.  At each
+        quintic pi, t lies in F_5[t]/(pi), a subfield of index 2 of the
+        residue field F_25[t]/(pi), so it is a square there; a(0) = 2 lies in
+        F_5 and is a square in F_25.  So every symbol is 1."""
+        start = time.thread_time()
+        code, doc = run_cli("quat", "split", "--field", "Fq(t):q=25",
+                            "--b", "t", "--a", "(t^5-t-1)*(t^5-t-2)")
+        assert time.thread_time() - start < 2
+        validator.validate(doc)
+        assert code == 0
+        assert doc["result"]["split"] is True
+        assert doc["result"]["symbols"] == {
+            "t^5 + 4*t + 3": 1, "t^5 + 4*t + 4": 1, "t": 1, "inf": 1}

@@ -64,3 +64,23 @@ def test_no_unused_imports_in_package():
         found += [f"{path.name}:{line} {name}"
                   for name, line in _imported_names(tree) if name not in used]
     assert not found
+
+
+def test_no_unreferenced_private_functions_in_package():
+    # a module-level helper (name starting with a single _) that no module
+    # of the package names, by call, reference or attribute, is dead code
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    found = [f"{name}:{node.lineno} {node.name}"
+             for name, tree in trees.items() for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name.startswith("_") and not node.name.startswith("__")
+             and node.name not in referenced]
+    assert not found

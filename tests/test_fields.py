@@ -1,10 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.galoistools import gf_factor_sqf, gf_irred_p_ben_or, gf_sqf_p
 
 from conicval import fields
+from conicval.cli import parse_base_field
 from conicval.errors import (ContextMismatch, DegreeTooLarge, DivisionByZero,
                              UnsupportedField, ZeroInput, ZeroPolynomial)
 from conicval.fields import (FF, FlatQuotient, FunctionField, GF, PolyRing,
@@ -562,6 +565,122 @@ class TestPrimeFieldPolynomials:
             assert _gf_ints(f * g) == ([int(x) % p for x in want] if f else [])
 
 
+def _divisor_search(g):
+    """Irreducible factors of a monic squarefree g over F_q by trying every
+    monic divisor in ascending degree and index order, so each divisor found
+    is irreducible (the factoriser that distinct-degree factorisation
+    replaced, kept as a reference)."""
+    ring, field = g.ring, g.ring.field
+    factors = []
+    while g.degree() > 0:
+        found = g
+        for k in range(1, g.degree() // 2 + 1):
+            for index in range(field.order ** k):
+                coeffs = []
+                for _ in range(k):
+                    index, r = divmod(index, field.order)
+                    coeffs.append(field.element_at(r))
+                h = ring.poly(coeffs + [field.one()])
+                if not g % h:
+                    found = h
+                    break
+            if found is not g:
+                break
+        factors.append(found)
+        g = g // found
+    return factors
+
+
+def _sorted_factors(factors):
+    return sorted(factors, key=lambda h: (h.degree(), fields._poly_index(h)))
+
+
+def _product(ring, factors):
+    out = ring.one()
+    for h in factors:
+        out = out * h
+    return out
+
+
+class TestFiniteFieldFactoring:
+    """Distinct- and equal-degree factorisation against galoistools over
+    prime fields, and against the divisor search over F_9 and F_25."""
+
+    @pytest.mark.parametrize("p", [3, 5, 101])
+    def test_agrees_with_galoistools_on_squarefree_products(self, p):
+        ring = PolyRing(FF(p), "x")
+        rng = random.Random(50 + p)
+        seen = 0
+        while seen < 40:
+            parts = [ring.poly([rng.randrange(p) for _ in range(n)] + [1])
+                     for n in rng.choices(range(1, 5), k=rng.randint(1, 4))]
+            g = _product(ring, parts)
+            if not gf_sqf_p(_gf_ints(g), p, sympy.ZZ):
+                continue
+            seen += 1
+            got = fields._factor_ff_squarefree(g)
+            assert _product(ring, got) == g
+            assert sorted(_gf_ints(h) for h in got) == \
+                sorted(gf_factor_sqf(_gf_ints(g), p, sympy.ZZ)[1])
+
+    @pytest.mark.parametrize("p", [3, 5, 101])
+    def test_irreducibility_agrees_with_ben_or(self, p):
+        """Also on squares and other inputs that are not squarefree."""
+        ring = PolyRing(FF(p), "x")
+        rng = random.Random(60 + p)
+        for _ in range(60):
+            f = _nonzero_poly(rng, ring, 7)
+            for g in (f, f * f, f * ring.gen()):
+                if g.degree() > 0:
+                    assert is_irreducible(g) == gf_irred_p_ben_or(
+                        _gf_ints(g.monic()), p, sympy.ZZ)
+
+    @pytest.mark.parametrize("q", [9, 25])
+    def test_agrees_with_divisor_search_up_to_degree_three(self, q):
+        """Every monic squarefree polynomial of degree <= 3, except that over
+        F_25 the cubics are taken up to translation x -> x + c, which maps
+        factorisations to factorisations: in characteristic 5 those with no
+        x^2 term (all 15,625 take over 2 minutes on a 2-core machine)."""
+        k = GF(q)
+        ring = PolyRing(k, "x")
+        for n in range(1, 4):
+            for index in range(q ** n):
+                coeffs = []
+                for _ in range(n):
+                    index, r = divmod(index, q)
+                    coeffs.append(k.element_at(r))
+                if q == 25 and n == 3 and coeffs[2]:
+                    continue
+                g = ring.poly(coeffs + [k.one()])
+                if poly_gcd(g, g.derivative()).degree() > 0:
+                    continue
+                want = _divisor_search(g)
+                got = _sorted_factors(fields._factor_ff_squarefree(g))
+                assert got == _sorted_factors(want)
+                assert _product(ring, got) == g
+                assert is_irreducible(g) == (len(want) == 1)
+
+    @pytest.mark.parametrize("p, d, modulus", [
+        (3, 2, (1, 0, 1)), (3, 3, (1, 2, 0, 1)), (3, 4, (2, 1, 0, 0, 1)),
+        (3, 5, (1, 2, 0, 0, 0, 1)), (3, 6, (2, 1, 0, 0, 0, 0, 1)),
+        (3, 7, (2, 0, 1, 0, 0, 0, 0, 1)), (5, 2, (2, 0, 1)),
+        (5, 3, (1, 1, 0, 1)), (5, 4, (2, 0, 0, 0, 1)), (7, 2, (1, 0, 1)),
+        (7, 3, (2, 0, 0, 1)), (11, 2, (1, 0, 1)), (13, 3, (2, 0, 0, 1)),
+        (101, 2, (2, 0, 1)), (101, 3, (1, 1, 0, 1)),
+        (1000000007, 2, (1, 0, 1)),
+    ])
+    def test_canonical_modulus_is_first_irreducible(self, p, d, modulus):
+        assert fields.canonical_modulus(p, d) == modulus
+        for index in range(p ** d):
+            digits = []
+            for _ in range(d):
+                index, r = divmod(index, p)
+                digits.append(r)
+            if gf_irred_p_ben_or([1] + digits[::-1], p, sympy.ZZ):
+                break
+        assert tuple(digits) + (1,) == modulus
+
+
 class TestSquareClasses:
     def test_rational_square_class(self):
         r, s = square_class_reduce(Fraction(72, 25))
@@ -636,8 +755,19 @@ class TestConstructors:
     def test_gf_prime_power(self):
         k = GF(27)
         assert k.p == 3 and k.degree == 3 and k.order == 27
-        with pytest.raises(UnsupportedField):
-            GF(12)
+        assert fields._split_prime_power(3 ** 7) == (3, 7)
+        assert fields._split_prime_power(101) == (101, 1)
+        for q in (1, 12, 15, 2 ** 10, 3 ** 4 * 5 ** 4):
+            with pytest.raises(UnsupportedField, match="odd prime power"):
+                GF(q)
+
+    def test_large_prime_builds_at_once(self):
+        start = time.thread_time()
+        k = GF(10 ** 9 + 7)
+        field = parse_base_field("Fq(t):q=1000000007")
+        assert time.thread_time() - start < 1
+        assert (k.p, k.degree) == (10 ** 9 + 7, 1)
+        assert field.coefficient_field == k
 
     def test_sqrt_exact(self):
         assert sqrt_exact(Fraction(9, 4)) == Fraction(3, 2)
