@@ -142,11 +142,18 @@ def parse_valuation(desc: str) -> Valuation:
         raise InputError(f"bad valuation descriptor {desc!r}: {exc}") from exc
 
 
-def _check_field_matches(field_ctx, v: Valuation):
-    if field_ctx != v.base:
-        raise InputError(
-            f"--field {field_ctx!r} does not match the valuation's base "
-            f"field {v.base!r}")
+def _valuation_and_coefficients(args):
+    """(v, a, b) from --val, the optional --field (which must be v's base
+    field), --a and --b."""
+    v = parse_valuation(args.val)
+    if args.field:
+        field_ctx = parse_base_field(args.field)
+        if field_ctx != v.base:
+            raise InputError(
+                f"--field {field_ctx!r} does not match the valuation's base "
+                f"field {v.base!r}")
+    return (v, parse_field_element(args.a, v.base),
+            parse_field_element(args.b, v.base))
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +162,7 @@ def _check_field_matches(field_ctx, v: Valuation):
 
 
 def _cmd_analyze(args):
-    v = parse_valuation(args.val)
-    if args.field:
-        _check_field_matches(parse_base_field(args.field), v)
-    a = parse_field_element(args.a, v.base)
-    b = parse_field_element(args.b, v.base)
+    v, a, b = _valuation_and_coefficients(args)
     report = analyze(v, ConicFunctionField(v.base, a, b),
                      family_count=args.family, search_bound=args.search_bound)
     d = report.as_dict()
@@ -181,11 +184,7 @@ def _cmd_analyze(args):
 
 
 def _cmd_eval(args):
-    v = parse_valuation(args.val)
-    if args.field:
-        _check_field_matches(parse_base_field(args.field), v)
-    a = parse_field_element(args.a, v.base)
-    b = parse_field_element(args.b, v.base)
+    v, a, b = _valuation_and_coefficients(args)
     cf = ConicFunctionField(v.base, a, b)
     ext = DistinguishedExtension(v, cf)
     variables = dict(field_variables(v.base))
@@ -251,11 +250,7 @@ def _cmd_quat_split(args):
 
 
 def _cmd_quat_decide(args):
-    v = parse_valuation(args.val)
-    if args.field:
-        _check_field_matches(parse_base_field(args.field), v)
-    a = parse_field_element(args.a, v.base)
-    b = parse_field_element(args.b, v.base)
+    v, a, b = _valuation_and_coefficients(args)
     verdict = decide_unramified_extension(QuaternionAlgebra(v.base, a, b), v,
                                           search_bound=args.search_bound)
     d = verdict.as_dict()
@@ -266,11 +261,7 @@ def _cmd_quat_decide(args):
 
 
 def _cmd_family(args):
-    v = parse_valuation(args.val)
-    if args.field:
-        _check_field_matches(parse_base_field(args.field), v)
-    a = parse_field_element(args.a, v.base)
-    b = parse_field_element(args.b, v.base)
+    v, a, b = _valuation_and_coefficients(args)
     cf = ConicFunctionField(v.base, a, b)
     members = rational_residue_family(v, cf, args.count,
                                       search_bound=args.search_bound)

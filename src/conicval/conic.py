@@ -29,8 +29,7 @@ from fractions import Fraction
 
 from .errors import (InvariantViolated, NonzeroValue, PreconditionViolated,
                      WitnessNotFound, ZeroElement, ZeroInput)
-from .fields import (FF, FunctionField, Poly, RatFunc, RationalField,
-                     _rational_ratfunc, is_square)
+from .fields import FF, FunctionField, Poly, RatFunc, RationalField, is_square
 from .gauss import (GaussExtension, RAMIFIED, SPLIT_PAIR,
                     quadratic_extension_analysis)
 from .quaternion import (QuaternionAlgebra, UNRAMIFIED_EXTENSION,
@@ -406,7 +405,7 @@ class DistinguishedExtension:
             elem = self.conic_field.element(elem)
         if not elem:
             raise ZeroElement("the distinguished extension has no value at 0")
-        if self.w1.field.on_rows:
+        if self.w1.field.level == 1:
             return self._value_on_rows(elem)
         best = INFINITY
         for ei, bi in zip(elem.quadruple(), self.beta):
@@ -438,7 +437,7 @@ class DistinguishedExtension:
                         and [dup_mul(r, d[0], ZZ) for r in part]
                         == [dup_mul(r, part[0], ZZ) for r in d]):
                     # e_i is the constant lc(M_part) / lc(D) of E
-                    c = _rational_ratfunc(self.v.base, part[0], d[0])
+                    c = RatFunc(self.v.base, _rows=(part[0], d[0]))
                     values.append(w1.value_of(c) + self.beta[i])
                 else:
                     values.append(Value(w1.row_value(part) + shift)
@@ -554,6 +553,14 @@ def rational_residue_family(v: Valuation, cf: ConicFunctionField, count: int,
     if verdict.kind == UNRAMIFIED_EXTENSION:
         raise PreconditionViolated(
             "an unramified extension exists; no rational-residue family")
+    return _residue_family(v, cf, None, count, search_bound)
+
+
+def _residue_family(v: Valuation, cf: ConicFunctionField, ext, count: int,
+                    search_bound: int) -> list[RationalFamilyMember]:
+    """The family of ``rational_residue_family``, once no unramified
+    extension is known to exist; ext is the distinguished extension of v
+    to cf, or None to build it when needed."""
     if count < 0:
         raise ZeroInput("negative count")
     if count == 0:
@@ -585,7 +592,7 @@ def rational_residue_family(v: Valuation, cf: ConicFunctionField, count: int,
     # shift the pivot to a lifted unit point of the residue conic.  When no
     # such point exists (possible over tiny residue fields) pivots c*x still
     # work provided the residue of the dominant coefficient is a square.
-    ext = DistinguishedExtension(v, cf)
+    ext = ext or DistinguishedExtension(v, cf)
     desc = ext.residue
     point = _unit_conic_point(desc.a0bar, desc.b0bar, v.residue_field,
                               search_bound)
@@ -704,7 +711,7 @@ def analyze(v: Valuation, cf: ConicFunctionField, family_count: int = 3,
         checks["residue_conic_division"] = True
     else:
         try:
-            family = rational_residue_family(v, cf, family_count, search_bound)
+            family = _residue_family(v, cf, ext, family_count, search_bound)
         except WitnessNotFound as exc:
             family = []
             family_note = str(exc)

@@ -15,11 +15,13 @@ Finite fields are always presented as F_p[u]/(m); the prime field is the
 degree-1 case with m = u, so residue-field code has a single representation
 to deal with.
 
-Over Q and Q(t), products, gcds and canonical forms run on integer rows in
-sympy's dense form (a polynomial over Q(t) is Z[t][x] rows over an integer
-times a primitive Z[t] row, see ``_tower_rows``), and each output
-coefficient is built once.  An element of Q(t)(x) is stored as its reduced
-rows of Z[t][x] and computed on them.  Polynomials over a prime field
+Rational functions have two normal forms.  In characteristic 0 a rational
+function over Q (in Q(t) or Q(x), level 0) or over Q(t) (in Q(t)(x), level
+1) is stored as its reduced rows (N, D) of Z[x] or Z[t][x] in sympy's dense
+form, and computed on them; products and gcds of polynomials over Q and
+Q(t) run on the same rows (a polynomial is rows over an L in Z or Z[t],
+see ``_poly_rows``), and each output coefficient is built once.  In
+characteristic p it is a pair of Polys.  Polynomials over a prime field
 multiply, divide and take gcds on int rows with sympy's ``galoistools``;
 F_{p^k} (which sympy lacks) keeps schoolbook and Euclid.
 
@@ -39,7 +41,8 @@ from fractions import Fraction
 import sympy
 from sympy.polys.domains import ZZ
 from sympy.polys.densearith import (dmp_add, dmp_mul, dmp_neg, dmp_pow,
-                                    dup_exquo, dup_mul, dup_mul_ground)
+                                    dup_exquo, dup_mul)
+from sympy.polys.densebasic import dmp_ground_LC, dmp_to_tuple
 from sympy.polys.euclidtools import dmp_inner_gcd, dup_inner_gcd
 from sympy.polys.galoistools import gf_div, gf_gcd, gf_irred_p_rabin, gf_mul
 
@@ -467,13 +470,17 @@ def canonical_modulus(p: int, d: int) -> tuple[int, ...]:
 
 
 class PolyRing:
-    """Univariate polynomial ring over a field context; ``gf_p`` is p over
-    a prime field F_p, whose polynomials compute on galoistools' int rows,
-    and None otherwise."""
+    """Univariate polynomial ring over a field context.  ``level`` is 0 over
+    Q and 1 over Q(t), whose polynomials compute on rows of Z[x] and
+    Z[t][x], and None otherwise; ``gf_p`` is p over a prime field F_p,
+    whose polynomials compute on galoistools' int rows, and None otherwise."""
 
     def __init__(self, field, var: str):
         self.field = field
         self.var = var
+        self.level = (0 if isinstance(field, RationalField) else
+                      1 if isinstance(field, FunctionField) and field.level == 0
+                      else None)
         self.gf_p = field.p if isinstance(field, FF) and field.degree == 1 else None
 
     def poly(self, coeffs) -> "Poly":
@@ -608,12 +615,11 @@ class Poly:
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return self.ring.zero()
-        if isinstance(self.ring.field, RationalField):
-            return Poly(self.ring, _rational_mul(a, b))
-        if _is_rational_tower(self.ring.field):
-            (ra, ma, la), (rb, mb, lb) = _tower_rows(a), _tower_rows(b)
-            return _row_poly(self.ring, dmp_mul(ra, rb, 1, ZZ),
-                             dup_mul(la, lb, ZZ), ma * mb)
+        u = self.ring.level
+        if u is not None:
+            (ra, la), (rb, lb) = _poly_rows(a, u), _poly_rows(b, u)
+            return _row_poly(self.ring, dmp_mul(ra, rb, u, ZZ),
+                             dup_mul(la, lb, ZZ) if u else la * lb, u)
         p = self.ring.gf_p
         if p is not None:
             return _gf_poly(self.ring, gf_mul(_gf_row(a), _gf_row(b), p, ZZ))
@@ -754,10 +760,10 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) is an error.
 
     Over Q and Q(t) denominators are cleared and sympy takes the gcd over
-    the integers (heuristic gcd, with a pseudo-remainder fallback); over a
-    prime field it is galoistools' ``gf_gcd`` on int rows, F_{p^k}[x] runs
-    Euclid and F_q(t)[x] runs ``_tower_gcd``.  ``RatFunc`` over Q and
-    Q(t)(x) uses the integer gcd's cofactors instead.
+    the integers (``_row_gcd``: heuristic gcd, with a pseudo-remainder
+    fallback); over a prime field it is galoistools' ``gf_gcd`` on int rows,
+    F_{p^k}[x] runs Euclid and F_q(t)[x] runs ``_tower_gcd``.  ``RatFunc``
+    over Q and Q(t) reduces its rows with the integer gcd's cofactors.
     """
     if not f and not g:
         raise ZeroPolynomial("gcd(0, 0) is undefined")
@@ -765,12 +771,9 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return f.monic()
     if not f:
         return g.monic()
-    field = f.ring.field
-    if isinstance(field, RationalField):
-        return _rational_gcd(f, g)
-    if isinstance(field, FunctionField):
-        if isinstance(field.coefficient_field, RationalField):
-            return _rational_tower_gcd(f, g)
+    if f.ring.level is not None:
+        return _row_gcd(f, g, f.ring.level)
+    if isinstance(f.ring.field, FunctionField):
         return _tower_gcd(f, g)
     p = f.ring.gf_p
     if p is not None:
@@ -793,140 +796,101 @@ def _gf_poly(ring: PolyRing, row: list[int]) -> Poly:
     return Poly(ring, tuple(FFElement(field, (c,)) for c in reversed(row)))
 
 
-def _integer_row(coeffs) -> tuple[int, list[int]]:
-    """(d, row): row holds the integers d*c, highest degree first as in
-    sympy's dense polynomials, and d is the lcm of the denominators."""
-    d = math.lcm(*(c.denominator for c in coeffs))
-    return d, [c.numerator * (d // c.denominator) for c in reversed(coeffs)]
+# Rows over Q and Q(t).  A polynomial over Q is a row of Z[x] over an integer
+# and one over Q(t) rows of Z[t][x] over an element of Z[t], both in sympy's
+# dense form (highest degree first, x outer); the level u is 0 or 1, the
+# number of variables below x (``PolyRing.level``).
+_ZERO = ([], [[]])      # the zero and one of Z[x] and Z[t][x], by level
+_ONE = ([1], [[1]])
 
 
-def _rational_mul(a: tuple, b: tuple) -> tuple:
-    """Product of two rational coefficient tuples (lowest degree first):
-    one integer convolution, then one Fraction per output coefficient."""
-    da, ia = _integer_row(a)
-    db, ib = _integer_row(b)
-    out = [0] * (len(ia) + len(ib) - 1)
-    for i, ai in enumerate(ia):
-        if ai:
-            for j, bj in enumerate(ib):
-                out[i + j] += ai * bj
-    d = da * db
-    return tuple(Fraction(c, d) for c in reversed(out))
-
-
-def _rational_quotient(ring: PolyRing, n: list, d: list, sn: int = 1,
-                       sd: int = 1) -> tuple[Poly, Poly]:
-    """Canonical (num, den) over Q of (sn * n) / (sd * d), for integer rows
-    n, d != 0: the cofactors of their gcd, each coefficient one Fraction
-    over the lead of d's cofactor."""
-    if not n:
-        return ring.zero(), ring.one()
-    if len(n) > 1 and len(d) > 1:
-        _, n, d = dup_inner_gcd(n, d, ZZ)
-    lead = d[0]
-    return (Poly(ring, tuple(Fraction(c * sn, lead * sd)
-                             for c in reversed(n))),
-            Poly(ring, tuple(Fraction(c, lead) for c in reversed(d))))
-
-
-def _rational_ratfunc(field: "FunctionField", n: list, d: list,
-                      sd: int = 1) -> "RatFunc":
-    """n / (sd * d) in Q(t), from integer rows of Z[t]."""
-    num, den = _rational_quotient(field.ring, n, d, 1, sd)
-    return RatFunc(field, num, den, _reduced=True)
-
-
-def _row_poly(ring: PolyRing, rows, lead: list, sd: int = 1) -> Poly:
-    """The polynomial over Q(t) of rows / (sd * lead), for rows of Z[t][x]
-    (x outer) and a row lead != 0 of Z[t]: one canonical coefficient each."""
-    kt = ring.field
-    return Poly(ring, tuple(_rational_ratfunc(kt, c, lead, sd)
-                            for c in reversed(rows)))
-
-
-def _is_rational_tower(field) -> bool:
-    return (isinstance(field, FunctionField)
-            and isinstance(field.coefficient_field, RationalField))
-
-
-def _rational_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd of nonzero polynomials over Q, taken over Z by sympy."""
-    h = dup_inner_gcd(_integer_row(f.coeffs)[1],
-                      _integer_row(g.coeffs)[1], ZZ)[0]
-    return _rational_quotient(f.ring, h, h[:1])[0]
-
-
-def _rational_tower_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd of nonzero polynomials over Q(t), taken over Z[t] by sympy.
-
-    Both inputs are scaled by nonzero elements of Q(t) into Z[t][x], so by
-    Gauss's lemma their gcd there is the gcd over Q(t) up to a unit.
-    """
-    h = dmp_inner_gcd(_tower_rows(f.coeffs)[0], _tower_rows(g.coeffs)[0],
-                      1, ZZ)[0]
-    return _row_poly(f.ring, h, h[0])
-
-
-def _tower_rows(coeffs) -> tuple[list[list[int]], int, list[int]]:
-    """(rows, m, lcm) with the polynomial over Q(t) of these coefficients
-    equal to rows / (m * lcm): rows over Z[t] (x outer, highest degree
-    first), m an integer, lcm the denominators' lcm in Z[t].  Monic
-    denominators clear to primitive rows, so by Gauss's lemma lcm comes
-    from gcd cofactors and lcm / den is exact over Z."""
-    dens = [_integer_row(c.den.coeffs) for c in coeffs]
-    nums = [_integer_row(c.num.coeffs) for c in coeffs]
+def _tower_rows(coeffs) -> tuple[list[list[int]], list[int]]:
+    """(rows, L) with the polynomial over Q(t) of these coefficients equal
+    to rows / L, L in Z[t] the lcm of the coefficients' denominators, read
+    from their reduced rows (so L / den is exact, and L has a positive
+    leading integer)."""
     lcm = [1]
-    for _, den in dens:
-        if len(den) > 1:
+    for c in coeffs:
+        den = c.rows[1]
+        if den != lcm and den != [1]:
             lcm = (den if lcm == [1]
                    else dup_mul(lcm, dup_inner_gcd(lcm, den, ZZ)[2], ZZ))
-    m = math.lcm(*(d for d, _ in nums))
-    rows = []
-    for (d, n), (e, den) in zip(reversed(nums), reversed(dens)):
-        row = dup_mul_ground(n, e * (m // d), ZZ)
-        cofactor = dup_exquo(lcm, den, ZZ) if len(den) > 1 else lcm
-        rows.append(row if cofactor == [1] else dup_mul(row, cofactor, ZZ))
-    return rows, m, lcm
+    return [n if den == lcm else
+            dup_mul(n, lcm if den == [1] else dup_exquo(lcm, den, ZZ), ZZ)
+            for n, den in (c.rows for c in reversed(coeffs))], lcm
 
 
-def _quotient_rows(num: Poly, den: Poly):
-    """Rows (N, D) of Z[t][x] with N / D = num / den over Q(t), not yet
-    reduced: each side's rows times the other side's integer and lcm."""
+def _poly_rows(coeffs, u: int):
+    """(rows, L) with the polynomial of these coefficients (lowest degree
+    first) equal to rows / L at level u, L the lcm of their denominators in
+    Z or Z[t].  Each coefficient is reduced, so no prime of Z or Z[t]
+    divides both L and every row: a prime whose full power in L divides the
+    denominator of a coefficient c divides c's numerator, and so c's row,
+    not at all."""
+    if not coeffs:
+        return _ZERO[u], _ONE[u][0]
+    if u:
+        return _tower_rows(coeffs)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (lcm // c.denominator) for c in reversed(coeffs)], lcm
+
+
+def _row_poly(ring: PolyRing, rows, lead, u: int) -> Poly:
+    """The polynomial over Q or Q(t) of rows / lead at level u, lead != 0
+    in Z or Z[t]: one canonical coefficient each."""
+    if u == 0:
+        return Poly(ring, tuple(Fraction(c, lead) for c in reversed(rows)))
+    kt = ring.field
+    return Poly(ring, tuple(RatFunc(kt, _rows=(c, lead)) for c in reversed(rows)))
+
+
+def _row_gcd(f: Poly, g: Poly, u: int) -> Poly:
+    """Monic gcd of nonzero polynomials over Q or Q(t), taken over Z or
+    Z[t] by sympy.  Both inputs are scaled by nonzero constants into Z[x]
+    or Z[t][x], so by Gauss's lemma their gcd there is the gcd over the
+    field up to a unit."""
+    h = dmp_inner_gcd(_poly_rows(f.coeffs, u)[0], _poly_rows(g.coeffs, u)[0],
+                      u, ZZ)[0]
+    return _row_poly(f.ring, h, h[0], u)
+
+
+def _quotient_rows(num: Poly, den: Poly, u: int):
+    """Rows (N, D) at level u with N / D = num / den, not yet reduced: each
+    side's rows times the other side's L."""
     if not num:
-        return [[]], [[1]]
-    rn, mn, ln = _tower_rows(num.coeffs)
-    rd, md, ld = _tower_rows(den.coeffs)
-    return (dmp_mul(rn, [dup_mul_ground(ld, md, ZZ)], 1, ZZ),
-            dmp_mul(rd, [dup_mul_ground(ln, mn, ZZ)], 1, ZZ))
+        return _ZERO[u], _ONE[u]
+    rn, ln = _poly_rows(num.coeffs, u)
+    rd, ld = _poly_rows(den.coeffs, u)
+    return dmp_mul(rn, [ld], u, ZZ), dmp_mul(rd, [ln], u, ZZ)
 
 
-def _reduced_rows(n, d):
-    """The canonical form of n / d over Q(t)(x), for rows n, d != 0 of
+def _reduced_rows(n, d, u: int):
+    """The canonical form of n / d at level u, for n, d != 0 in Z[x] or
     Z[t][x]: the cofactors of their gcd, with the leading integer of the
-    denominator made positive.  Z[t][x] is a UFD, so a reduced fraction
-    there is unique up to sign and this is a normal form."""
-    if n == [[]]:
-        return n, [[1]]
-    if d != [[1]]:
-        _, n, d = dmp_inner_gcd(n, d, 1, ZZ)
-        if d[0][0] < 0:
-            n, d = dmp_neg(n, 1, ZZ), dmp_neg(d, 1, ZZ)
+    denominator made positive.  Z[x] and Z[t][x] are UFDs, so a reduced
+    fraction there is unique up to sign and this is a normal form."""
+    if n == _ZERO[u]:
+        return n, _ONE[u]
+    if d != _ONE[u]:
+        _, n, d = dmp_inner_gcd(n, d, u, ZZ)
+        if dmp_ground_LC(d, u, ZZ) < 0:
+            n, d = dmp_neg(n, u, ZZ), dmp_neg(d, u, ZZ)
     return n, d
 
 
-def _row_polys(ring: PolyRing, n, d) -> tuple[Poly, Poly]:
-    """Canonical (num, den) over Q(t) of reduced rows n / d: both over the
+def _row_polys(ring: PolyRing, n, d, u: int) -> tuple[Poly, Poly]:
+    """Canonical (num, den) of reduced rows n / d at level u: both over the
     lead of d, so den is monic."""
-    if n == [[]]:
+    if n == _ZERO[u]:
         return ring.zero(), ring.one()
-    return _row_poly(ring, n, d[0]), _row_poly(ring, d, d[0])
+    return _row_poly(ring, n, d[0], u), _row_poly(ring, d, d[0], u)
 
 
 def _tower_gcd(f: Poly, g: Poly) -> Poly:
     """gcd of nonzero polynomials over F_q(t).
 
     It serves positive characteristic only: sympy has no F_{p^k}, and
-    Q(t)[x] goes through ``_rational_tower_gcd``.
+    Q(t)[x] goes through ``_row_gcd``.
 
     Plain Euclid explodes here (each division step roughly squares the
     coefficient sizes), so clear denominators and run a primitive
@@ -1012,7 +976,7 @@ class FunctionField:
     def __init__(self, field, var: str):
         self.ring = PolyRing(field, var)
         self.var = var
-        self.on_rows = _is_rational_tower(field)    # Q(t)(x), see RatFunc
+        self.level = self.ring.level    # 0 for Q(t), 1 for Q(t)(x); see RatFunc
 
     @property
     def coefficient_field(self):
@@ -1023,7 +987,13 @@ class FunctionField:
         return self.ring.field.characteristic
 
     def from_poly(self, num: Poly) -> "RatFunc":
-        return RatFunc(self, num, self.ring.one(), _reduced=True)
+        if self.level is None:
+            return RatFunc(self, num, self.ring.one(), _reduced=True)
+        # no gcd: rows / L is reduced (see _poly_rows), with lc(L) > 0
+        rows, lcm = _poly_rows(num.coeffs, self.level)
+        x = RatFunc(self, _rows=(rows, [lcm]), _reduced=True)
+        x._num, x._den = num, self.ring.one()
+        return x
 
     def ratfunc(self, num, den) -> "RatFunc":
         return RatFunc(self, self.ring.coerce(num), self.ring.coerce(den))
@@ -1065,15 +1035,17 @@ class RatFunc:
     """Rational function in canonical form: gcd(num, den) = 1, den monic.
 
     The canonical form is a normal form: two constructions of the same
-    function produce identical representations.  Over Q it comes from the
-    cofactors of the integer gcd of num's and den's rows, with no polynomial
-    division; over F_q and F_q(t) from ``poly_gcd`` and ``//``.
+    function produce identical representations.  There are two stored forms.
 
-    Over Q(t)(x) the stored form is ``rows``: reduced rows (N, D) of
-    Z[t][x] in sympy's dense form, x outer (``_reduced_rows``).  Arithmetic
-    runs on them, one ``dmp_mul`` or ``dmp_add`` and one ``dmp_inner_gcd``
-    in ``__init__``, and num and den are built from them on first use.
-    Elsewhere ``rows`` is None.
+    In characteristic 0, over Q(x) or Q(t) (level 0) and Q(t)(x) (level 1,
+    ``FunctionField.level``), it is ``rows``: reduced rows (N, D) of Z[x] or
+    Z[t][x] in sympy's dense form, x outer (``_reduced_rows``: gcd 1 and
+    the leading integer of D positive).  Arithmetic runs on them, one
+    ``dmp_mul`` or ``dmp_add`` and one ``dmp_inner_gcd`` in ``__init__``,
+    and num and den are built from them on first use.
+
+    Over F_q and F_q(t) it is the Polys num and den, reduced by ``poly_gcd``
+    and ``//``, and ``rows`` is None.
     """
 
     __slots__ = ("field", "rows", "_num", "_den")
@@ -1083,22 +1055,18 @@ class RatFunc:
         if _rows is None and not den:
             raise DivisionByZero("rational function with zero denominator")
         self.field = field
-        if field.on_rows:
+        u = field.level
+        if u is not None:
             # Polys are always converted and reduced; _reduced vouches only
             # for rows that are already canonical
             if _rows is None:
-                _rows, _reduced = _quotient_rows(num, den), False
-            self.rows = _rows if _reduced else _reduced_rows(*_rows)
+                _rows, _reduced = _quotient_rows(num, den, u), False
+            self.rows = _rows if _reduced else _reduced_rows(*_rows, u)
             self._num = self._den = None
             return
         if not _reduced and not den.is_one():
-            cf = field.ring.field
             if not num:
                 den = field.ring.one()
-            elif isinstance(cf, RationalField):
-                dn, n = _integer_row(num.coeffs)
-                dd, d = _integer_row(den.coeffs)
-                num, den = _rational_quotient(field.ring, n, d, dd, dn)
             else:
                 if den.degree() > 0 and num.degree() > 0:
                     g = poly_gcd(num, den)
@@ -1117,13 +1085,15 @@ class RatFunc:
     @property
     def num(self) -> Poly:
         if self._num is None:
-            self._num, self._den = _row_polys(self.field.ring, *self.rows)
+            self._num, self._den = _row_polys(self.field.ring, *self.rows,
+                                              self.field.level)
         return self._num
 
     @property
     def den(self) -> Poly:
         if self._den is None:
-            self._num, self._den = _row_polys(self.field.ring, *self.rows)
+            self._num, self._den = _row_polys(self.field.ring, *self.rows,
+                                              self.field.level)
         return self._den
 
     def _other(self, other):
@@ -1154,6 +1124,8 @@ class RatFunc:
             return None
 
     def is_polynomial(self) -> bool:
+        if self.rows is not None:
+            return len(self.rows[1]) == 1
         return self.den.is_one()
 
     def __add__(self, other):
@@ -1162,12 +1134,12 @@ class RatFunc:
             p = self._promote_into(other)
             return NotImplemented if p is None else p + other
         if self.rows is not None:
-            (n1, d1), (n2, d2) = self.rows, o.rows
+            (n1, d1), (n2, d2), u = self.rows, o.rows, self.field.level
             if d1 == d2:
-                return RatFunc(self.field, _rows=(dmp_add(n1, n2, 1, ZZ), d1))
+                return RatFunc(self.field, _rows=(dmp_add(n1, n2, u, ZZ), d1))
             return RatFunc(self.field, _rows=(
-                dmp_add(dmp_mul(n1, d2, 1, ZZ), dmp_mul(n2, d1, 1, ZZ), 1, ZZ),
-                dmp_mul(d1, d2, 1, ZZ)))
+                dmp_add(dmp_mul(n1, d2, u, ZZ), dmp_mul(n2, d1, u, ZZ), u, ZZ),
+                dmp_mul(d1, d2, u, ZZ)))
         if self.den.is_one() and o.den.is_one():
             return RatFunc(self.field, self.num + o.num, self.den, _reduced=True)
         return RatFunc(self.field, self.num * o.den + o.num * self.den,
@@ -1188,8 +1160,8 @@ class RatFunc:
     def __neg__(self):
         if self.rows is not None:
             n, d = self.rows
-            return RatFunc(self.field, _rows=(dmp_neg(n, 1, ZZ), d),
-                           _reduced=True)
+            return RatFunc(self.field, _rows=(dmp_neg(n, self.field.level, ZZ),
+                                              d), _reduced=True)
         return RatFunc(self.field, -self.num, self.den, _reduced=True)
 
     def __mul__(self, other):
@@ -1198,9 +1170,9 @@ class RatFunc:
             p = self._promote_into(other)
             return NotImplemented if p is None else p * other
         if self.rows is not None:
-            (n1, d1), (n2, d2) = self.rows, o.rows
-            return RatFunc(self.field, _rows=(dmp_mul(n1, n2, 1, ZZ),
-                                              dmp_mul(d1, d2, 1, ZZ)))
+            (n1, d1), (n2, d2), u = self.rows, o.rows, self.field.level
+            return RatFunc(self.field, _rows=(dmp_mul(n1, n2, u, ZZ),
+                                              dmp_mul(d1, d2, u, ZZ)))
         if self.den.is_one() and o.den.is_one():
             return RatFunc(self.field, self.num * o.num, self.den, _reduced=True)
         return RatFunc(self.field, self.num * o.num, self.den * o.den)
@@ -1215,9 +1187,9 @@ class RatFunc:
         if not o:
             raise DivisionByZero("division by the zero rational function")
         if self.rows is not None:
-            (n1, d1), (n2, d2) = self.rows, o.rows
-            return RatFunc(self.field, _rows=(dmp_mul(n1, d2, 1, ZZ),
-                                              dmp_mul(d1, n2, 1, ZZ)))
+            (n1, d1), (n2, d2), u = self.rows, o.rows, self.field.level
+            return RatFunc(self.field, _rows=(dmp_mul(n1, d2, u, ZZ),
+                                              dmp_mul(d1, n2, u, ZZ)))
         return RatFunc(self.field, self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
@@ -1246,9 +1218,9 @@ class RatFunc:
 
     def __pow__(self, e: int):
         if self.rows is not None and e >= 0:
-            n, d = self.rows
-            return RatFunc(self.field, _rows=(dmp_pow(n, e, 1, ZZ),
-                                              dmp_pow(d, e, 1, ZZ)),
+            (n, d), u = self.rows, self.field.level
+            return RatFunc(self.field, _rows=(dmp_pow(n, e, u, ZZ),
+                                              dmp_pow(d, e, u, ZZ)),
                            _reduced=True)
         c = self._constant() if self.rows is None else None
         if c is not None:
@@ -1259,7 +1231,7 @@ class RatFunc:
 
     def __bool__(self):
         if self.rows is not None:
-            return self.rows[0] != [[]]
+            return self.rows[0] != _ZERO[self.field.level]
         return bool(self.num)
 
     def __eq__(self, other):
@@ -1276,7 +1248,8 @@ class RatFunc:
 
     def __hash__(self):
         if self.rows is not None:
-            return hash((self.field, *(tuple(map(tuple, r)) for r in self.rows)))
+            u = self.field.level
+            return hash((self.field, *(dmp_to_tuple(r, u) for r in self.rows)))
         return hash((self.field, self.num, self.den))
 
     def __call__(self, x0):
@@ -1460,10 +1433,15 @@ def square_class_reduce(x, ctx=None):
 
 
 def _canonical_nonsquare(ctx: FF):
-    """The first nonsquare in index order, by Euler's test; cached on ctx."""
+    """The first nonsquare in index order, by Euler's test; cached on ctx.
+    Indices below p are the constants of F_p, all squares when the degree
+    of ctx is even, so the scan then starts at p."""
     if ctx._nonsquare is None:
-        ctx._nonsquare = next(y for y in ctx.nonzero_elements()
-                              if y ** ((ctx.order - 1) // 2) != ctx.one())
+        start = 1 if ctx.degree % 2 else ctx.p
+        e, one = (ctx.order - 1) // 2, ctx.one()
+        ctx._nonsquare = next(y for y in map(ctx.element_at,
+                                             range(start, ctx.order))
+                              if y ** e != one)
     return ctx._nonsquare
 
 

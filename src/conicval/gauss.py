@@ -67,7 +67,7 @@ class GaussExtension(Valuation):
         # over Q(t), values run on Z[t] rows; x = P'/Q' with (P', Q') the
         # rows of the inverse in Z[t][_y]
         self._pivot_rows = None
-        if field.on_rows and not self._identity:
+        if field.level == 1 and not self._identity:
             p, q = self._inverse.rows
             self._pivot_rows = (p, q, min(v.row_order(r) for r in q if r))
 
@@ -125,7 +125,7 @@ class GaussExtension(Valuation):
         h = self.field.coerce(h)
         if not h:
             return INFINITY
-        if self.field.on_rows and (self._identity or h.degree() > 0):
+        if self.field.level == 1 and (self._identity or h.degree() > 0):
             n, d = h.rows
             return Value(self.row_value(n) - self.row_value(d))
         h = self._rewrite(h)

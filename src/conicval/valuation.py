@@ -24,7 +24,7 @@ import sympy
 from .errors import (ContextMismatch, InvariantViolated, NegativeValue,
                      UnsupportedField, UnsupportedPlace, ZeroInput)
 from .fields import (FF, FlatQuotient, FunctionField, Poly, QQ, RationalField,
-                     RatFunc, _integer_row)
+                     RatFunc)
 from .value import INFINITY, Value
 
 
@@ -165,8 +165,8 @@ class PlaceValuation(Valuation):
         if not x:
             return INFINITY
         if self.residue_field is QQ:
-            return Value(self.row_order(_integer_row(x.num.coeffs)[1])
-                         - self.row_order(_integer_row(x.den.coeffs)[1]))
+            n, d = x.rows
+            return Value(self.row_order(n) - self.row_order(d))
         return Value(_poly_order(x.num, self.pi) - _poly_order(x.den, self.pi))
 
     def row_order(self, row: list[int]) -> int:
@@ -250,6 +250,9 @@ class InfinitePlaceValuation(Valuation):
         x = self.base.coerce(x)
         if not x:
             return INFINITY
+        if x.rows is not None:
+            n, d = x.rows
+            return Value(len(d) - len(n))
         return Value(x.den.degree() - x.num.degree())
 
     @staticmethod

@@ -136,3 +136,17 @@ class TestFiniteFieldFactorisation:
         assert doc["result"]["split"] is True
         assert doc["result"]["symbols"] == {
             "t^5 + 4*t + 3": 1, "t^5 + 4*t + 4": 1, "t": 1, "inf": 1}
+
+    def test_analyze_over_a_quadratic_residue_field_of_a_large_prime(
+            self, run_cli, validator):
+        """The residue field F_p[t]/(t^2 + 1) of p = 10^9 + 7 has degree 2,
+        so all p - 1 nonzero constants are squares; the first nonsquare
+        comes after them in index order and is found without a scan over
+        them."""
+        start = time.thread_time()
+        code, doc = run_cli("analyze", "--val",
+                            "Fq(t):q=1000000007,place=t^2+1", "--a", "t",
+                            "--b", "3")
+        assert time.thread_time() - start < 2
+        validator.validate(doc)
+        assert code == 0

@@ -203,3 +203,35 @@ class TestLargeResidueFields:
         assert time.thread_time() - start < 5
         assert code == 0
         assert doc["result"]["kind"] == "no_extension_algebra_split"
+
+
+class TestAnalyzeDecidesOnce:
+    """analyze builds its family from its own decision and distinguished
+    extension: one decision per call, and the family of the family
+    command."""
+
+    @pytest.mark.parametrize("val, a, b", [
+        ("Q:p=5", "2", "3"), ("Q:p=5", "5", "3"), ("Q:p=7", "3", "7"),
+        ("Q(t):place=t", "t", "1"), ("Fq(t):q=5,place=t", "2", "3*t"),
+        ("Q(t):place=inf", "-1", "-1")])
+    def test_one_decision_and_the_family_commands_members(
+            self, run_cli, monkeypatch, val, a, b):
+        from conicval import conic
+        calls = []
+        decide = conic.decide_unramified_extension
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decide(*args, **kwargs)
+
+        monkeypatch.setattr(conic, "decide_unramified_extension", counted)
+        code, doc = run_cli("analyze", "--val", val, "--a", a, "--b", b)
+        assert code == 0 and len(calls) == 1
+        family = doc["result"]["family"]
+        if doc["result"]["verdict"] == "PRESENT":
+            assert family is None
+            return
+        code, members = run_cli("family", "--val", val, "--a", a, "--b", b,
+                                "--count", "3")
+        assert code == 0 and len(calls) == 2
+        assert family == members["result"]["members"]

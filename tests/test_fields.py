@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -147,6 +148,15 @@ class TestTonelliShanks:
         first = next(y for y in k.nonzero_elements() if y not in squares)
         assert c == first == k.from_int(5)
         assert _canonical_nonsquare(k) is c
+
+    @pytest.mark.parametrize("q", [9, 25, 49, 81, 121, 3 ** 6, 27, 125])
+    def test_nonsquare_agrees_with_the_full_scan(self, q):
+        """Over F_{p^k} with k even the scan skips the constants of F_p."""
+        from conicval.fields import _canonical_nonsquare
+        k = GF(q)
+        first = next(y for y in k.nonzero_elements()
+                     if y ** ((q - 1) // 2) != k.one())
+        assert _canonical_nonsquare(k) == first
 
 
 def _tuple_reference(k):
@@ -531,6 +541,91 @@ class TestTowerRows:
             a = sample_field_element(rng, ex, nonzero=True)
             n, d = (a * a + a).rows
             assert dmp_gcd(n, d, 1, ZZ) == [[1]] and d[0][0] > 0
+
+
+def _fraction_canonical(num, den):
+    """Canonical (num, den) over Q by Fraction cofactors: clear both to
+    integer rows, take the cofactors of their gcd over Z, and put each
+    coefficient as one Fraction over the lead of den's cofactor."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_inner_gcd
+    ring = num.ring
+    if not num:
+        return ring.zero(), ring.one()
+    dn = math.lcm(*(c.denominator for c in num.coeffs))
+    dd = math.lcm(*(c.denominator for c in den.coeffs))
+    n = [c.numerator * (dn // c.denominator) for c in reversed(num.coeffs)]
+    d = [c.numerator * (dd // c.denominator) for c in reversed(den.coeffs)]
+    _, n, d = dup_inner_gcd(n, d, ZZ)
+    lead = d[0]
+    return (ring.poly([Fraction(c * dd, lead * dn) for c in reversed(n)]),
+            ring.poly([Fraction(c, lead) for c in reversed(d)]))
+
+
+class TestCharacteristicZeroRows:
+    """Over Q (in Q(t) and Q(x)) a RatFunc is stored as reduced rows of
+    Z[t], as one over Q(t) is stored as reduced rows of Z[t][x]; num, den,
+    == and hash must be those of the Fraction-cofactor canonical form."""
+
+    @pytest.mark.parametrize("var", ["t", "x"])
+    def test_agrees_with_the_fraction_cofactor_form(self, var):
+        field = FunctionField(QQ, var)
+        rng = random.Random(50)
+        for _ in range(200):
+            a, b, c = (_nonzero_poly(rng, field.ring, 3) for _ in range(3))
+            num, den = a * c, b * c
+            h = RatFunc(field, num, den)
+            ref_num, ref_den = _fraction_canonical(num, den)
+            assert (h.num, h.den) == (ref_num, ref_den)
+            via_ops = field.from_poly(num) / field.from_poly(den)
+            via_ref = RatFunc(field, ref_num, ref_den)
+            assert h == via_ops == via_ref
+            assert hash(h) == hash(via_ops) == hash(via_ref)
+            assert (via_ops.num, via_ops.den) == (ref_num, ref_den)
+            assert h - via_ref == field.zero() and not h - via_ref
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_from_poly_rows_are_reduced(self, level):
+        qt = FunctionField(QQ, "t")
+        field = qt if level == 0 else FunctionField(qt, "x")
+        t = qt.gen()
+        rng = random.Random(51 + level)
+        polys = [field.ring.zero(), field.ring.one(),
+                 field.ring.poly([Fraction(3, 4), Fraction(-5, 6)])
+                 if level == 0 else
+                 field.ring.poly([t / 2, 3 / (2 * t + 2), (t + 1) / 4])]
+        polys += [sample_poly(rng, field.ring, 3) for _ in range(100)]
+        for f in polys:
+            x = field.from_poly(f)
+            assert x.field.level == level
+            assert fields._reduced_rows(*x.rows, level) == x.rows
+            assert x.num is f and x.den.is_one() and x.is_polynomial()
+            assert x == RatFunc(field, f, field.ring.one())
+
+    def test_tower_arithmetic_with_integer_content(self, qt):
+        ex = FunctionField(qt, "x")
+        t = qt.gen()
+        x = ex.ring.gen()
+        rng = random.Random(52)
+        contents = [t / 2, 3 / (2 * t + 2), Fraction(4, 9) * t * t,
+                    (6 * t + 4) / (9 * t - 3), qt.from_int(12)]
+        for _ in range(60):
+            a, b = (RatFunc(ex, ex.ring.poly(rng.sample(contents, 2)) * x
+                            + rng.choice(contents),
+                            ex.ring.poly(rng.sample(contents, 2)))
+                    for _ in range(2))
+            results = [
+                (a + b, RatFunc(ex, a.num * b.den + b.num * a.den,
+                                a.den * b.den)),
+                (a * b, RatFunc(ex, a.num * b.num, a.den * b.den)),
+                (a / b, RatFunc(ex, a.num * b.den, a.den * b.num)),
+                (a - b, RatFunc(ex, a.num * b.den - b.num * a.den,
+                                a.den * b.den)),
+            ]
+            for got, want in results:
+                assert (got.num, got.den) == (want.num, want.den)
+                assert got == want and hash(got) == hash(want)
+                assert got.den.is_monic()
 
 
 def _sympy_poly(f, p):
