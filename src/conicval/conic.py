@@ -23,18 +23,16 @@ is even.  All three being odd is impossible since they sum.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (InvariantViolated, NonzeroValue, PreconditionViolated,
                      WitnessNotFound, ZeroElement, ZeroInput)
-from .fields import FF, FunctionField, Poly, RatFunc, RationalField, is_square
+from .fields import FunctionField, Poly, RatFunc, is_square
 from .gauss import (GaussExtension, RAMIFIED, SPLIT_PAIR,
                     quadratic_extension_analysis)
 from .quaternion import (QuaternionAlgebra, UNRAMIFIED_EXTENSION,
-                         _conic_point_ff, decide_unramified_extension,
-                         is_split)
+                         conic_points, decide_unramified_extension, is_split)
 from .value import INFINITY, Value, ValueGroup
 from .valuation import Valuation
 
@@ -284,9 +282,7 @@ class ResidueRationalDesc:
 
     def embed(self, elem: RatFunc) -> RatFunc:
         """kappa(zbar) -> kappa(r) by substituting the expression for zbar."""
-        num = elem.num(self.zbar_expr) if elem.num else self.zbar_expr * 0
-        den = elem.den(self.zbar_expr)
-        return num / den
+        return elem(self.zbar_expr)
 
     def __str__(self):
         return f"{self.kappa!r}({self.rvar}), zbar = {self.zbar_expr}"
@@ -514,28 +510,6 @@ class RationalFamilyMember:
         }
 
 
-def _unit_conic_point(a0bar, b0bar, kappa, bound: int):
-    """(xbar, ybar) with a0bar*xbar^2 + b0bar = ybar^2, both nonzero: over
-    F_q the first xbar in index order, ybar the least-index root (Euler's
-    test and Tonelli-Shanks); over Q the first +-n/d by height <= bound."""
-    if isinstance(kappa, FF):
-        x, y, z = _conic_point_ff(a0bar, b0bar, kappa)
-        return (x, z) if x and y and z else None
-    if isinstance(kappa, RationalField):
-        for h in range(1, bound + 1):
-            pairs = [(n, h) for n in range(1, h + 1)] + \
-                    [(h, d) for d in range(1, h)]
-            for n, d in pairs:
-                for x in (Fraction(n, d), Fraction(-n, d)):
-                    val = a0bar * x * x + b0bar
-                    if val:
-                        ok, y = is_square(val, kappa)
-                        if ok:
-                            return x, y
-        return None
-    raise ZeroInput(f"no conic point search over {kappa!r}")
-
-
 def rational_residue_family(v: Valuation, cf: ConicFunctionField, count: int,
                             search_bound: int = 200) -> list[RationalFamilyMember]:
     """Pairwise distinct extensions of v to F whose residue fields are
@@ -594,8 +568,9 @@ def _residue_family(v: Valuation, cf: ConicFunctionField, ext, count: int,
     # work provided the residue of the dominant coefficient is a square.
     ext = ext or DistinguishedExtension(v, cf)
     desc = ext.residue
-    point = _unit_conic_point(desc.a0bar, desc.b0bar, v.residue_field,
-                              search_bound)
+    point = next(((x / y, z / y) for x, y, z in conic_points(
+        desc.a0bar, desc.b0bar, v.residue_field, search_bound)
+        if x and y and z), None)
     if point is not None:
         xbar, ybar = point
         shift = (ext._u / ext._nu) * v.lift(xbar)
@@ -721,22 +696,3 @@ def analyze(v: Valuation, cf: ConicFunctionField, family_count: int = 3,
                           family_note=family_note,
                           rational_warning=cf.rational_warning, checks=checks)
 
-
-# ---------------------------------------------------------------------------
-# sampling (used by the fuzz oracle)
-# ---------------------------------------------------------------------------
-
-
-def sample_conic_element(rng: random.Random, cf: ConicFunctionField,
-                         max_degree: int = 2) -> ConicFieldElement:
-    from .oracle import sample_poly, sample_ratfunc
-
-    def part():
-        if rng.random() < 0.75:
-            return cf.ef.from_poly(sample_poly(rng, cf.ef.ring, max_degree))
-        return sample_ratfunc(rng, cf.ef, max_degree, 1)
-
-    while True:
-        el = ConicFieldElement(cf, part(), part())
-        if el:
-            return el

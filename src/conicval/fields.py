@@ -1677,9 +1677,8 @@ class FlatQuotient:
     """Isomorphism between F_q[t]/(pi) and its flat presentation F_p[u]/(m).
 
     ``to_flat`` maps a polynomial over F_q of degree < deg(pi); ``from_flat``
-    returns such a polynomial.  The generator is chosen deterministically as
-    the first element of the quotient (in index order, starting from the
-    class of t) whose powers span everything.
+    returns such a polynomial.  The generator is the first t + c, c in F_q
+    in index order, whose powers span everything.
     """
 
     def __init__(self, base: FF, modulus: Poly):
@@ -1706,26 +1705,23 @@ class FlatQuotient:
             out.extend(c.coeffs)
         return out
 
-    def _element_at(self, index: int) -> Poly:
-        coeffs = []
-        for _ in range(self.e):
-            index, r = divmod(index, self.base.order)
-            coeffs.append(self.base.element_at(r))
-        return self.modulus.ring.poly(coeffs)
-
     def _choose_generator(self):
+        # theta + c for c in F_q in index order, theta the class of t (c = 0
+        # first).  A theta + c that does not generate F = F_q(theta) over F_p
+        # lies in a maximal subfield S of F with F_q not in S, as otherwise
+        # theta in S and F_q(theta) in S.  The c that put theta + c in S form
+        # a coset of the field S and F_q share, a proper subfield of F_q, so
+        # at most sqrt(q) of them; F has omega(n) maximal subfields, with
+        # n = [F : F_p] and omega(n) the number of distinct primes dividing
+        # n.  So the loop runs out only when omega(n) >= sqrt(q).
         theta = self.modulus.ring.gen() % self.modulus
-        mp = self._minimal_poly(theta)
-        if mp is not None:
-            self._finish(theta, mp)
-            return
-        for index in range(self.base.order ** self.e):
-            theta = self._element_at(index)
-            mp = self._minimal_poly(theta)
+        for c in self.base.elements():
+            mp = self._minimal_poly(theta + c)
             if mp is not None:
-                self._finish(theta, mp)
+                self._finish(theta + c, mp)
                 return
-        raise UnsupportedField("no primitive element found (unreachable)")
+        raise UnsupportedField(f"no t + c generates the residue field of "
+                               f"{self.modulus} over F_{self.p}")
 
     def _minimal_poly(self, theta: Poly):
         """Monic minimal polynomial over F_p if it has full degree, else None."""

@@ -83,9 +83,9 @@ class GaussExtension(Valuation):
         """h in E(_y), the pivot's variable: with x = P/Q the pivot's inverse
         and k = max(deg num, deg den), F(P, Q)/G(P, Q) for the forms
         F = sum f_i * P^i * Q^(k-i) of num and G of den, by Horner's rule in
-        P on polynomials, as one RatFunc.  A constant h still takes Horner on
-        rational functions, which leaves it a bare coefficient of E: the
-        Gauss-constant defect, whose fix is its own change."""
+        P on polynomials, as one RatFunc.  A constant h is substituted by
+        ``RatFunc.__call__``, whose Horner's rule leaves it a bare coefficient
+        of E: the Gauss-constant defect, whose fix is its own change."""
         if self._identity:
             return h
         k = h.degree()
@@ -100,9 +100,7 @@ class GaussExtension(Valuation):
                     acc = acc * p + term
                 forms.append(acc)
             return RatFunc(self._inverse.field, *forms)
-        num = h.num(self._inverse) if h.num else self._inverse * 0
-        den = h.den(self._inverse)
-        return num / den
+        return h(self._inverse)
 
     def _min_value(self, f: Poly) -> Value:
         best = INFINITY

@@ -224,9 +224,25 @@ def sample_ratfunc(rng: random.Random, field: FunctionField,
     return RatFunc(field, num, den)
 
 
+def sample_conic_element(rng: random.Random, cf, max_degree: int = 2):
+    """A nonzero element f + g*s of the conic function field cf, with f and
+    g mostly polynomials in x, else rational functions."""
+    from .conic import ConicFieldElement
+
+    def part():
+        if rng.random() < 0.75:
+            return cf.ef.from_poly(sample_poly(rng, cf.ef.ring, max_degree))
+        return sample_ratfunc(rng, cf.ef, max_degree, 1)
+
+    while True:
+        el = ConicFieldElement(cf, part(), part())
+        if el:
+            return el
+
+
 def default_sampler(target):
     """Element generator appropriate to the valuation-like target."""
-    from .conic import DistinguishedExtension, sample_conic_element
+    from .conic import DistinguishedExtension
     from .gauss import GaussExtension
 
     if isinstance(target, DistinguishedExtension):

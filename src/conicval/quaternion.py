@@ -1,12 +1,12 @@
 """Quaternion algebras (a,b) over the supported base fields.
 
 Provides square-class normalization with respect to a valuation, residue
-algebras, splitting tests (finite fields by a Tonelli-Shanks scan for a conic
-point, Q and F_q(t) by one lazy loop of local symbols that stops at the
-first -1), isomorphism testing over Q, and the decision whether a valuation
-admits an unramified extension to the algebra.  One tame symbol serves every
-nondyadic place with a finite residue field; over Q only 2 and infinity have
-their own formulas.
+algebras, the points of the conic a*x^2 + b*y^2 = z^2 (``conic_points``, over
+F_q and Q), splitting tests (finite fields by such a point, Q and F_q(t) by
+one lazy loop of local symbols that stops at the first -1), isomorphism
+testing over Q, and the decision whether a valuation admits an unramified
+extension to the algebra.  One tame symbol serves every nondyadic place with
+a finite residue field; over Q only 2 and infinity have their own formulas.
 
 The decision is presentation-independent: square scalings, swapping a and b,
 and replacing b by -ab change neither the algebra nor the verdict, which is
@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
+from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic_normal
 
 from .errors import (InvariantViolated, NotUnitUnit, UnsupportedField,
                      ZeroInput)
-from .fields import (FF, FunctionField, RationalField, factor, is_square,
-                     square_class_reduce)
+from .fields import (FF, QQ, FunctionField, RationalField, factor,
+                     is_square, square_class_reduce)
 from .valuation import (InfinitePlaceValuation, PAdicValuation, PlaceValuation,
                         Valuation)
 
@@ -269,22 +270,24 @@ class SplitResult:
 def is_split(q: QuaternionAlgebra, search_bound: int = 200) -> SplitResult:
     """Splitting test with certificate.
 
-    Finite fields: always split; the certificate is a point of
-    a*x^2 + b*y^2 = z^2 found by Tonelli-Shanks, preferring coordinates that
-    are all nonzero.  Q and F_q(t): one loop over the places where the local
-    symbol can be -1 (over Q infinity, 2 and the odd primes supporting a and
-    b, ascending; over F_q(t) the irreducible factors of num and den of a,
-    then of b, then infinity), factoring only as far as it gets.  It stops
-    at the first -1, which alone makes a division algebra, and names that
-    place; `symbols` lists the places consulted, in order, up to and
-    including failing_place.  At every other place the symbol is +1, so when
-    every listed symbol is +1 the algebra splits locally everywhere, hence
-    globally; over Q a bounded point search then supplies the certificate,
-    and its failure is reported as a note, never as a verdict.
+    Finite fields: always split; the certificate is the first point of
+    ``conic_points`` with every coordinate nonzero, else its first point.
+    Q and F_q(t): one loop over the places where the local symbol can be -1
+    (over Q infinity, 2 and the odd primes supporting a and b, ascending;
+    over F_q(t) the irreducible factors of num and den of a, then of b, then
+    infinity), factoring only as far as it gets.  It stops at the first -1,
+    which alone makes a division algebra, and names that place; `symbols`
+    lists the places consulted, in order, up to and including failing_place.
+    At every other place the symbol is +1, so when every listed symbol is +1
+    the algebra splits locally everywhere, hence globally, and over Q the
+    certificate is the first point of ``conic_points``.
     """
     field = q.field
     if isinstance(field, FF):
-        return SplitResult(split=True, certificate=_conic_point_ff(q.a, q.b, field))
+        points = conic_points(q.a, q.b, field)
+        first = next(points)
+        return SplitResult(split=True, certificate=first if all(first) else
+                           next((p for p in points if all(p)), first))
     symbols = []
     for place, s in _local_symbols(q):
         symbols.append((place, s))
@@ -295,12 +298,11 @@ def is_split(q: QuaternionAlgebra, search_bound: int = 200) -> SplitResult:
     if isinstance(field, FunctionField):
         return SplitResult(split=True, symbols=symbols,
                            note="split at every place supporting a and b")
-    from .oracle import isotropy_search
-    point = isotropy_search(q.a, q.b, bound=search_bound)
-    note = None if point is not None else (
-        f"split by local symbols, but no point of height <= {search_bound} found")
-    return SplitResult(split=True, certificate=point, symbols=symbols,
-                       note=note)
+    point = next(conic_points(q.a, q.b, field, search_bound), None)
+    if point is None:
+        raise InvariantViolated(f"({q.a}, {q.b}) splits at every place, "
+                                "but descent found no point")
+    return SplitResult(split=True, certificate=point, symbols=symbols)
 
 
 def _local_symbols(q: QuaternionAlgebra):
@@ -324,28 +326,54 @@ def _local_symbols(q: QuaternionAlgebra):
     yield "inf", _local_symbol(a, b, InfinitePlaceValuation(field))
 
 
-def _conic_point_ff(a, b, k: FF):
-    """First (x, 1, z) with z != 0, x = 1, 2, ... in index order, z the
-    least-index root: O(1) expected tries (Chevalley-Warning)."""
-    fallback = None
-    one = k.one()
-    for xi in range(1, k.order):
-        x = k.element_at(xi)
-        z = k.sqrt(a * x * x + b)
-        if z is not None:
-            if z:
-                return (x, one, z)
-            if fallback is None:
-                fallback = (x, one, z)
-    if fallback is not None:
-        return fallback
-    z = k.sqrt(b)
-    if z is not None:
-        return (k.zero(), one, z)
-    z = k.sqrt(a)
-    if z is not None:
-        return (one, k.zero(), z)
-    raise InvariantViolated("finite-field conic without points (impossible)")
+def conic_points(a, b, k, bound: int = 200):
+    """The nontrivial points (x, y, z) of a*x^2 + b*y^2 = z^2 over k, lazily
+    in a fixed order; each caller takes the first point it can use.
+
+    Over F_q: (x, 1, z) for x = 1, 2, ... in index order, z the root of least
+    index (Euler's test and Tonelli-Shanks), then (0, 1, sqrt(b)) and
+    (1, 0, sqrt(a)) if they exist.  Over Q: integer pairs (x, y) by height
+    max(x, y) <= bound, z the integer root of a*x^2 + b*y^2 = (A*x^2 +
+    B*y^2)/d; then one Legendre descent (Cremona and Rusin, Math. Comp. 72,
+    2003), run by sympy on the squarefree r_a, r_b of a = r_a*s_a^2 and
+    b = r_b*s_b^2, mapped back to (X/s_a, Y/s_b, Z) and verified.  It yields
+    nothing only for a conic without points.
+    """
+    if isinstance(k, FF):
+        one = k.one()
+        for xi in range(1, k.order):
+            x = k.element_at(xi)
+            z = k.sqrt(a * x * x + b)
+            if z is not None:
+                yield x, one, z
+        for x, y, c in ((k.zero(), one, b), (one, k.zero(), a)):
+            z = k.sqrt(c)
+            if z is not None:
+                yield x, y, z
+        return
+    if not isinstance(k, RationalField):
+        raise UnsupportedField(f"no conic point search over {k!r}")
+    a, b = Fraction(a), Fraction(b)
+    A, B = a.numerator * b.denominator, b.numerator * a.denominator
+    d = a.denominator * b.denominator
+    for h in range(bound + 1):
+        for x, y in [(x, h) for x in range(h + 1)] + [(h, y) for y in range(h)]:
+            n = A * x * x + B * y * y
+            if (x or y) and n >= 0 and n % d == 0:
+                r = math.isqrt(n // d)
+                if r * r == n // d:
+                    yield Fraction(x), Fraction(y), Fraction(r)
+    (ra, sa), (rb, sb) = square_class_reduce(a, QQ), square_class_reduce(b, QQ)
+    X, Y, Z = sympy.symbols("X Y Z")
+    x, y, z = diop_ternary_quadratic_normal(
+        int(ra) * X ** 2 + int(rb) * Y ** 2 - Z ** 2)
+    if x is None:
+        return
+    x, y, z = Fraction(int(x)) / sa, Fraction(int(y)) / sb, Fraction(int(z))
+    if a * x * x + b * y * y != z * z or not any((x, y, z)):
+        raise InvariantViolated(f"Legendre descent returned {(x, y, z)}, "
+                                f"not a point of ({a}, {b})")
+    yield x, y, z
 
 
 def quaternion_isomorphic(q1: QuaternionAlgebra, q2: QuaternionAlgebra) -> bool:

@@ -5,11 +5,10 @@ import pytest
 
 from conicval.cli import parse_field_element, parse_valuation
 from conicval.conic import (ConicFieldElement, ConicFunctionField,
-                            DistinguishedExtension, _even_odd, _subs_square,
-                            sample_conic_element)
+                            DistinguishedExtension, _even_odd, _subs_square)
 from conicval.fields import QQ, RatFunc
-from conicval.oracle import (sample_field_element, sample_ratfunc,
-                             valuation_axiom_fuzz)
+from conicval.oracle import (sample_conic_element, sample_field_element,
+                             sample_ratfunc, valuation_axiom_fuzz)
 from conicval.valuation import PAdicValuation
 from conicval.value import INFINITY
 

@@ -84,3 +84,23 @@ def test_no_unreferenced_private_functions_in_package():
              and node.name.startswith("_") and not node.name.startswith("__")
              and node.name not in referenced]
     assert not found
+
+
+def test_only_the_cli_imports_the_oracle():
+    # the oracles cross-check the package, so no computation may rest on them
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("cli.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".") + \
+                    [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                parts = [p for alias in node.names
+                         for p in alias.name.split(".")]
+            else:
+                continue
+            if "oracle" in parts:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

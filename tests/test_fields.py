@@ -819,6 +819,20 @@ class TestFlattening:
             assert fl.to_flat((a * b) % mod) == fl.to_flat(a) * fl.to_flat(b)
             assert fl.to_flat((a + b) % mod) == fl.to_flat(a) + fl.to_flat(b)
 
+    def test_generator_is_the_first_t_plus_c_when_t_is_not_one(self):
+        # t^3+2t^2+2t+2 has its coefficients in F_3, so t generates only
+        # F_27 inside F_729, and so does t + c for c in F_3 (indices 0-2);
+        # t + c for any other c of F_9 generates F_729
+        f9 = GF(9)
+        ring = PolyRing(f9, "t")
+        fl = FlatQuotient(f9, ring.poly([2, 2, 2, 1]))
+        assert fl.theta == ring.gen() + f9.element_at(3)
+        assert fl.flat.order == 729
+        rng = random.Random(5)
+        for _ in range(20):
+            a = ring.poly([f9.element_at(rng.randrange(9)) for _ in range(3)])
+            assert fl.from_flat(fl.to_flat(a)) == a
+
     def test_roundtrip(self):
         f3 = FF(3)
         ring = PolyRing(f3, "t")

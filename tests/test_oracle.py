@@ -7,10 +7,9 @@ import pytest
 from conicval.errors import PrecisionTooLow
 from conicval.fields import FF, FunctionField, GF, QQ
 from conicval.gauss import gauss_extension
-from conicval.conic import _unit_conic_point
 from conicval.oracle import (_isotropy_rational, degree_oracle, hensel_count,
                              isotropy_search, valuation_axiom_fuzz)
-from conicval.quaternion import _conic_point_ff
+from conicval.quaternion import QuaternionAlgebra, conic_points, is_split
 from conicval.valuation import PAdicValuation
 from conicval.value import Value
 
@@ -93,9 +92,10 @@ def _reference_isotropy_rational(a, b, bound):
 
 
 class TestPointSearchesAgainstTables:
-    """The finite-field point searches (Euler test and Tonelli-Shanks) and
-    the integer point search over Q give the points of the routes they
-    replaced: whole-field root tables and Fraction arithmetic."""
+    """The finite-field points of ``conic_points`` (Euler test and
+    Tonelli-Shanks) and the integer point search over Q give the points of
+    the routes they replaced: whole-field root tables and Fraction
+    arithmetic."""
 
     @pytest.mark.parametrize("q", [9, 27])
     def test_finite_field_points(self, q):
@@ -104,9 +104,11 @@ class TestPointSearchesAgainstTables:
         units = 0
         for a in k.nonzero_elements():
             for b in k.nonzero_elements():
-                assert _conic_point_ff(a, b, k) == \
+                # is_split's certificate and the residue family's unit point
+                assert is_split(QuaternionAlgebra(k, a, b)).certificate == \
                     _reference_conic_point(a, b, k, roots), (a, b)
-                point = _unit_conic_point(a, b, k, 0)
+                point = next(((x, z) for x, y, z in conic_points(a, b, k)
+                              if x and y and z), None)
                 assert point == _reference_unit_point(a, b, k, roots), (a, b)
                 units += point is not None
         assert units > 0

@@ -6,15 +6,16 @@ import pytest
 import sympy
 
 from conicval import quaternion
-from conicval.errors import (NotUnitUnit, UnsupportedField, UnsupportedPlace,
-                             ZeroInput)
+from conicval.errors import (InvariantViolated, NotUnitUnit, UnsupportedField,
+                             UnsupportedPlace, ZeroInput)
 from conicval.fields import (FF, FunctionField, GF, QQ, is_square,
                              square_class_reduce)
 from conicval.oracle import isotropy_search, sample_rational
 from conicval.quaternion import (NO_EXTENSION_ALGEBRA_SPLIT,
                                  NO_EXTENSION_SPLIT_RESIDUE,
                                  QuaternionAlgebra, RAMIFIED_ONLY,
-                                 UNRAMIFIED_EXTENSION, decide_unramified_extension,
+                                 UNRAMIFIED_EXTENSION, conic_points,
+                                 decide_unramified_extension,
                                  hilbert_symbol, is_split, normalize,
                                  quaternion_isomorphic, rational_support,
                                  replay_transcript, residue_algebra)
@@ -191,6 +192,115 @@ class TestIsSplit:
     def test_unsupported_field(self, qt):
         with pytest.raises(UnsupportedField):
             is_split(QuaternionAlgebra(qt, qt.gen(), qt.one()))
+
+
+def _is_point(a, b, point):
+    x, y, z = point
+    return a * x * x + b * y * y == z * z and any(point)
+
+
+def _fraction_scan_point(a0, b0, bound):
+    """The residue family's point search over Q before it used
+    ``conic_points``: the first x = +-n/d by height <= bound, + before -,
+    with a0*x^2 + b0 a nonzero rational square y^2."""
+    for h in range(1, bound + 1):
+        for n, d in [(n, h) for n in range(1, h + 1)] + \
+                [(h, d) for d in range(1, h)]:
+            for x in (Fraction(n, d), Fraction(-n, d)):
+                val = a0 * x * x + b0
+                if val:
+                    ok, y = is_square(val, QQ)
+                    if ok:
+                        return x, y
+    return None
+
+
+# The commands (ids 78, 83, 85, 146, 160, 173 and 178 of the benchmark
+# corpus) whose split algebra got no point of height <= 200, and so a note
+# instead of a certificate, before Legendre descent.
+NOTE_COMMANDS = [
+    ("quat", "decide", "--val", "Q:p=281", "--a=10/281", "--b=-1/78961"),
+    ("analyze", "--val", "Q:p=439", "--a=385442", "--b=-439", "--family", "2"),
+    ("analyze", "--val", "Q:p=439", "--a=-3/439", "--b=1/192721",
+     "--family", "2"),
+    ("quat", "decide", "--val", "Q:p=16369", "--a=535888322",
+     "--b=2/267944161"),
+    ("quat", "decide", "--val", "Q:p=25733", "--a=51466", "--b=257330/3"),
+    ("analyze", "--val", "Q:p=63607", "--a=1/445249", "--b=10/12137551347",
+     "--family", "3"),
+    ("quat", "decide", "--val", "Q:p=100003", "--a=10000600009/3",
+     "--b=-1/30001800027"),
+]
+
+
+class TestConicPoints:
+    @pytest.mark.parametrize("args", NOTE_COMMANDS, ids=[
+        "corpus-78", "corpus-83", "corpus-85", "corpus-146", "corpus-160",
+        "corpus-173", "corpus-178"])
+    def test_note_commands_carry_a_certificate(self, run_cli, args):
+        code, doc = run_cli(*args)
+        assert code == 0
+        result = doc["result"]
+        witness = result.get("decision", result)["witness"]["algebra_split"]
+        assert witness["split"] and witness["note"] is None
+        a, b = (Fraction(arg.split("=", 1)[1]) for arg in args
+                if arg.startswith(("--a=", "--b=")))
+        assert _is_point(a, b, [Fraction(c) for c in witness["certificate"]])
+
+    def test_large_prime_split_algebras_get_certificates(self, monkeypatch):
+        # (a, -b) for primes a, b in [1e5, 1e6]; most have no point of
+        # height <= 200, and Legendre descent supplies one
+        monkeypatch.setattr(sympy.ntheory.generate, "randint",
+                            random.Random(16).randint)
+        split = beyond_scan = 0
+        while split < 40:
+            a = Fraction(sympy.randprime(10 ** 5, 10 ** 6))
+            b = -Fraction(sympy.randprime(10 ** 5, 10 ** 6))
+            r = is_split(QuaternionAlgebra(QQ, a, b))
+            if not r.split:
+                continue
+            split += 1
+            assert r.note is None and _is_point(a, b, r.certificate), (a, b)
+            beyond_scan += max(map(abs, r.certificate[:2])) > 200
+        assert beyond_scan > 0
+
+    def test_family_point_over_q_is_the_fraction_scan_point(self, qt, vt):
+        from conicval.conic import (ConicFunctionField, DistinguishedExtension,
+                                    rational_residue_family)
+        rng = random.Random(21)
+        compared = 0
+        while compared < 25:
+            a0, b0 = (rng.choice((-1, 1)) * rng.randint(1, 60)
+                      for _ in range(2))
+            if not is_split(QuaternionAlgebra(QQ, a0, b0)).split:
+                continue
+            cf = ConicFunctionField(qt, a0, b0)
+            desc = DistinguishedExtension(vt, cf).residue
+            expected = _fraction_scan_point(desc.a0bar, desc.b0bar, 200)
+            if expected is None:
+                continue
+            member, = rational_residue_family(vt, cf, 1)
+            assert member.conic_point == expected, (a0, b0)
+            compared += 1
+
+    def test_points_are_verified_and_a_split_conic_always_has_one(
+            self, run_cli, monkeypatch):
+        q = QuaternionAlgebra(QQ, 541927, -293071)
+        code, doc = run_cli("quat", "split", "--field", "Q", "--a=541927",
+                            "--b=-293071")
+        assert code == 0 and doc["result"]["note"] is None
+        assert _is_point(q.a, q.b, [Fraction(c) for c in
+                                    doc["result"]["certificate"]])
+        assert _is_point(q.a, q.b, is_split(q, search_bound=0).certificate)
+        monkeypatch.setattr(quaternion, "diop_ternary_quadratic_normal",
+                            lambda eq: (1, 1, 1))
+        with pytest.raises(InvariantViolated):
+            is_split(q, search_bound=0)
+        monkeypatch.setattr(quaternion, "diop_ternary_quadratic_normal",
+                            lambda eq: (None, None, None))
+        with pytest.raises(InvariantViolated):
+            is_split(q, search_bound=0)
+        assert list(conic_points(-1, -1, QQ, 5)) == []
 
 
 # 3000000000000041 * 100000000000031; its symbol at 2 with 7 is already -1
