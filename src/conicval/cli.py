@@ -7,11 +7,18 @@ conforming to the committed schema (schema/cli_output.schema.json).
 Exit codes: 0 success, 1 mathematical error, 2 usage error (including
 malformed expressions and dyadic valuation descriptors, which are rejected
 at parse time), 3 oracle disagreement from verify.
+
+The argument parser is built once per process, on the first call of main,
+and reused by every later call.  main can be called many times in one
+process, as tests/conftest.py::run_cli, perfbench/workloads.py::run_cli and
+perfbench/corpus.py do: each call parses into a fresh namespace, and no
+argument has a mutable default.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -536,6 +543,11 @@ def build_argument_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_argument_parser()
+
+
 def _command_name(args) -> str:
     name = args.command
     if getattr(args, "subcommand", None):
@@ -544,8 +556,12 @@ def _command_name(args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_argument_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built once per process, on the first call, so main can be
+    called many times in one process.  Usage errors and --help leave through
+    argparse's SystemExit, with codes 2 and 0."""
+    args = _parser().parse_args(argv)
     use_json = getattr(args, "json", False)
     name = _command_name(args)
     try:

@@ -1,12 +1,19 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod
 
+from conicval import cli
 from conicval.parser import parse_element
 
 
@@ -150,3 +157,117 @@ class TestFiniteFieldFactorisation:
         assert time.thread_time() - start < 2
         validator.validate(doc)
         assert code == 0
+
+
+# One command for each of the nine subcommands.
+_ONE_PER_SUBCOMMAND = [
+    ("analyze", "--val", "Q:p=5", "--a=2", "--b=3"),
+    ("eval", "--val", "Q(t):place=t", "--a=-1", "--b=-1", "--f", "x",
+     "--g", "1"),
+    ("gauss", "--val", "Q:p=5", "--pivot", "x", "--eval", "x^2+5"),
+    ("hilbert", "--a", "2", "--b", "3", "--place", "3"),
+    ("quat", "split", "--field", "GF(9)", "--a=u", "--b=2"),
+    ("quat", "decide", "--val", "Q:p=5", "--a=2", "--b=3"),
+    ("family", "--val", "Q:p=5", "--a=2", "--b=3", "--count", "2"),
+    ("polyrep", "--pivot", "x^2/(x+1)"),
+    ("verify", "--suite", "hilbert", "--samples", "5"),
+]
+
+
+def _run_main(argv):
+    """(exit code, stdout, stderr) of one in-process main call; an argparse
+    exit gives the code of its SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    """main builds its parser once per process; a call leaves nothing behind
+    that a later call could see."""
+
+    def test_family_size_falls_back_to_its_default(self, run_cli):
+        args = ("analyze", "--val", "Q:p=5", "--a=2", "--b=3")
+        code, doc = run_cli(*args, "--family", "5")
+        assert code == 0 and len(doc["result"]["family"]) == 5
+        code, doc = run_cli(*args)
+        assert code == 0 and len(doc["result"]["family"]) == 3
+
+    def test_search_bound_falls_back_to_its_default(self, run_cli):
+        # with bound 0 the point comes from Legendre descent, with the
+        # default 200 from the height scan, and the two points differ
+        args = ("quat", "split", "--field", "Q", "--a=2", "--b=-47")
+        code, doc = run_cli(*args, "--search-bound", "0")
+        assert code == 0 and doc["result"]["certificate"] == ["8", "1", "9"]
+        code, doc = run_cli(*args)
+        assert code == 0 and doc["result"]["certificate"] == ["6", "1", "5"]
+
+    def test_output_does_not_depend_on_order_or_on_reuse(self, run_cli,
+                                                         monkeypatch):
+        forward = {argv: run_cli(*argv) for argv in _ONE_PER_SUBCOMMAND}
+        backward = {argv: run_cli(*argv)
+                    for argv in reversed(_ONE_PER_SUBCOMMAND)}
+        monkeypatch.setattr(cli, "_parser", cli.build_argument_parser)
+        fresh = {argv: run_cli(*argv) for argv in _ONE_PER_SUBCOMMAND}
+        for argv in _ONE_PER_SUBCOMMAND:
+            assert forward[argv][0] == 0
+            assert forward[argv] == backward[argv] == fresh[argv]
+        commands = [doc["command"] for _, doc in forward.values()]
+        assert commands == ["analyze", "eval", "gauss", "hilbert",
+                            "quat-split", "quat-decide", "family", "polyrep",
+                            "verify"]
+
+    def test_parser_survives_usage_errors_and_help(self):
+        valid = ("hilbert", "--a", "2", "--b", "3", "--place", "3", "--json")
+        before = _run_main(valid)
+        assert before[0] == 0
+        code, out, err = _run_main(["hilbert", "--a", "1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: conicval hilbert")
+        assert "the following arguments are required: --b, --place" in err
+        assert _run_main(valid) == before
+        for argv in (["--help"], ["quat", "split", "--help"]):
+            code, out, err = _run_main(argv)
+            assert (code, err) == (0, "")
+            assert out.startswith("usage: conicval")
+            assert _run_main(valid) == before
+
+    def test_parser_is_built_once_over_many_calls(self, monkeypatch):
+        build = cli.build_argument_parser
+        builds = []
+
+        def counting_builder():
+            builds.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_argument_parser", counting_builder)
+        try:
+            for i in range(20):
+                argv = _ONE_PER_SUBCOMMAND[3 + i % 2]
+                assert _run_main([*argv, "--json"])[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("argv, expected_code", [
+        (("hilbert", "--a", "2", "--b", "3", "--place", "3", "--json"), 0),
+        (("hilbert", "--a", "0", "--b", "1", "--place", "3"), 1),
+        (("hilbert", "--a", "2", "--b", "3", "--place", "9", "--json"), 2),
+        (("hilbert", "--a", "1"), 2),
+    ])
+    def test_process_matches_in_process_main(self, argv, expected_code):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "conicval.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        in_process = _run_main(argv)
+        assert in_process[0] == expected_code
+        assert (proc.returncode, proc.stdout, proc.stderr) == in_process
