@@ -30,7 +30,7 @@ import sympy
 from .conic import ConicFunctionField, DistinguishedExtension, analyze, \
     rational_residue_family
 from .errors import ConicvalError, InputError
-from .fields import FF, FunctionField, GF, PolyRing, QQ, is_square
+from .fields import FF, FunctionField, GF, QQ, is_square
 from .gauss import GaussExtension, gauss_residue, quadratic_extension_analysis, \
     subfield_degree
 from .oracle import (OracleReport, degree_oracle, hensel_count,
@@ -66,28 +66,16 @@ def parse_base_field(desc: str):
         m = _GF_EXT.match(desc)
         if m:
             p, var, mod = int(m.group(1)), m.group(2), m.group(3)
-            prime = FF(p, var=var)
-            ring = PolyRing(prime, var)
-            poly = parse_element(mod, _PolyContext(ring), {var: ring.gen()})
-            return FF(p, tuple(c.coeffs[0] for c in _as_poly(poly, ring).coeffs),
-                      var=var)
+            ring = FunctionField(FF(p), var)
+            poly = _as_poly(parse_element(mod, ring, field_variables(ring)),
+                            ring.ring)
+            return FF(p, tuple(c.coeffs[0] for c in poly.coeffs), var=var)
         m = _FQT.match(desc)
         if m:
             return FunctionField(GF(int(m.group(1))), "t")
     except ConicvalError as exc:
         raise InputError(f"bad field descriptor {desc!r}: {exc}") from exc
     raise InputError(f"unrecognized field descriptor {desc!r}")
-
-
-class _PolyContext:
-    """Adapter so integer literals inside modulus expressions become
-    constant polynomials."""
-
-    def __init__(self, ring):
-        self.ring = ring
-
-    def from_int(self, n):
-        return self.ring.from_int(n)
 
 
 def _as_poly(value, ring):

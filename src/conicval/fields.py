@@ -102,21 +102,18 @@ def _ip_mod(a, b, p):
 
 
 def _ip_xgcd(a, b, p):
-    """Extended Euclid: returns (g, s, t) with s*a + t*b = g, g monic."""
+    """Extended Euclid: returns (g, s) with s*a = g modulo b, g monic."""
     r0, r1 = a, b
     s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
     while r1:
         q, r = _ip_divmod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _ip_sub(s0, _ip_mul(q, s1, p), p)
-        t0, t1 = t1, _ip_sub(t0, _ip_mul(q, t1, p), p)
     if r0:
         inv = pow(r0[-1], -1, p)
         r0 = _ip_mul(r0, (inv,), p)
         s0 = _ip_mul(s0, (inv,), p)
-        t0 = _ip_mul(t0, (inv,), p)
-    return r0, s0, t0
+    return r0, s0
 
 
 def _ip_pow_mod(a, e, mod, p):
@@ -367,7 +364,7 @@ class FFElement:
         f = self.field
         if f.degree == 1:
             return FFElement(f, (pow(self.coeffs[0], -1, f.p),))
-        g, s, _ = _ip_xgcd(_ip_trim(list(self.coeffs)), f.modulus, f.p)
+        g, s = _ip_xgcd(_ip_trim(list(self.coeffs)), f.modulus, f.p)
         if g != (1,):
             raise DivisionByZero("element not invertible (modulus reducible?)")
         return f.element(s)
@@ -1276,7 +1273,7 @@ class RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# the four-operation entry point used by the CLI
+# context inference, and the four operations exported for library callers
 # ---------------------------------------------------------------------------
 
 
@@ -1676,9 +1673,12 @@ def _factor_rational(f: Poly):
 class FlatQuotient:
     """Isomorphism between F_q[t]/(pi) and its flat presentation F_p[u]/(m).
 
-    ``to_flat`` maps a polynomial over F_q of degree < deg(pi); ``from_flat``
-    returns such a polynomial.  The generator is the first t + c, c in F_q
-    in index order, whose powers span everything.
+    ``to_flat`` maps a polynomial over F_q; ``from_flat`` returns one of
+    degree < deg(pi).  The generator theta is the first t + c, c in F_q in
+    index order, whose powers span everything.  One elimination modulo p
+    reduces the F_p-vectors of 1, theta, theta^2, ... and records with each
+    echelon row the combination of powers it stands for: the first
+    dependency is m, and the same rows give r's coordinates on the powers.
     """
 
     def __init__(self, base: FF, modulus: Poly):
@@ -1692,11 +1692,6 @@ class FlatQuotient:
         self.n = base.degree * self.e
         self.p = base.p
         self._choose_generator()
-
-    # -- internal quotient-ring arithmetic on polys of degree < e ----------
-
-    def _mul(self, a: Poly, b: Poly) -> Poly:
-        return (a * b) % self.modulus
 
     def _vec(self, r: Poly) -> list[int]:
         out = []
@@ -1716,57 +1711,49 @@ class FlatQuotient:
         # n.  So the loop runs out only when omega(n) >= sqrt(q).
         theta = self.modulus.ring.gen() % self.modulus
         for c in self.base.elements():
-            mp = self._minimal_poly(theta + c)
-            if mp is not None:
-                self._finish(theta + c, mp)
+            if self._eliminate(theta + c):
                 return
         raise UnsupportedField(f"no t + c generates the residue field of "
                                f"{self.modulus} over F_{self.p}")
 
-    def _minimal_poly(self, theta: Poly):
-        """Monic minimal polynomial over F_p if it has full degree, else None."""
-        rows: list[tuple[int, list[int], list[int]]] = []
+    def _reduce(self, vec: list[int], combo: list[int]):
+        p = self.p
+        for pivot, rvec, rcombo in self._rows:
+            c = vec[pivot]
+            if c:
+                vec = [(a - c * b) % p for a, b in zip(vec, rvec)]
+                combo = [(a - c * b) % p for a, b in zip(combo, rcombo)]
+        return vec, combo
+
+    def _eliminate(self, theta: Poly) -> bool:
+        """Reduce the vectors of theta^0, theta^1, ... until one depends on
+        the earlier ones; True, with the generator set up, if that happens
+        only at theta^n."""
+        self._rows, self._powers = [], []
         power = self.modulus.ring.one()
         for k in range(self.n + 1):
-            vec = self._vec(power)
             combo = [0] * (self.n + 1)
             combo[k] = 1
-            for pivot, rvec, rcombo in rows:
-                c = vec[pivot]
-                if c:
-                    vec = [(a - c * b) % self.p for a, b in zip(vec, rvec)]
-                    combo = [(a - c * b) % self.p for a, b in zip(combo, rcombo)]
+            vec, combo = self._reduce(self._vec(power), combo)
             pivot = next((i for i, v in enumerate(vec) if v), None)
             if pivot is None:
                 if k < self.n:
-                    return None
-                # dependency sum combo_k theta^k = 0; combo_n stayed 1
-                return tuple(combo)
+                    return False
+                # dependency sum combo_k theta^k = 0 with combo_n = 1
+                self.theta = theta
+                self.flat = FF(self.p, tuple(combo), _validate=False)
+                return True
             inv = pow(vec[pivot], -1, self.p)
-            vec = [(v * inv) % self.p for v in vec]
-            combo = [(v * inv) % self.p for v in combo]
-            rows.append((pivot, vec, combo))
-            power = self._mul(power, theta)
-        return None
-
-    def _finish(self, theta: Poly, minpoly_coeffs):
-        # minpoly_coeffs give the dependency sum c_k theta^k = 0 with c_n = 1
-        self.theta = theta
-        self.flat = FF(self.p, minpoly_coeffs, _validate=False)
-        # basis matrix: columns are vec(theta^k); invert once modulo p
-        powers = [self.modulus.ring.one()]
-        for _ in range(self.n - 1):
-            powers.append(self._mul(powers[-1], theta))
-        self._powers = powers
-        cols = [self._vec(pw) for pw in powers]
-        self._binv = _matrix_inverse_mod_p(
-            [[cols[j][i] for j in range(self.n)] for i in range(self.n)], self.p)
+            self._rows.append((pivot, [(v * inv) % self.p for v in vec],
+                               [(v * inv) % self.p for v in combo]))
+            self._powers.append(power)
+            power = (power * theta) % self.modulus
 
     def to_flat(self, r: Poly) -> FFElement:
-        vec = self._vec(r % self.modulus)
-        coords = [sum(self._binv[i][j] * vec[j] for j in range(self.n)) % self.p
-                  for i in range(self.n)]
-        return self.flat.element(coords)
+        # the n rows span everything, so r reduces to 0 and -combo are the
+        # coordinates of r on the powers of theta
+        _, combo = self._reduce(self._vec(r % self.modulus), [0] * self.n)
+        return self.flat.element([-c for c in combo])
 
     def from_flat(self, x: FFElement) -> Poly:
         if x.field != self.flat:
@@ -1776,24 +1763,6 @@ class FlatQuotient:
             if c:
                 acc = acc + pw.scale(self.base.from_int(c))
         return acc
-
-
-def _matrix_inverse_mod_p(mat, p):
-    n = len(mat)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)]
-           for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % p), None)
-        if pivot is None:
-            raise ZeroPolynomial("singular matrix in flattening (unreachable)")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [(a - c * b) % p for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def quadratic_extension_field(kappa: FF, ubar: FFElement) -> FF:

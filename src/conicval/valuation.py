@@ -199,9 +199,7 @@ class PlaceValuation(Valuation):
             return self.residue_field.zero()
         if self._root is not None:
             return x.num(self._root) / x.den(self._root)
-        nbar = self._flat.to_flat(x.num % self.pi)
-        dbar = self._flat.to_flat(x.den % self.pi)
-        return nbar / dbar
+        return self._flat.to_flat(x.num) / self._flat.to_flat(x.den)
 
     def lift(self, r) -> RatFunc:
         if self._flat is not None:

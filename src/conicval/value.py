@@ -39,9 +39,6 @@ class Value:
     def is_odd_integer(self) -> bool:
         return self.is_integral() and self._f.numerator % 2 == 1
 
-    def is_even_integer(self) -> bool:
-        return self.is_integral() and self._f.numerator % 2 == 0
-
     def half(self) -> "Value":
         if self._f is None:
             return INFINITY
@@ -114,7 +111,6 @@ def _coerce(x) -> Value:
 
 
 INFINITY = Value(None)
-ZERO = Value(0)
 
 
 class ValueGroup:

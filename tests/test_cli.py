@@ -63,6 +63,14 @@ class TestGoldenVerdicts:
         assert doc["result"]["split"] is True
         assert doc["result"]["certificate"] == ["u + 2", "1", "1"]
 
+    def test_split_over_an_explicit_modulus(self, run_cli, validator):
+        code, doc = run_cli("quat", "split", "--field", "GF(5)[u]/(u^2-2)",
+                            "--a", "u", "--b", "2")
+        validator.validate(doc)
+        assert code == 0
+        assert doc["result"]["split"] is True
+        assert doc["result"]["certificate"] == ["u", "1", "2*u + 3"]
+
 
 class TestMalformedInput:
     """Inputs that once escaped as tracebacks, gave a wrong answer or never
@@ -81,6 +89,12 @@ class TestMalformedInput:
          "ExpressionOutOfRange", "division by zero"),
         (("analyze", "--val", "Q:p=5", "--a", "9" * 5000, "--b", "3"),
          "ExpressionOutOfRange", "integer literal too long"),
+        (("quat", "split", "--field", "GF(5)[u]/(u^2/2)", "--a", "1",
+          "--b", "2"), "InputError", "modulus must be monic"),
+        (("quat", "split", "--field", "GF(5)[u]/(1/u)", "--a", "1",
+          "--b", "2"), "InputError", "(1)/(u) is not a polynomial"),
+        (("quat", "split", "--field", "GF(5)[u]/(u^-1)", "--a", "1",
+          "--b", "2"), "InputError", "(1)/(u) is not a polynomial"),
     ])
     def test_exit_code_and_message(self, run_cli, validator, args, error,
                                    message):

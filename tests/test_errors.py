@@ -67,8 +67,9 @@ def test_no_unused_imports_in_package():
 
 
 def test_no_unreferenced_private_functions_in_package():
-    # a module-level helper (name starting with a single _) that no module
-    # of the package names, by call, reference or attribute, is dead code
+    # a module-level helper or a method (name starting with a single _) that
+    # no module of the package names, by call, reference or attribute, is
+    # dead code
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
     referenced = set()
@@ -79,7 +80,9 @@ def test_no_unreferenced_private_functions_in_package():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     found = [f"{name}:{node.lineno} {node.name}"
-             for name, tree in trees.items() for node in tree.body
+             for name, tree in trees.items()
+             for top in tree.body
+             for node in (top.body if isinstance(top, ast.ClassDef) else [top])
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
              and node.name.startswith("_") and not node.name.startswith("__")
              and node.name not in referenced]

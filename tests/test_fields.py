@@ -803,7 +803,83 @@ class TestSquareClasses:
         assert r * s * s == x
 
 
+def _monic_irreducibles(k, d):
+    """Every monic irreducible of degree 2 or 3 over k: for those degrees,
+    irreducible means no root in k, found by trying every element."""
+    ring = PolyRing(k, "t")
+    elements = [k.element_at(i) for i in range(k.order)]
+    for index in range(k.order ** d):
+        coeffs = [elements[(index // k.order ** j) % k.order] for j in range(d)]
+        pi = ring.poly(coeffs + [k.one()])
+        if all(pi(x) for x in elements):
+            yield pi
+
+
+def _coordinates(r, k, e):
+    """The F_p-coordinates of r (degree < e): coefficient by coefficient."""
+    return [x for j in range(e)
+            for x in (r.coeffs[j] if j <= r.degree() else k.zero()).coeffs]
+
+
+def _rank_mod_p(rows, p):
+    rows, rank = [list(r) for r in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                c = rows[i][col] * inv
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 class TestFlattening:
+    @pytest.mark.parametrize("q,d", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2),
+                                     (7, 3), (9, 2), (25, 2)])
+    def test_every_irreducible_modulus(self, q, d):
+        k = GF(q)
+        n = k.degree * d
+        rng = random.Random(q * 10 + d)
+        count = 0
+        for pi in _monic_irreducibles(k, d):
+            count += 1
+            ring = pi.ring
+            fl = FlatQuotient(k, pi)
+            t = ring.gen()
+            # theta is t + c for the first c in index order whose powers
+            # 1, ..., theta^(n-1) have rank n over F_p
+            for i in range(q):
+                theta = t + k.element_at(i)
+                powers = [ring.one()]
+                for _ in range(n - 1):
+                    powers.append((powers[-1] * theta) % pi)
+                if _rank_mod_p([_coordinates(pw, k, d) for pw in powers],
+                               k.p) == n:
+                    break
+            assert fl.theta == theta, pi
+            # the flat modulus is monic of degree n and vanishes at theta
+            m = fl.flat.modulus
+            assert len(m) == n + 1 and m[-1] == 1, pi
+            value = ring.zero()
+            for c in reversed(m):
+                value = (value * theta + ring.from_int(c)) % pi
+            assert not value, pi
+            # to_flat is a ring isomorphism with inverse from_flat
+            for _ in range(3):
+                a, b = (ring.poly([k.element_at(rng.randrange(q))
+                                   for _ in range(d)]) for _ in range(2))
+                fa, fb = fl.to_flat(a), fl.to_flat(b)
+                assert fl.to_flat(a + b) == fa + fb, (pi, a, b)
+                assert fl.to_flat(a * b) == fa * fb, (pi, a, b)
+                assert fl.from_flat(fa) == a, (pi, a)
+        assert count == {(3, 2): 3, (3, 3): 8, (5, 2): 10, (5, 3): 40,
+                         (7, 2): 21, (7, 3): 112, (9, 2): 36,
+                         (25, 2): 300}[q, d]
+
     def test_tower_is_ring_homomorphism(self):
         f9 = GF(9)
         ring = PolyRing(f9, "t")
