@@ -36,12 +36,6 @@ from .quaternion import (QuaternionAlgebra, UNRAMIFIED_EXTENSION,
 from .value import INFINITY, Value, ValueGroup
 from .valuation import Valuation
 
-# After the package's modules, so that fields.py imports sympy first: with
-# sympy first imported from here, the same modules load but the process
-# stays about 2.5 MB larger (VmRSS after ``import conicval.cli``).
-from sympy.polys.densearith import dmp_mul, dup_mul, dup_neg
-from sympy.polys.domains import ZZ
-
 
 class ConicFunctionField:
     """E(x)(s) with s^2 = a*x^2 + b; the function field of a*X^2 + b*Y^2 = Z^2."""
@@ -389,8 +383,8 @@ class DistinguishedExtension:
     def value_of(self, elem) -> Value:
         """min of w1(e_i) + beta_i over the quadruple (e0, e1, e2, e3).
 
-        Over Q(t) the quadruple is not built: for each of f and g in
-        f + g*s, with f = Rn/Rd its reduced rows of Z[t][x]
+        Over Q(t) and F_q(t) the quadruple is not built: for each of f and g
+        in f + g*s, with f = Rn/Rd its reduced rows of Z[t][x] or F_q[t][x]
         (``RatFunc.rows``), M = Rn*Rd(-x) and D = Rd*Rd(-x) give
         w1(e_i) = w1(M_part) - w1(D_even), M_part the even or odd x-degree
         rows of M.  A part constant in z while w1's pivot is not the
@@ -412,16 +406,16 @@ class DistinguishedExtension:
         return best
 
     def _value_on_rows(self, elem) -> Value:
-        w1, values = self.w1, []
+        w1, values, K = self.w1, [], self.w1.field.kernel
         for k, h in enumerate((elem.f, elem.g)):
             if not h:
                 continue
             rn, rd = h.rows
             top = len(rd) - 1
-            neg = [dup_neg(r, ZZ) if (top - i) % 2 else r
+            neg = [K.base.neg(r) if (top - i) % 2 else r
                    for i, r in enumerate(rd)]                # Rd(-x)
-            m = dmp_mul(rn, neg, 1, ZZ)
-            d = dmp_mul(rd, neg, 1, ZZ)[::2]                 # D is even
+            m = K.mul(rn, neg)
+            d = K.mul(rd, neg)[::2]                          # D is even
             shift = -w1.row_value(d)
             even = (len(m) - 1) % 2        # m[even::2] has even x-degrees
             for i, part in ((2 * k, m[even::2]), (2 * k + 1, m[1 - even::2])):
@@ -430,8 +424,8 @@ class DistinguishedExtension:
                 if not part:
                     continue
                 if (not w1._identity and len(part) == len(d)
-                        and [dup_mul(r, d[0], ZZ) for r in part]
-                        == [dup_mul(r, part[0], ZZ) for r in d]):
+                        and [K.base.mul(r, d[0]) for r in part]
+                        == [K.base.mul(r, part[0]) for r in d]):
                     # e_i is the constant lc(M_part) / lc(D) of E
                     c = RatFunc(self.v.base, _rows=(part[0], d[0]))
                     values.append(w1.value_of(c) + self.beta[i])

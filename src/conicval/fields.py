@@ -5,7 +5,7 @@ Four element kinds are supported:
 * arbitrary-precision rationals (plain ``fractions.Fraction`` values),
 * elements of odd-characteristic finite fields F_p[u]/(m(u)),
 * dense univariate polynomials over any supported field,
-* rational functions in canonical form (coprime, monic denominator).
+* rational functions in canonical form (coprime, normalised denominator).
 
 Field contexts (``QQ``, ``FF``, ``FunctionField``) carry construction helpers
 and make mixed-context mistakes detectable.  Everything is immutable and all
@@ -15,15 +15,12 @@ Finite fields are always presented as F_p[u]/(m); the prime field is the
 degree-1 case with m = u, so residue-field code has a single representation
 to deal with.
 
-Rational functions have two normal forms.  In characteristic 0 a rational
-function over Q (in Q(t) or Q(x), level 0) or over Q(t) (in Q(t)(x), level
-1) is stored as its reduced rows (N, D) of Z[x] or Z[t][x] in sympy's dense
-form, and computed on them; products and gcds of polynomials over Q and
-Q(t) run on the same rows (a polynomial is rows over an L in Z or Z[t],
-see ``_poly_rows``), and each output coefficient is built once.  In
-characteristic p it is a pair of Polys.  Polynomials over a prime field
-multiply, divide and take gcds on int rows with sympy's ``galoistools``;
-F_{p^k} (which sympy lacks) keeps schoolbook and Euclid.
+A rational function in Q(t), Q(x) or F_q(t) (level 0) or in Q(t)(x) or
+F_q(t)(x) (level 1) is stored as its reduced rows (N, D) of Z[x], Z[t][x],
+F_q[t] or F_q[t][x], on which its arithmetic runs; a row kernel per ring
+(``PolyRing.kernel``) hides the row format.  Products and gcds of
+polynomials over Q, Q(t), F_q and F_q(t), and divisions over F_q, run on
+the same rows.
 
 Over every finite field F_q, polynomials factor by one distinct-degree
 routine (``_ddf``, iterated Frobenius x^(q^d) mod g) and a seeded
@@ -40,92 +37,15 @@ from fractions import Fraction
 
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.densearith import (dmp_add, dmp_mul, dmp_neg, dmp_pow,
-                                    dup_exquo, dup_mul)
+from sympy.polys.densearith import dmp_add, dmp_exquo, dmp_mul, dmp_neg
 from sympy.polys.densebasic import dmp_ground_LC, dmp_to_tuple
-from sympy.polys.euclidtools import dmp_inner_gcd, dup_inner_gcd
-from sympy.polys.galoistools import gf_div, gf_gcd, gf_irred_p_rabin, gf_mul
+from sympy.polys.euclidtools import dmp_inner_gcd
+from sympy.polys.galoistools import (gf_add, gf_irred_p_rabin, gf_mul,
+                                     gf_mul_ground, gf_neg, gf_strip, gf_sub)
 
 from .errors import (ContextMismatch, DegreeTooLarge, DivisionByZero,
                      InvariantViolated, SquareInput, UnsupportedField,
                      ZeroInput, ZeroPolynomial)
-
-# ---------------------------------------------------------------------------
-# integer polynomials modulo p (internal helpers for FFElement arithmetic)
-# ---------------------------------------------------------------------------
-
-
-def _ip_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _ip_sub(a, b, p):
-    n = max(len(a), len(b))
-    return _ip_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                     for i in range(n)])
-
-
-def _ip_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ip_trim(out)
-
-
-def _ip_divmod(a, b, p):
-    if not b:
-        raise DivisionByZero("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    rem = list(a)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    while len(rem) >= len(b) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(b):
-            break
-        k = len(rem) - len(b)
-        c = (rem[-1] * inv_lead) % p
-        quo[k] = c
-        for j, bj in enumerate(b):
-            rem[k + j] = (rem[k + j] - c * bj) % p
-    return _ip_trim(quo), _ip_trim(rem)
-
-
-def _ip_mod(a, b, p):
-    return _ip_divmod(a, b, p)[1]
-
-
-def _ip_xgcd(a, b, p):
-    """Extended Euclid: returns (g, s) with s*a = g modulo b, g monic."""
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
-    while r1:
-        q, r = _ip_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _ip_sub(s0, _ip_mul(q, s1, p), p)
-    if r0:
-        inv = pow(r0[-1], -1, p)
-        r0 = _ip_mul(r0, (inv,), p)
-        s0 = _ip_mul(s0, (inv,), p)
-    return r0, s0
-
-
-def _ip_pow_mod(a, e, mod, p):
-    result = (1,)
-    base = _ip_mod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _ip_mod(_ip_mul(result, base, p), mod, p)
-        base = _ip_mod(_ip_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
 
 # ---------------------------------------------------------------------------
 # field contexts
@@ -174,9 +94,10 @@ class FF:
 
     The prime field is the degree-1 case with m = u.  Elements are coefficient
     vectors of length deg(m) with entries reduced modulo p; in the prime
-    field they multiply, invert and power as ints modulo p, and F_{p^k}
-    runs polynomial arithmetic on the vectors modulo m.  ``sqrt`` gives
-    the root of least ``element_at`` index by Euler's test and Tonelli-Shanks.
+    field they multiply, invert and power as ints modulo p, and in F_{p^k}
+    on their galoistools rows modulo m, products through the same kernel as
+    F_q[t] (``kernel``, an ``_FqRows``).  ``sqrt`` gives the root of least
+    ``element_at`` index by Euler's test and Tonelli-Shanks.
     """
 
     def __init__(self, p: int, modulus: tuple[int, ...] | None = None,
@@ -187,7 +108,7 @@ class FF:
             raise UnsupportedField(f"{p} is not prime")
         if modulus is None:
             modulus = (0, 1)
-        modulus = _ip_trim([c % p for c in modulus])
+        modulus = tuple(gf_strip([c % p for c in reversed(modulus)])[::-1])
         if len(modulus) < 2:
             raise UnsupportedField("modulus must have degree >= 1")
         if modulus[-1] != 1:
@@ -200,6 +121,7 @@ class FF:
         self.degree = len(modulus) - 1
         self.order = p ** self.degree
         self._nonsquare = None      # cached by _canonical_nonsquare
+        self.kernel = _FqRows(self)
 
     @property
     def characteristic(self) -> int:
@@ -210,7 +132,8 @@ class FF:
             return FFElement(self, (coeffs[0] % self.p if coeffs else 0,))
         c = [x % self.p for x in coeffs]
         if len(c) > self.degree:
-            c = list(_ip_mod(tuple(c), self.modulus, self.p))
+            return self.kernel.element(_gf_divmod(
+                gf_strip(c[::-1]), self.kernel.modulus, self.p)[1])
         c += [0] * (self.degree - len(c))
         return FFElement(self, tuple(c))
 
@@ -228,11 +151,7 @@ class FF:
         return self.element([0, 1]) if self.degree > 1 else self.zero()
 
     def element_at(self, index: int) -> "FFElement":
-        digits = []
-        for _ in range(self.degree):
-            index, r = divmod(index, self.p)
-            digits.append(r)
-        return FFElement(self, tuple(digits))
+        return FFElement(self, _digits(index, self.p, self.degree))
 
     def elements(self):
         for i in range(self.order):
@@ -352,9 +271,7 @@ class FFElement:
         f = self.field
         if f.degree == 1:
             return FFElement(f, (self.coeffs[0] * o.coeffs[0] % f.p,))
-        prod = _ip_mod(_ip_mul(_ip_trim(list(self.coeffs)),
-                               _ip_trim(list(o.coeffs)), f.p), f.modulus, f.p)
-        return f.element(prod)
+        return f.kernel.element(f.kernel.mul(self.coeffs[::-1], o.coeffs[::-1]))
 
     __rmul__ = __mul__
 
@@ -362,12 +279,7 @@ class FFElement:
         if not self:
             raise DivisionByZero("inverse of zero in finite field")
         f = self.field
-        if f.degree == 1:
-            return FFElement(f, (pow(self.coeffs[0], -1, f.p),))
-        g, s = _ip_xgcd(_ip_trim(list(self.coeffs)), f.modulus, f.p)
-        if g != (1,):
-            raise DivisionByZero("element not invertible (modulus reducible?)")
-        return f.element(s)
+        return f.kernel.element(f.kernel.inverse(self._row()))
 
     def __truediv__(self, other):
         o = self._other(other)
@@ -387,12 +299,15 @@ class FFElement:
             return FFElement(f, (pow(self.coeffs[0], e, f.p),))
         if e < 0:
             return self.inverse() ** (-e)
-        out = _ip_pow_mod(_ip_trim(list(self.coeffs)), e, f.modulus, f.p)
-        return f.element(out)
+        return f.kernel.element(f.kernel.pow(self._row(), e))
 
     def __neg__(self):
         p = self.field.p
         return FFElement(self.field, tuple((-a) % p for a in self.coeffs))
+
+    def _row(self) -> list[int]:
+        """The galoistools row over F_p (highest degree first, stripped)."""
+        return gf_strip(list(self.coeffs[::-1]))
 
     def __bool__(self):
         return any(self.coeffs)
@@ -418,7 +333,7 @@ class FFElement:
     def __str__(self):
         if self.field.degree == 1:
             return str(self.coeffs[0])
-        terms = _int_poly_terms(_ip_trim(list(self.coeffs)), self.field.var)
+        terms = _int_poly_terms(self.coeffs, self.field.var)
         return " + ".join(terms)
 
 
@@ -449,16 +364,20 @@ def canonical_modulus(p: int, d: int) -> tuple[int, ...]:
     key = (p, d)
     if key not in _CANONICAL_MODULI:
         for index in range(p ** d):
-            digits = []
-            i = index
-            for _ in range(d):
-                i, r = divmod(i, p)
-                digits.append(r)
-            m = tuple(digits) + (1,)
+            m = _digits(index, p, d) + (1,)
             if gf_irred_p_rabin(list(reversed(m)), p, ZZ):
                 _CANONICAL_MODULI[key] = m
                 break
     return _CANONICAL_MODULI[key]
+
+
+def _digits(index: int, p: int, n: int) -> tuple[int, ...]:
+    """The n lowest base-p digits of index, lowest first (index order)."""
+    out = []
+    for _ in range(n):
+        index, r = divmod(index, p)
+        out.append(r)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -467,18 +386,26 @@ def canonical_modulus(p: int, d: int) -> tuple[int, ...]:
 
 
 class PolyRing:
-    """Univariate polynomial ring over a field context.  ``level`` is 0 over
-    Q and 1 over Q(t), whose polynomials compute on rows of Z[x] and
-    Z[t][x], and None otherwise; ``gf_p`` is p over a prime field F_p,
-    whose polynomials compute on galoistools' int rows, and None otherwise."""
+    """Univariate polynomial ring over a field context.
+
+    ``level`` is 0 over Q and F_q and 1 over Q(t) and F_q(t); ``kernel``
+    holds the rows (Z[x], Z[t][x], F_q[t] or F_q[t][x]) that its products
+    and gcds run on and ``FunctionField(field, var)`` stores.  Over a
+    level-1 function field both are None, and polynomials compute by
+    schoolbook and Euclid on their coefficients.
+    """
 
     def __init__(self, field, var: str):
         self.field = field
         self.var = var
-        self.level = (0 if isinstance(field, RationalField) else
-                      1 if isinstance(field, FunctionField) and field.level == 0
-                      else None)
-        self.gf_p = field.p if isinstance(field, FF) and field.degree == 1 else None
+        self.level = self.kernel = None
+        if isinstance(field, (RationalField, FF)):
+            self.level = 0
+            self.kernel = field.kernel if isinstance(field, FF) else _INT_ROWS[0]
+        elif isinstance(field, FunctionField) and field.level == 0:
+            self.level = 1
+            self.kernel = (_INT_ROWS[1] if field.characteristic == 0
+                           else _FqxRows(field.kernel))
 
     def poly(self, coeffs) -> "Poly":
         cs = [self.field.coerce(c) for c in coeffs]
@@ -562,23 +489,10 @@ class Poly:
         except ContextMismatch:
             return None
 
-    def _promote_into(self, other):
-        ctx = None
-        if isinstance(other, RatFunc):
-            ctx = other.field
-        elif isinstance(other, Poly):
-            ctx = other.ring
-        if ctx is None:
-            return None
-        try:
-            return ctx.coerce(self)
-        except ContextMismatch:
-            return None
-
     def __add__(self, other):
         o = self._other(other)
         if o is None:
-            p = self._promote_into(other)
+            p = _promote(self, other)
             return NotImplemented if p is None else p + other
         a, b = self.coeffs, o.coeffs
         if len(a) < len(b):
@@ -594,7 +508,7 @@ class Poly:
     def __sub__(self, other):
         o = self._other(other)
         if o is None:
-            p = self._promote_into(other)
+            p = _promote(self, other)
             return NotImplemented if p is None else p - other
         return self + (-o)
 
@@ -607,19 +521,15 @@ class Poly:
     def __mul__(self, other):
         o = self._other(other)
         if o is None:
-            p = self._promote_into(other)
+            p = _promote(self, other)
             return NotImplemented if p is None else p * other
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return self.ring.zero()
-        u = self.ring.level
-        if u is not None:
-            (ra, la), (rb, lb) = _poly_rows(a, u), _poly_rows(b, u)
-            return _row_poly(self.ring, dmp_mul(ra, rb, u, ZZ),
-                             dup_mul(la, lb, ZZ) if u else la * lb, u)
-        p = self.ring.gf_p
-        if p is not None:
-            return _gf_poly(self.ring, gf_mul(_gf_row(a), _gf_row(b), p, ZZ))
+        K = self.ring.kernel
+        if K is not None:
+            (ra, da), (rb, db) = K.rows(a), K.rows(b)
+            return K.to_poly(self.ring, K.mul(ra, rb), K.mul(da, db))
         zero = self.ring.field.zero()
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -645,10 +555,10 @@ class Poly:
             return NotImplemented
         if not o.coeffs:
             raise DivisionByZero("polynomial division by zero")
-        p = self.ring.gf_p
-        if p is not None:
-            q, r = gf_div(_gf_row(self.coeffs), _gf_row(o.coeffs), p, ZZ)
-            return _gf_poly(self.ring, q), _gf_poly(self.ring, r)
+        if isinstance(self.ring.field, FF):
+            K = self.ring.kernel
+            q, r = K.divmod(K.rows(self.coeffs)[0], K.rows(o.coeffs)[0])
+            return K.to_poly(self.ring, q, K.one), K.to_poly(self.ring, r, K.one)
         inv_lead = self.ring.field.one() / o.coeffs[-1]
         rem = list(self.coeffs)
         zero = self.ring.field.zero()
@@ -747,6 +657,19 @@ class Poly:
         return out
 
 
+def _promote(x, other):
+    """View the Poly or RatFunc x as an element of other's (larger)
+    context, if possible.  Needed because Python never consults reflected
+    operators when both operands share a type, which happens across nested
+    function fields."""
+    ctx = (other.field if isinstance(other, RatFunc) else
+           other.ring if isinstance(other, Poly) else None)
+    try:
+        return None if ctx is None else ctx.coerce(x)
+    except ContextMismatch:
+        return None
+
+
 def _paren(s: str) -> str:
     if any(op in s for op in (" ", "+", "/")) or ("-" in s[1:]):
         return f"({s})"
@@ -756,11 +679,13 @@ def _paren(s: str) -> str:
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) is an error.
 
-    Over Q and Q(t) denominators are cleared and sympy takes the gcd over
-    the integers (``_row_gcd``: heuristic gcd, with a pseudo-remainder
-    fallback); over a prime field it is galoistools' ``gf_gcd`` on int rows,
-    F_{p^k}[x] runs Euclid and F_q(t)[x] runs ``_tower_gcd``.  ``RatFunc``
-    over Q and Q(t) reduces its rows with the integer gcd's cofactors.
+    Over Q, Q(t), F_q and F_q(t) it is taken on the ring's rows
+    (``PolyRing.kernel``): over Z or Z[t] by sympy's ``dmp_inner_gcd``
+    (both inputs scaled by nonzero constants, so by Gauss's lemma their gcd
+    there is the gcd over the field up to a unit), over F_q by Euclid on
+    F_q[t] rows (``_FqRows``), and over F_q(t) by a
+    primitive pseudo-remainder sequence over F_q[t] (``_FqxRows``).  Over
+    a level-1 function field it is Euclid on the coefficients.
     """
     if not f and not g:
         raise ZeroPolynomial("gcd(0, 0) is undefined")
@@ -768,198 +693,357 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return f.monic()
     if not f:
         return g.monic()
-    if f.ring.level is not None:
-        return _row_gcd(f, g, f.ring.level)
-    if isinstance(f.ring.field, FunctionField):
-        return _tower_gcd(f, g)
-    p = f.ring.gf_p
-    if p is not None:
-        return _gf_poly(f.ring, gf_gcd(_gf_row(f.coeffs), _gf_row(g.coeffs), p, ZZ))
+    K = f.ring.kernel
+    if K is not None:   # h / lc(h) is monic
+        h = K.gcd_rows(K.rows(f.coeffs)[0], K.rows(g.coeffs)[0])
+        return K.to_poly(f.ring, h, [h[0]])
     a, b = f, g
     while b:
         a, b = b, a % b
     return a.monic()
 
 
-def _gf_row(coeffs) -> list[int]:
-    """Prime-field coefficients (lowest degree first) as a galoistools int
-    row, highest degree first."""
-    return [c.coeffs[0] for c in reversed(coeffs)]
+# ---------------------------------------------------------------------------
+# row kernels: the stored form of Q(t), Q(t)(x), F_q(t) and F_q(t)(x)
+# ---------------------------------------------------------------------------
 
 
-def _gf_poly(ring: PolyRing, row: list[int]) -> Poly:
-    """The polynomial of a stripped galoistools row over ring's prime field."""
-    field = ring.field
-    return Poly(ring, tuple(FFElement(field, (c,)) for c in reversed(row)))
+class _Rows:
+    """Arithmetic on the rows of one ring R (Z[x], Z[t][x], F_q[t] or
+    F_q[t][x]), x outer and highest degree first.  ``reduced(n, d)`` is the
+    normal form of n / d: gcd 1, and d times the ``unit`` that normalises
+    it.  ``rows(coeffs)`` is (rows, den) with the polynomial of these
+    coefficients equal to rows / den, den a constant row, no prime of R
+    dividing den and every row; ``to_poly`` inverts it.  A level-1
+    kernel's ``base`` is the kernel of its coefficients' rows in k[t]."""
+
+    @staticmethod
+    def degree(a) -> int:
+        return len(a) - 1
+
+    def rows(self, coeffs):
+        """L the lcm of the denominators of the coefficients' reduced rows,
+        so L / den is exact and no prime of k[t] divides L and every row."""
+        if not coeffs:
+            return self.zero, self.one
+        base, lcm = self.base, self.base.one
+        for c in coeffs:
+            den = c.rows[1]
+            if den != lcm and den != base.one:
+                lcm = (den if lcm == base.one else
+                       base.mul(lcm, base.exquo(den, base.gcd_rows(lcm, den))))
+        return [n if den == lcm else
+                base.mul(n, lcm if den == base.one else base.exquo(lcm, den))
+                for n, den in (c.rows for c in reversed(coeffs))], [lcm]
+
+    @staticmethod
+    def to_poly(ring: PolyRing, rows, den) -> Poly:
+        kt = ring.field
+        return Poly(ring, tuple(RatFunc(kt, _rows=(c, den[0]))
+                                for c in reversed(rows)))
+
+    def pow(self, a, e: int):
+        out = self.one
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a, e = self.mul(a, a), e >> 1
+        return out
+
+    def reduced(self, n, d):
+        if n == self.zero:
+            return n, self.one
+        if d != self.one:
+            n, d = self.cofactors(n, d)
+            unit = self.unit(d)
+            if unit is not None:
+                n, d = self.mul(n, unit), self.mul(d, unit)
+        return n, d
+
+    def cofactors(self, a, b):
+        """a / g and b / g for g the gcd of a and b."""
+        g = self.gcd_rows(a, b)
+        return (a, b) if g == self.one else (self.exquo(a, g), self.exquo(b, g))
 
 
-# Rows over Q and Q(t).  A polynomial over Q is a row of Z[x] over an integer
-# and one over Q(t) rows of Z[t][x] over an element of Z[t], both in sympy's
-# dense form (highest degree first, x outer); the level u is 0 or 1, the
-# number of variables below x (``PolyRing.level``).
-_ZERO = ([], [[]])      # the zero and one of Z[x] and Z[t][x], by level
-_ONE = ([1], [[1]])
+class _IntRows(_Rows):
+    """Z[x] (u = 0) or Z[t][x] (u = 1) in sympy's dense form: the rows of
+    Q(x) and Q(t), and of Q(t)(x).  Z[x] and Z[t][x] are UFDs, so a reduced
+    fraction there is unique up to sign, and D gets a positive leading
+    integer."""
+
+    def __init__(self, u: int, base=None):
+        self.u, self.base = u, base
+        self.zero, self.one = ([], [[]])[u], ([1], [[1]])[u]
+
+    def add(self, a, b):
+        return dmp_add(a, b, self.u, ZZ)
+
+    def neg(self, a):
+        return dmp_neg(a, self.u, ZZ)
+
+    def mul(self, a, b):
+        return dmp_mul(a, b, self.u, ZZ)
+
+    def exquo(self, a, b):
+        return dmp_exquo(a, b, self.u, ZZ)
+
+    def gcd_rows(self, a, b):
+        return dmp_inner_gcd(a, b, self.u, ZZ)[0]
+
+    def cofactors(self, a, b):
+        return dmp_inner_gcd(a, b, self.u, ZZ)[1:]
+
+    def unit(self, a):
+        return self.neg(self.one) if dmp_ground_LC(a, self.u, ZZ) < 0 else None
+
+    def rows(self, coeffs):
+        if self.u or not coeffs:
+            return super().rows(coeffs)
+        # a prime whose full power in the lcm divides the denominator of a
+        # reduced coefficient c does not divide c's numerator
+        lcm = math.lcm(*(c.denominator for c in coeffs))
+        return [c.numerator * (lcm // c.denominator)
+                for c in reversed(coeffs)], [lcm]
+
+    def to_poly(self, ring: PolyRing, rows, den) -> Poly:
+        if self.u:
+            return super().to_poly(ring, rows, den)
+        return Poly(ring, tuple(Fraction(c, den[0]) for c in reversed(rows)))
 
 
-def _tower_rows(coeffs) -> tuple[list[list[int]], list[int]]:
-    """(rows, L) with the polynomial over Q(t) of these coefficients equal
-    to rows / L, L in Z[t] the lcm of the coefficients' denominators, read
-    from their reduced rows (so L / den is exact, and L has a positive
-    leading integer)."""
-    lcm = [1]
-    for c in coeffs:
-        den = c.rows[1]
-        if den != lcm and den != [1]:
-            lcm = (den if lcm == [1]
-                   else dup_mul(lcm, dup_inner_gcd(lcm, den, ZZ)[2], ZZ))
-    return [n if den == lcm else
-            dup_mul(n, lcm if den == [1] else dup_exquo(lcm, den, ZZ), ZZ)
-            for n, den in (c.rows for c in reversed(coeffs))], lcm
+_INT_ROWS = (_IntRows(0),)
+_INT_ROWS += (_IntRows(1, _INT_ROWS[0]),)
 
 
-def _poly_rows(coeffs, u: int):
-    """(rows, L) with the polynomial of these coefficients (lowest degree
-    first) equal to rows / L at level u, L the lcm of their denominators in
-    Z or Z[t].  Each coefficient is reduced, so no prime of Z or Z[t]
-    divides both L and every row: a prime whose full power in L divides the
-    denominator of a coefficient c divides c's numerator, and so c's row,
-    not at all."""
-    if not coeffs:
-        return _ZERO[u], _ONE[u][0]
-    if u:
-        return _tower_rows(coeffs)
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (lcm // c.denominator) for c in reversed(coeffs)], lcm
-
-
-def _row_poly(ring: PolyRing, rows, lead, u: int) -> Poly:
-    """The polynomial over Q or Q(t) of rows / lead at level u, lead != 0
-    in Z or Z[t]: one canonical coefficient each."""
-    if u == 0:
-        return Poly(ring, tuple(Fraction(c, lead) for c in reversed(rows)))
-    kt = ring.field
-    return Poly(ring, tuple(RatFunc(kt, _rows=(c, lead)) for c in reversed(rows)))
-
-
-def _row_gcd(f: Poly, g: Poly, u: int) -> Poly:
-    """Monic gcd of nonzero polynomials over Q or Q(t), taken over Z or
-    Z[t] by sympy.  Both inputs are scaled by nonzero constants into Z[x]
-    or Z[t][x], so by Gauss's lemma their gcd there is the gcd over the
-    field up to a unit."""
-    h = dmp_inner_gcd(_poly_rows(f.coeffs, u)[0], _poly_rows(g.coeffs, u)[0],
-                      u, ZZ)[0]
-    return _row_poly(f.ring, h, h[0], u)
-
-
-def _quotient_rows(num: Poly, den: Poly, u: int):
-    """Rows (N, D) at level u with N / D = num / den, not yet reduced: each
-    side's rows times the other side's L."""
-    if not num:
-        return _ZERO[u], _ONE[u]
-    rn, ln = _poly_rows(num.coeffs, u)
-    rd, ld = _poly_rows(den.coeffs, u)
-    return dmp_mul(rn, [ld], u, ZZ), dmp_mul(rd, [ln], u, ZZ)
-
-
-def _reduced_rows(n, d, u: int):
-    """The canonical form of n / d at level u, for n, d != 0 in Z[x] or
-    Z[t][x]: the cofactors of their gcd, with the leading integer of the
-    denominator made positive.  Z[x] and Z[t][x] are UFDs, so a reduced
-    fraction there is unique up to sign and this is a normal form."""
-    if n == _ZERO[u]:
-        return n, _ONE[u]
-    if d != _ONE[u]:
-        _, n, d = dmp_inner_gcd(n, d, u, ZZ)
-        if dmp_ground_LC(d, u, ZZ) < 0:
-            n, d = dmp_neg(n, u, ZZ), dmp_neg(d, u, ZZ)
-    return n, d
-
-
-def _row_polys(ring: PolyRing, n, d, u: int) -> tuple[Poly, Poly]:
-    """Canonical (num, den) of reduced rows n / d at level u: both over the
-    lead of d, so den is monic."""
-    if n == _ZERO[u]:
-        return ring.zero(), ring.one()
-    return _row_poly(ring, n, d[0], u), _row_poly(ring, d, d[0], u)
-
-
-def _tower_gcd(f: Poly, g: Poly) -> Poly:
-    """gcd of nonzero polynomials over F_q(t).
-
-    It serves positive characteristic only: sympy has no F_{p^k}, and
-    Q(t)[x] goes through ``_row_gcd``.
-
-    Plain Euclid explodes here (each division step roughly squares the
-    coefficient sizes), so clear denominators and run a primitive
-    pseudo-remainder sequence over k[t], stripping content at every step.
-    """
-    F = _clear_primitive(f)
-    G = _clear_primitive(g)
-    if len(F) < len(G):
-        F, G = G, F
-    while True:
-        R = _prem(F, G)
-        if not R:
-            break
-        F, G = G, _primitive(R)
-        if len(G) == 1:
-            break
-    if len(G) == 1:
-        return f.ring.one()
-    result = f.ring.poly([f.ring.field.from_poly(c) for c in G])
-    return result.monic()
-
-
-def _clear_primitive(f: Poly):
-    """Coefficient list over k[t] of a nonzero f with denominators cleared
-    and content removed."""
-    kt = f.ring.field.ring
-    lcm = kt.one()
-    for c in f.coeffs:
+def _gf_divmod(a, b, p: int):
+    """galoistools' ``gf_div`` for b != 0, with 1/lc(b) from ``pow``."""
+    da, db = len(a) - 1, len(b) - 1
+    if da < db:
+        return [], a
+    inv, h = pow(b[0], -1, p), list(a)
+    for i in range(da - db + 1):
+        c = h[i] * inv % p
+        h[i] = c
         if c:
-            g = poly_gcd(lcm, c.den)
-            lcm = lcm * (c.den // g)
-    coeffs = [(c.num * (lcm // c.den)) if c else kt.zero() for c in f.coeffs]
-    return _primitive(coeffs)
+            for j in range(1, db + 1):
+                h[i + j] -= c * b[j]
+    return h[:da - db + 1], gf_strip([c % p for c in h[da - db + 1:]])
 
 
-def _primitive(coeffs):
-    """Divide a k[t]-coefficient list by the gcd of its entries (made monic)."""
-    content = None
-    for c in coeffs:
-        if c:
-            content = c if content is None else poly_gcd(content, c)
-            if content.degree() == 0:
-                content = None
+class _FqRows(_Rows):
+    """F_q[t], q = p^k, on rows over F_p: the rows of F_q(t) (D monic), and
+    the kernel of ``FFElement`` products in F_{p^k}.  An element of F_q =
+    F_p[y]/(m) is its galoistools row in y, and sum c_i t^i the F_p row of
+    sum c_i(z) z^(i*w), w = 2k - 1: Kronecker substitution t = z^w, y = z
+    (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 8).  Each
+    coefficient sits reduced in a block of w slots, so the blocks of a
+    product, of y-degree up to 2k - 2, do not overlap: one product over F_p
+    and a block reduction mod m multiply.  Over F_p the rows are
+    galoistools'."""
+
+    u = 0
+    zero, one = [], [1]
+
+    def __init__(self, field: "FF"):
+        self.field, self.p, self.k = field, field.p, field.degree
+        self.w = 2 * self.k - 1
+        self.modulus = list(reversed(field.modulus))     # m as a row
+
+    def add(self, a, b):
+        return gf_add(a, b, self.p, ZZ)
+
+    def sub(self, a, b):
+        return gf_sub(a, b, self.p, ZZ)
+
+    def neg(self, a):
+        return gf_neg(a, self.p, ZZ)
+
+    def mul(self, a, b):
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return [c % self.p for c in out] if self.k == 1 else self._reduce(out)
+
+    def _reduce(self, row):
+        """Each block of an F_p row of ints reduced mod m and p."""
+        p, k, w, m = self.p, self.k, self.w, self.field.modulus
+        r = row[::-1]
+        for base in range(0, len(r), w):
+            for s in range(min(base + w, len(r)) - 1, base + k - 1, -1):
+                c = r[s] % p
+                if c:
+                    for i in range(k):
+                        r[s - k + i] -= c * m[i]
+                r[s] = 0
+        return gf_strip([c % p for c in reversed(r)])
+
+    def degree(self, a) -> int:
+        return (len(a) - 1) // self.w
+
+    def lead(self, a):
+        """The row of the leading coefficient of a nonzero a: its top block."""
+        return a[:(len(a) - 1) % self.w + 1]
+
+    def unit(self, a):
+        """None if a is monic, else the row of 1/lc(a)."""
+        lead = self.lead(a)
+        return None if lead == self.one else self.inverse(lead)
+
+    def inverse(self, c):
+        """The row of 1/c for the row c of a nonzero element of F_q, by
+        extended Euclid with m: s*c = r0 modulo m."""
+        p = self.p
+        if self.k == 1:
+            return [pow(c[0], -1, p)]
+        r0, r1, s0, s1 = self.modulus, c, [], [1]
+        while r1:
+            q, r = _gf_divmod(r0, r1, p)
+            r0, r1, s0, s1 = r1, r, s1, gf_sub(s0, gf_mul(q, s1, p, ZZ), p, ZZ)
+        if len(r0) != 1:
+            raise DivisionByZero("element not invertible (modulus reducible?)")
+        return gf_mul_ground(s0, pow(r0[0], -1, p), p, ZZ)
+
+    def element(self, c) -> "FFElement":
+        """The element of F_q of a reduced row of at most k entries."""
+        return FFElement(self.field, tuple(c[::-1]) + (0,) * (self.k - len(c)))
+
+    def divmod(self, a, b):
+        """(q, r) with a = q*b + r and deg r < deg b."""
+        if not b:
+            raise DivisionByZero("polynomial division by zero")
+        if self.k == 1:
+            return _gf_divmod(a, b, self.p)
+        inv, db, q = self.unit(b), self.degree(b), []
+        while a and self.degree(a) >= db:
+            c = self.lead(a) if inv is None else self.mul(self.lead(a), inv)
+            shift = [0] * ((self.degree(a) - db) * self.w)
+            a, q = self.sub(a, self.mul(c, b) + shift), self.add(q, c + shift)
+        return q, a
+
+    def exquo(self, a, b):
+        return self.divmod(a, b)[0]
+
+    def gcd_rows(self, a, b):
+        """The monic gcd of two rows."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        unit = self.unit(a) if a else None
+        return a if unit is None else self.mul(a, unit)
+
+    def order(self, a, pi) -> int:
+        """The largest m with pi^m dividing a nonzero row a."""
+        m = 0
+        while True:
+            q, r = self.divmod(a, pi)
+            if r:
+                return m
+            a, m = q, m + 1
+
+    def rows(self, coeffs):
+        pad, row = [0] * (self.k - 1), []
+        for c in reversed(coeffs):
+            row += pad
+            row += c.coeffs[::-1]
+        return gf_strip(row), self.one
+
+    def to_poly(self, ring: PolyRing, rows, den) -> Poly:
+        k, r = self.k, rows[::-1] + [0] * (self.k - 1)
+        return Poly(ring, tuple(FFElement(self.field, tuple(r[i:i + k]))
+                                for i in range(0, len(rows), self.w)))
+
+
+class _FqxRows(_Rows):
+    """F_q[t][x]: rows (x outer, highest degree first) of ``_FqRows`` rows,
+    the rows of F_q(t)(x).  gcds run a primitive pseudo-remainder sequence
+    over F_q[t], and D gets a monic leading coefficient."""
+
+    u = 1
+    zero, one = [], [[1]]
+
+    def __init__(self, base: _FqRows):
+        self.base = base
+
+    def add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        d = len(a) - len(b)
+        out = a[:d] + [self.base.add(x, y) for x, y in zip(a[d:], b)]
+        while out and not out[0]:
+            del out[0]
+        return out
+
+    def neg(self, a):
+        return [self.base.neg(c) for c in a]
+
+    def mul(self, a, b):
+        """Schoolbook over F_q[t]."""
+        if not a or not b:
+            return []
+        base = self.base
+        out = [[] for _ in range(len(a) + len(b) - 1)]
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                out[j] = base.add(out[j], base.mul(x, y))
+        return out
+
+    def unit(self, a):
+        unit = self.base.unit(a[0])
+        return None if unit is None else [unit]
+
+    def content(self, a):
+        g = []
+        for c in a:
+            g = self.base.gcd_rows(g, c)
+            if g == self.base.one:
                 break
-    if content is not None and content.degree() > 0:
-        coeffs = [c // content if c else c for c in coeffs]
-    # normalize the leading coefficient to be monic for determinism
-    lead = coeffs[-1]
-    if lead and not lead.is_monic():
-        inv = lead.ring.field.one() / lead.leading()
-        coeffs = [c.scale(inv) if c else c for c in coeffs]
-    return coeffs
+        return g
 
+    def _ground_quo(self, a, c):
+        return a if c == self.base.one else [self.base.exquo(x, c) for x in a]
 
-def _prem(F, G):
-    """Pseudo-remainder of coefficient lists over k[t] (lowest degree first)."""
-    dF, dG = len(F) - 1, len(G) - 1
-    if dF < dG:
-        return list(F)
-    lcG = G[-1]
-    R = list(F)
-    for _ in range(dF - dG + 1):
-        if len(R) < len(G):
-            break
-        lcR = R[-1]
-        R = [c * lcG for c in R[:-1]]
-        if lcR:
-            for j in range(dG):
-                R[len(R) - dG + j] = R[len(R) - dG + j] - lcR * G[j]
-        while R and not R[-1]:
-            R.pop()
-    return R
+    def prem(self, f, g):
+        """lc(g)^e * f mod g for some e >= 0, for nonzero f and g."""
+        base, lc, dg = self.base, g[0], len(g) - 1
+        while len(f) - 1 >= dg:
+            lf = f[0]
+            f = [base.mul(lc, c) for c in f] if lc != base.one else list(f)
+            for i in range(1, dg + 1):
+                f[i] = base.sub(f[i], base.mul(lf, g[i]))
+            del f[0]
+            while f and not f[0]:
+                del f[0]
+        return f
+
+    def gcd_rows(self, a, b):
+        """gcd of nonzero rows: the content gcd times the last primitive
+        remainder."""
+        ca, cb = self.content(a), self.content(b)
+        c = self.base.gcd_rows(ca, cb)
+        a, b = self._ground_quo(a, ca), self._ground_quo(b, cb)
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            r = self.prem(a, b)
+            if not r:
+                break
+            a, b = b, self._ground_quo(r, self.content(r))
+        return [c] if len(b) == 1 else [self.base.mul(c, x) for x in b]
+
+    def exquo(self, a, b):
+        """a / b for b dividing a."""
+        base, lc = self.base, b[0]
+        r, q = list(a), []
+        for i in range(len(a) - len(b) + 1):
+            c = base.exquo(r[i], lc) if r[i] else []
+            q.append(c)
+            for j in range(1, len(b)):
+                r[i + j] = base.sub(r[i + j], base.mul(c, b[j]))
+        return q
 
 
 # ---------------------------------------------------------------------------
@@ -968,12 +1052,15 @@ def _prem(F, G):
 
 
 class FunctionField:
-    """Field of rational functions over a coefficient field context."""
+    """Field of rational functions over Q, F_q, Q(t) or F_q(t)."""
 
     def __init__(self, field, var: str):
         self.ring = PolyRing(field, var)
         self.var = var
-        self.level = self.ring.level    # 0 for Q(t), 1 for Q(t)(x); see RatFunc
+        self.level = self.ring.level    # 0 for k(t), 1 for k(t)(x); see RatFunc
+        self.kernel = self.ring.kernel
+        if self.kernel is None:
+            raise UnsupportedField(f"no rational functions over {field!r}")
 
     @property
     def coefficient_field(self):
@@ -984,11 +1071,8 @@ class FunctionField:
         return self.ring.field.characteristic
 
     def from_poly(self, num: Poly) -> "RatFunc":
-        if self.level is None:
-            return RatFunc(self, num, self.ring.one(), _reduced=True)
-        # no gcd: rows / L is reduced (see _poly_rows), with lc(L) > 0
-        rows, lcm = _poly_rows(num.coeffs, self.level)
-        x = RatFunc(self, _rows=(rows, [lcm]), _reduced=True)
+        # no gcd: rows / den is reduced (see the kernels' rows)
+        x = RatFunc(self, _rows=self.kernel.rows(num.coeffs), _reduced=True)
         x._num, x._den = num, self.ring.one()
         return x
 
@@ -1029,20 +1113,18 @@ class FunctionField:
 
 
 class RatFunc:
-    """Rational function in canonical form: gcd(num, den) = 1, den monic.
+    """Rational function in canonical form: the normal form of its reduced
+    rows, so that two constructions of the same function produce identical
+    representations.
 
-    The canonical form is a normal form: two constructions of the same
-    function produce identical representations.  There are two stored forms.
-
-    In characteristic 0, over Q(x) or Q(t) (level 0) and Q(t)(x) (level 1,
-    ``FunctionField.level``), it is ``rows``: reduced rows (N, D) of Z[x] or
-    Z[t][x] in sympy's dense form, x outer (``_reduced_rows``: gcd 1 and
-    the leading integer of D positive).  Arithmetic runs on them, one
-    ``dmp_mul`` or ``dmp_add`` and one ``dmp_inner_gcd`` in ``__init__``,
-    and num and den are built from them on first use.
-
-    Over F_q and F_q(t) it is the Polys num and den, reduced by ``poly_gcd``
-    and ``//``, and ``rows`` is None.
+    A rational function over k = Q or F_q (in k(t) or Q(x), level 0) or
+    over k(t) (in k(t)(x), level 1, ``FunctionField.level``) is stored as
+    ``rows``: a pair (N, D) of rows of the field's kernel (Z[x], Z[t][x],
+    F_q[t] or F_q[t][x], see ``PolyRing.kernel``) with gcd 1 and D
+    normalised (``reduced``: a positive leading integer in characteristic
+    0, a monic leading coefficient in characteristic p).  Arithmetic runs
+    on the rows, one kernel product or sum and one gcd in ``__init__``, and
+    the Polys num and den (gcd 1, den monic) are built on first use.
     """
 
     __slots__ = ("field", "rows", "_num", "_den")
@@ -1052,45 +1134,34 @@ class RatFunc:
         if _rows is None and not den:
             raise DivisionByZero("rational function with zero denominator")
         self.field = field
-        u = field.level
-        if u is not None:
-            # Polys are always converted and reduced; _reduced vouches only
-            # for rows that are already canonical
-            if _rows is None:
-                _rows, _reduced = _quotient_rows(num, den, u), False
-            self.rows = _rows if _reduced else _reduced_rows(*_rows, u)
-            self._num = self._den = None
-            return
-        if not _reduced and not den.is_one():
-            if not num:
-                den = field.ring.one()
-            else:
-                if den.degree() > 0 and num.degree() > 0:
-                    g = poly_gcd(num, den)
-                    if g.degree() > 0:
-                        num = num // g
-                        den = den // g
-                lead = den.leading()
-                if lead != field.ring.field.one():
-                    inv = field.ring.field.one() / lead
-                    num = num.scale(inv)
-                    den = den.scale(inv)
-        self.rows = None
-        self._num = num
-        self._den = den
+        K = field.kernel
+        # Polys are always converted and reduced; _reduced vouches only for
+        # rows that are already canonical
+        if _rows is None:
+            (rn, dn), (rd, dd) = K.rows(num.coeffs), K.rows(den.coeffs)
+            _rows, _reduced = (K.mul(rn, dd), K.mul(rd, dn)), False
+        self.rows = _rows if _reduced else K.reduced(*_rows)
+        self._num = self._den = None
+
+    def _polys(self):
+        n, d = self.rows
+        K, ring = self.field.kernel, self.field.ring
+        if n == K.zero:
+            self._num, self._den = ring.zero(), ring.one()
+        else:   # both over the lead of d, so den is monic
+            self._num = K.to_poly(ring, n, [d[0]])
+            self._den = K.to_poly(ring, d, [d[0]])
 
     @property
     def num(self) -> Poly:
         if self._num is None:
-            self._num, self._den = _row_polys(self.field.ring, *self.rows,
-                                              self.field.level)
+            self._polys()
         return self._num
 
     @property
     def den(self) -> Poly:
         if self._den is None:
-            self._num, self._den = _row_polys(self.field.ring, *self.rows,
-                                              self.field.level)
+            self._polys()
         return self._den
 
     def _other(self, other):
@@ -1103,51 +1174,26 @@ class RatFunc:
         except ContextMismatch:
             return None
 
-    def _promote_into(self, other):
-        """View self as an element of other's (larger) context, if possible.
-
-        Needed because Python never consults reflected operators when both
-        operands share a type, which happens across nested function fields."""
-        ctx = None
-        if isinstance(other, RatFunc):
-            ctx = other.field
-        elif isinstance(other, Poly):
-            ctx = other.ring
-        if ctx is None:
-            return None
-        try:
-            return ctx.coerce(self)
-        except ContextMismatch:
-            return None
-
     def is_polynomial(self) -> bool:
-        if self.rows is not None:
-            return len(self.rows[1]) == 1
-        return self.den.is_one()
+        return len(self.rows[1]) == 1
 
     def __add__(self, other):
         o = self._other(other)
         if o is None:
-            p = self._promote_into(other)
+            p = _promote(self, other)
             return NotImplemented if p is None else p + other
-        if self.rows is not None:
-            (n1, d1), (n2, d2), u = self.rows, o.rows, self.field.level
-            if d1 == d2:
-                return RatFunc(self.field, _rows=(dmp_add(n1, n2, u, ZZ), d1))
-            return RatFunc(self.field, _rows=(
-                dmp_add(dmp_mul(n1, d2, u, ZZ), dmp_mul(n2, d1, u, ZZ), u, ZZ),
-                dmp_mul(d1, d2, u, ZZ)))
-        if self.den.is_one() and o.den.is_one():
-            return RatFunc(self.field, self.num + o.num, self.den, _reduced=True)
-        return RatFunc(self.field, self.num * o.den + o.num * self.den,
-                       self.den * o.den)
+        (n1, d1), (n2, d2), K = self.rows, o.rows, self.field.kernel
+        if d1 == d2:
+            return RatFunc(self.field, _rows=(K.add(n1, n2), d1))
+        return RatFunc(self.field, _rows=(K.add(K.mul(n1, d2), K.mul(n2, d1)),
+                                          K.mul(d1, d2)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._other(other)
         if o is None:
-            p = self._promote_into(other)
+            p = _promote(self, other)
             return NotImplemented if p is None else p - other
         return self + (-o)
 
@@ -1155,39 +1201,29 @@ class RatFunc:
         return (-self) + other
 
     def __neg__(self):
-        if self.rows is not None:
-            n, d = self.rows
-            return RatFunc(self.field, _rows=(dmp_neg(n, self.field.level, ZZ),
-                                              d), _reduced=True)
-        return RatFunc(self.field, -self.num, self.den, _reduced=True)
+        n, d = self.rows
+        return RatFunc(self.field, _rows=(self.field.kernel.neg(n), d),
+                       _reduced=True)
 
     def __mul__(self, other):
         o = self._other(other)
         if o is None:
-            p = self._promote_into(other)
+            p = _promote(self, other)
             return NotImplemented if p is None else p * other
-        if self.rows is not None:
-            (n1, d1), (n2, d2), u = self.rows, o.rows, self.field.level
-            return RatFunc(self.field, _rows=(dmp_mul(n1, n2, u, ZZ),
-                                              dmp_mul(d1, d2, u, ZZ)))
-        if self.den.is_one() and o.den.is_one():
-            return RatFunc(self.field, self.num * o.num, self.den, _reduced=True)
-        return RatFunc(self.field, self.num * o.num, self.den * o.den)
+        (n1, d1), (n2, d2), K = self.rows, o.rows, self.field.kernel
+        return RatFunc(self.field, _rows=(K.mul(n1, n2), K.mul(d1, d2)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._other(other)
         if o is None:
-            p = self._promote_into(other)
+            p = _promote(self, other)
             return NotImplemented if p is None else p / other
         if not o:
             raise DivisionByZero("division by the zero rational function")
-        if self.rows is not None:
-            (n1, d1), (n2, d2), u = self.rows, o.rows, self.field.level
-            return RatFunc(self.field, _rows=(dmp_mul(n1, d2, u, ZZ),
-                                              dmp_mul(d1, n2, u, ZZ)))
-        return RatFunc(self.field, self.num * o.den, self.den * o.num)
+        (n1, d1), (n2, d2), K = self.rows, o.rows, self.field.kernel
+        return RatFunc(self.field, _rows=(K.mul(n1, d2), K.mul(d1, n2)))
 
     def __rtruediv__(self, other):
         o = self._other(other)
@@ -1195,59 +1231,33 @@ class RatFunc:
             return NotImplemented
         return o / self
 
-    def _constant(self):
-        """The coefficient c when self is a nonzero constant of the
-        coefficient field (a canonical constant has den 1), else None."""
-        if len(self.num.coeffs) == 1 and self.den.is_one():
-            return self.num.coeffs[0]
-        return None
-
     def inverse(self) -> "RatFunc":
         if not self:
             raise DivisionByZero("inverse of zero")
-        if self.rows is not None:
-            n, d = self.rows
-            return RatFunc(self.field, _rows=(d, n))
-        c = self._constant()
-        if c is not None:
-            return self.field.from_poly(self.field.ring.poly([1 / c]))
-        return RatFunc(self.field, self.den, self.num)
+        n, d = self.rows
+        return RatFunc(self.field, _rows=(d, n))
 
     def __pow__(self, e: int):
-        if self.rows is not None and e >= 0:
-            (n, d), u = self.rows, self.field.level
-            return RatFunc(self.field, _rows=(dmp_pow(n, e, u, ZZ),
-                                              dmp_pow(d, e, u, ZZ)),
-                           _reduced=True)
-        c = self._constant() if self.rows is None else None
-        if c is not None:
-            return self.field.from_poly(self.field.ring.poly([c ** e]))
         if e < 0:
             return self.inverse() ** (-e)
-        return RatFunc(self.field, self.num ** e, self.den ** e, _reduced=True)
+        (n, d), K = self.rows, self.field.kernel
+        return RatFunc(self.field, _rows=(K.pow(n, e), K.pow(d, e)),
+                       _reduced=True)
 
     def __bool__(self):
-        if self.rows is not None:
-            return self.rows[0] != _ZERO[self.field.level]
-        return bool(self.num)
+        return self.rows[0] != self.field.kernel.zero
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
-            if other.field != self.field:
-                return False
-            if self.rows is not None:
-                return other.rows == self.rows
-            return other.num == self.num and other.den == self.den
+            return other.field == self.field and other.rows == self.rows
         o = self._other(other)
         if o is None:
             return NotImplemented
         return self == o
 
     def __hash__(self):
-        if self.rows is not None:
-            u = self.field.level
-            return hash((self.field, *(dmp_to_tuple(r, u) for r in self.rows)))
-        return hash((self.field, self.num, self.den))
+        u = self.field.level
+        return hash((self.field, *(dmp_to_tuple(r, u) for r in self.rows)))
 
     def __call__(self, x0):
         """Substitute x0 (any compatible value) for the variable."""
@@ -1259,9 +1269,7 @@ class RatFunc:
 
     def degree(self) -> int:
         """max(deg num, deg den); the degree of the map P^1 -> P^1."""
-        if self.rows is not None:
-            return max(map(len, self.rows)) - 1
-        return max(self.num.degree(), self.den.degree())
+        return max(map(self.field.kernel.degree, self.rows))
 
     def __repr__(self):
         return str(self)
@@ -1343,27 +1351,18 @@ def is_square(x, ctx=None):
 
 
 def _ratfunc_square(x: RatFunc):
-    ring = x.field.ring
-    cf = ring.field
-    parts = []
-    const = cf.one()
-    for poly, inverted in ((x.num, False), (x.den, True)):
-        if poly.degree() == 0:
-            c = poly.coeffs[0]
-            const = const / c if inverted else const * c
-            continue
-        lead = poly.leading()
-        const = const / lead if inverted else const * lead
-        for g, m in squarefree_decomposition(poly.monic())[1]:
-            if m % 2 == 1:
-                return False, None
-            parts.append((g, -m // 2 if inverted else m // 2))
-    ok, croot = is_square(const, cf)
+    """den is monic, so x is a square exactly when every multiplicity in
+    num and den is even and lc(num) is a square."""
+    lead, parts = squarefree_decomposition(x.num)
+    parts = parts + [(g, -m) for g, m in squarefree_decomposition(x.den)[1]]
+    if any(m % 2 for _, m in parts):
+        return False, None
+    ok, croot = is_square(lead, x.field.coefficient_field)
     if not ok:
         return False, None
     root = x.field.coerce(croot)
-    for g, e in parts:
-        root = root * x.field.from_poly(g) ** e
+    for g, m in parts:
+        root = root * x.field.from_poly(g) ** (m // 2)
     return True, root
 
 
@@ -1539,14 +1538,15 @@ def _is_irreducible_ff(f: Poly) -> bool:
 
 
 def _poly_pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = base.ring.one()
-    base = base % mod
+    """base^e mod mod over F_q, on the ring's rows."""
+    K = base.ring.kernel
+    m = K.rows(mod.coeffs)[0]
+    b, out = K.divmod(K.rows(base.coeffs)[0], m)[1], K.one
     while e:
         if e & 1:
-            result = (result * base) % mod
-        base = (base * base) % mod
-        e >>= 1
-    return result
+            out = K.divmod(K.mul(out, b), m)[1]
+        b, e = K.divmod(K.mul(b, b), m)[1], e >> 1
+    return K.to_poly(base.ring, out, K.one)
 
 
 def factor(f: Poly):
@@ -1679,6 +1679,7 @@ class FlatQuotient:
     reduces the F_p-vectors of 1, theta, theta^2, ... and records with each
     echelon row the combination of powers it stands for: the first
     dependency is m, and the same rows give r's coordinates on the powers.
+    Residues are computed on the F_q[t] rows of ``base.kernel``.
     """
 
     def __init__(self, base: FF, modulus: Poly):
@@ -1691,27 +1692,31 @@ class FlatQuotient:
         self.e = modulus.degree()
         self.n = base.degree * self.e
         self.p = base.p
+        self._pi = base.kernel.rows(self.modulus.coeffs)[0]
         self._choose_generator()
 
-    def _vec(self, r: Poly) -> list[int]:
-        out = []
-        for k in range(self.e):
-            c = r.coeffs[k] if k <= r.degree() else self.base.zero()
-            out.extend(c.coeffs)
-        return out
+    def _vec(self, row) -> list[int]:
+        """The F_p coordinates of a row of degree < e, block by block."""
+        K = self.base.kernel
+        r = row[::-1] + [0] * (self.e * K.w)
+        return [c for j in range(0, self.e * K.w, K.w) for c in r[j:j + K.k]]
 
     def _choose_generator(self):
         # theta + c for c in F_q in index order, theta the class of t (c = 0
         # first).  A theta + c that does not generate F = F_q(theta) over F_p
         # lies in a maximal subfield S of F with F_q not in S, as otherwise
         # theta in S and F_q(theta) in S.  The c that put theta + c in S form
-        # a coset of the field S and F_q share, a proper subfield of F_q, so
-        # at most sqrt(q) of them; F has omega(n) maximal subfields, with
-        # n = [F : F_p] and omega(n) the number of distinct primes dividing
-        # n.  So the loop runs out only when omega(n) >= sqrt(q).
-        theta = self.modulus.ring.gen() % self.modulus
-        for c in self.base.elements():
-            if self._eliminate(theta + c):
+        # a coset of the field S and F_q share, a proper subfield of F_q that
+        # holds F_p, so at most sqrt(q) of them, in blocks c + F_p of p
+        # consecutive indices; F has omega(n) maximal subfields, with n =
+        # [F : F_p] and omega(n) the number of distinct primes dividing n.
+        # So only the first c of each block is tried, the loop runs out
+        # only when omega(n) >= sqrt(q), and it makes at most
+        # omega(n) * sqrt(q) / p + 1 eliminations.
+        K = self.base.kernel
+        theta = K.divmod([1] + [0] * K.w, self._pi)[1]
+        for i in range(0, self.base.order, self.p):
+            if self._eliminate(K.add(theta, self.base.element_at(i)._row())):
                 return
         raise UnsupportedField(f"no t + c generates the residue field of "
                                f"{self.modulus} over F_{self.p}")
@@ -1725,12 +1730,13 @@ class FlatQuotient:
                 combo = [(a - c * b) % p for a, b in zip(combo, rcombo)]
         return vec, combo
 
-    def _eliminate(self, theta: Poly) -> bool:
-        """Reduce the vectors of theta^0, theta^1, ... until one depends on
-        the earlier ones; True, with the generator set up, if that happens
-        only at theta^n."""
+    def _eliminate(self, theta) -> bool:
+        """Reduce the vectors of theta^0, theta^1, ... (rows) until one
+        depends on the earlier ones; True, with the generator set up, if
+        that happens only at theta^n."""
+        K = self.base.kernel
         self._rows, self._powers = [], []
-        power = self.modulus.ring.one()
+        power = K.one
         for k in range(self.n + 1):
             combo = [0] * (self.n + 1)
             combo[k] = 1
@@ -1740,29 +1746,36 @@ class FlatQuotient:
                 if k < self.n:
                     return False
                 # dependency sum combo_k theta^k = 0 with combo_n = 1
-                self.theta = theta
+                self.theta = K.to_poly(self.modulus.ring, theta, K.one)
                 self.flat = FF(self.p, tuple(combo), _validate=False)
                 return True
             inv = pow(vec[pivot], -1, self.p)
             self._rows.append((pivot, [(v * inv) % self.p for v in vec],
                                [(v * inv) % self.p for v in combo]))
             self._powers.append(power)
-            power = (power * theta) % self.modulus
+            power = K.divmod(K.mul(power, theta), self._pi)[1]
 
     def to_flat(self, r: Poly) -> FFElement:
+        return self.row_to_flat(self.base.kernel.rows(r.coeffs)[0])
+
+    def row_to_flat(self, row) -> FFElement:
+        """The image of a row of F_q[t] (``base.kernel``)."""
         # the n rows span everything, so r reduces to 0 and -combo are the
         # coordinates of r on the powers of theta
-        _, combo = self._reduce(self._vec(r % self.modulus), [0] * self.n)
+        K = self.base.kernel
+        vec = self._vec(K.divmod(row, self._pi)[1])
+        _, combo = self._reduce(vec, [0] * self.n)
         return self.flat.element([-c for c in combo])
 
     def from_flat(self, x: FFElement) -> Poly:
         if x.field != self.flat:
             raise ContextMismatch("element is not in the flat presentation")
-        acc = self.modulus.ring.zero()
+        K = self.base.kernel
+        acc = K.zero
         for c, pw in zip(x.coeffs, self._powers):
             if c:
-                acc = acc + pw.scale(self.base.from_int(c))
-        return acc
+                acc = K.add(acc, K.mul(pw, [c]))
+        return K.to_poly(self.modulus.ring, acc, K.one)
 
 
 def quadratic_extension_field(kappa: FF, ubar: FFElement) -> FF:

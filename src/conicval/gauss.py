@@ -14,9 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy.polys.densearith import dmp_add, dmp_mul
-from sympy.polys.domains import ZZ
-
 from .errors import (ConstantInput, InvalidPivot, NegativeValue,
                      NonzeroValue, SquareInput, ZeroInput)
 from .fields import (FF, FunctionField, Poly, RatFunc, is_square,
@@ -64,8 +61,7 @@ class GaussExtension(Valuation):
             yfield = FunctionField(v.base, "_y")
             self._inverse = RatFunc(yfield, yfield.ring.poly([-b, d]),
                                     yfield.ring.poly([a, -c]))
-        # over Q(t), values run on Z[t] rows; x = P'/Q' with (P', Q') the
-        # rows of the inverse in Z[t][_y]
+        # over k(t), values run on rows: x = P'/Q', (P', Q') the inverse's rows
         self._pivot_rows = None
         if field.level == 1 and not self._identity:
             p, q = self._inverse.rows
@@ -114,11 +110,11 @@ class GaussExtension(Valuation):
     def value_of(self, h) -> Value:
         """w(h) = w(num) - w(den), as the Gauss valuation is multiplicative.
 
-        Over Q(t), for the identity pivot or h of positive degree, the rows
-        N and D of h (``RatFunc.rows``) are valued by ``row_value``, with
-        no RatFunc built and no gcd run.  Otherwise (over Q or F_q(t),
-        or a constant h with another pivot) h goes through ``_rewrite``,
-        which keeps the Gauss-constant defect.
+        Over Q(t) and F_q(t), for the identity pivot or h of positive
+        degree, the rows N and D of h (``RatFunc.rows``) are valued by
+        ``row_value``, with no RatFunc built and no gcd run.  Otherwise
+        (over Q, or a constant h with another pivot) h goes through
+        ``_rewrite``, which keeps the Gauss-constant defect.
         """
         h = self.field.coerce(h)
         if not h:
@@ -130,20 +126,22 @@ class GaussExtension(Valuation):
         return self._min_value(h.num) - self._min_value(h.den)
 
     def row_value(self, rows) -> int:
-        """w of a nonzero polynomial of Z[t][x] over Q(t), given as rows (x
-        outer, highest degree first).  For another pivot, with x = P'/Q' and
-        d the x-degree, this is w_y(sum R_i P'^i Q'^(d-i)) - d*w_y(Q'), the
-        sum taken by one Horner pass on integers."""
+        """w of a nonzero polynomial of Z[t][x] over Q(t) or F_q[t][x] over
+        F_q(t), given as rows (x outer, highest degree first).  For another
+        pivot, with x = P'/Q' and d the x-degree, this is
+        w_y(sum R_i P'^i Q'^(d-i)) - d*w_y(Q'), the sum taken by one Horner
+        pass on rows."""
         order = self.v.row_order
         if self._pivot_rows is None:
             return min(order(r) for r in rows if r)
         p, q, qval = self._pivot_rows
-        acc, qpow = [rows[0]], [[1]]
+        K = self.field.kernel
+        acc, qpow = [rows[0]], K.one
         for r in rows[1:]:
-            qpow = dmp_mul(qpow, q, 1, ZZ)
-            acc = dmp_mul(acc, p, 1, ZZ)
+            qpow = K.mul(qpow, q)
+            acc = K.mul(acc, p)
             if r:
-                acc = dmp_add(acc, dmp_mul([r], qpow, 1, ZZ), 1, ZZ)
+                acc = K.add(acc, K.mul([r], qpow))
         return min(order(c) for c in acc if c) - (len(rows) - 1) * qval
 
     def residue_of(self, h):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolated, PrecisionTooLow, ZeroInput
-from .fields import FF, FunctionField, RatFunc, RationalField, infer_context
+from .fields import (FF, FunctionField, PolyRing, RatFunc, RationalField,
+                     infer_context)
 from .value import INFINITY
 from .valuation import PAdicValuation, Valuation
 
@@ -123,7 +124,7 @@ def degree_oracle(y: RatFunc) -> int:
         raise ZeroInput("constant pivot")
     K = FunctionField(field.ring.field, "Y")
     Yel = K.gen()
-    TR = FunctionField(K, "T").ring
+    TR = PolyRing(K, "T")
     f, g = y.num, y.den
     n = max(f.degree(), g.degree())
     hcoeffs = []

@@ -146,9 +146,9 @@ class PlaceValuation(Valuation):
             self.residue_field = QQ
             self._root = -pi.coeffs[0]
         elif isinstance(k, FF):
+            self._pi = base.kernel.rows(pi.coeffs)[0]
             if pi.degree() == 1:
                 self.residue_field = k
-                self._root = -pi.coeffs[0]
             else:
                 try:
                     self._flat = FlatQuotient(k, pi)
@@ -156,7 +156,6 @@ class PlaceValuation(Valuation):
                     raise UnsupportedPlace(
                         f"{pi} is reducible, not a place") from None
                 self.residue_field = self._flat.flat
-                self._root = None
         else:
             raise UnsupportedField(f"unsupported constant field {k!r}")
 
@@ -164,16 +163,17 @@ class PlaceValuation(Valuation):
         x = self.base.coerce(x)
         if not x:
             return INFINITY
-        if self.residue_field is QQ:
-            n, d = x.rows
-            return Value(self.row_order(n) - self.row_order(d))
-        return Value(_poly_order(x.num, self.pi) - _poly_order(x.den, self.pi))
+        n, d = x.rows
+        return Value(self.row_order(n) - self.row_order(d))
 
     def row_order(self, row: list[int]) -> int:
-        """Order at a place t - a/b of Q(t) of a nonzero integer row of Z[t]
-        (highest degree first), by synthetic division: b*t - a is primitive,
-        so by Gauss's lemma it divides the row over Z exactly when it
-        divides it over Q, and a quotient that leaves Z ends the count."""
+        """Order of a nonzero row of Z[t] or F_q[t] (``RatFunc.rows``).
+        Over F_q(t) it is repeated division by pi.  At a place t - a/b of
+        Q(t) it is synthetic division: b*t - a is primitive, so by Gauss's
+        lemma it divides the row over Z exactly when it divides it over Q,
+        and a quotient that leaves Z ends the count."""
+        if self.residue_field is not QQ:
+            return self.base.kernel.order(row, self._pi)
         a, b = self._root.numerator, self._root.denominator
         m = 0
         while len(row) > 1:
@@ -197,9 +197,14 @@ class PlaceValuation(Valuation):
             raise NegativeValue(f"v({x}) = {v} < 0")
         if v.is_infinite:
             return self.residue_field.zero()
-        if self._root is not None:
+        if self.residue_field is QQ:
             return x.num(self._root) / x.den(self._root)
-        return self._flat.to_flat(x.num) / self._flat.to_flat(x.den)
+        if self._flat is not None:
+            return (self._flat.row_to_flat(x.rows[0])
+                    / self._flat.row_to_flat(x.rows[1]))
+        K = self.base.kernel
+        n, d = (K.divmod(r, self._pi)[1] for r in x.rows)
+        return K.element(n) / K.element(d)
 
     def lift(self, r) -> RatFunc:
         if self._flat is not None:
@@ -221,20 +226,9 @@ class PlaceValuation(Valuation):
         return hash(("place", self.base, self.pi))
 
 
-def _poly_order(f: Poly, pi: Poly) -> int:
-    if not f:
-        raise ZeroInput("order of the zero polynomial")
-    m = 0
-    while True:
-        q, r = divmod(f, pi)
-        if r:
-            return m
-        m += 1
-        f = q
-
-
 class InfinitePlaceValuation(Valuation):
-    """The degree valuation v = deg(den) - deg(num) on k(t), uniformizer 1/t."""
+    """The degree valuation v = deg(den) - deg(num) on k(t), uniformizer 1/t,
+    read off the reduced rows of ``RatFunc``."""
 
     def __init__(self, base: FunctionField):
         k = base.coefficient_field
@@ -248,15 +242,12 @@ class InfinitePlaceValuation(Valuation):
         x = self.base.coerce(x)
         if not x:
             return INFINITY
-        if x.rows is not None:
-            n, d = x.rows
-            return Value(len(d) - len(n))
-        return Value(x.den.degree() - x.num.degree())
+        n, d = x.rows
+        return Value(self.row_order(n) - self.row_order(d))
 
-    @staticmethod
-    def row_order(row: list[int]) -> int:
-        """-deg of a nonzero integer row of Z[t], highest degree first."""
-        return 1 - len(row)
+    def row_order(self, row: list[int]) -> int:
+        """-deg of a nonzero row of Z[t] or F_q[t] (``RatFunc.rows``)."""
+        return -self.base.kernel.degree(row)
 
     def residue_of(self, x):
         x = self.base.coerce(x)
@@ -266,7 +257,10 @@ class InfinitePlaceValuation(Valuation):
         if v.is_infinite or v > 0:
             k = self.base.coefficient_field
             return k.zero()
-        return x.num.leading() / x.den.leading()
+        (n, d), K = x.rows, self.base.kernel
+        if self.residue_field is QQ:
+            return Fraction(n[0], d[0])
+        return K.element(K.lead(n)) / K.element(K.lead(d))
 
     def lift(self, r) -> RatFunc:
         return self.base.coerce(self.base.ring.poly([r]))

@@ -41,7 +41,8 @@ def wstar_t_one(qt, vt):
 
 
 # With a pivot other than the identity, as w1's (a/b)*z when a != b, w1
-# gives base-field constants the value 0 over Q(t) and crashes over Q.
+# gives base-field constants the value 0 over Q(t) and F_q(t) and crashes
+# over Q.
 GAUSS_CONSTANT_DEFECT = ("gauss._rewrite does not coerce a constant numerator "
                          "or denominator into E(_y) when the pivot is not the "
                          "identity")
@@ -109,6 +110,50 @@ class TestRowValues:
             if e:
                 assert w.value_of(e) == _quadruple_value(w, e), e
                 checked += 1
+
+
+    @pytest.mark.parametrize("val", ["Fq(t):q=3,place=t", "Fq(t):q=5,place=t^2+2",
+                                     "Fq(t):q=9,place=inf"])
+    @pytest.mark.parametrize("a, b", [("-1", "-1"), ("t", "1")])
+    def test_agrees_with_quadruple_over_fq(self, val, a, b):
+        """Over F_q(t), w* runs on F_q[t][x] rows."""
+        v = parse_valuation(val)
+        ft = v.base
+        w = _wstar(ft, parse_field_element(a, ft), parse_field_element(b, ft), v)
+        cf = w.conic_field
+        x = cf.ef.gen()
+        rng = random.Random(41)
+
+        def part():
+            if rng.random() < 0.4:      # constant in z, possibly zero
+                return cf.ef.coerce(sample_field_element(rng, ft))
+            return _subs_square(sample_ratfunc(rng, cf.zfield, 2, 1), cf.ef)
+
+        checked = 0
+        while checked < 20:
+            e = cf.element(part() + part() * x, part() + part() * x)
+            if e:
+                assert w.value_of(e) == _quadruple_value(w, e), e
+                checked += 1
+
+
+class TestGaussConstantDefectOverFq:
+    """The F_q(t) form of the Gauss-constant defect: t has value 1 at the
+    place t, but a pivot other than x values it through ``_rewrite``."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=GAUSS_CONSTANT_DEFECT)
+    def test_wstar_of_t(self, run_cli):
+        code, doc = run_cli("eval", "--val", "Fq(t):q=3,place=t", "--a", "t",
+                            "--b", "1", "--f", "t", "--g", "0")
+        assert code == 0 and doc["result"]["value"] == "1"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason=GAUSS_CONSTANT_DEFECT)
+    def test_gauss_value_of_t(self, run_cli):
+        code, doc = run_cli("gauss", "--val", "Fq(t):q=3,place=t", "--pivot",
+                            "t*x", "--eval", "t")
+        assert code == 0 and doc["result"]["value"] == "1"
 
 
 class TestTailPairs:

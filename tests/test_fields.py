@@ -8,7 +8,7 @@ import sympy
 from sympy.polys.galoistools import gf_factor_sqf, gf_irred_p_ben_or, gf_sqf_p
 
 from conicval import fields
-from conicval.cli import parse_base_field
+from conicval.cli import main, parse_base_field
 from conicval.errors import (ContextMismatch, DegreeTooLarge, DivisionByZero,
                              UnsupportedField, ZeroInput, ZeroPolynomial)
 from conicval.fields import (FF, FlatQuotient, FunctionField, GF, PolyRing,
@@ -16,6 +16,8 @@ from conicval.fields import (FF, FlatQuotient, FunctionField, GF, PolyRing,
                              is_square, poly_gcd, square_class_reduce,
                              squarefree_decomposition, sqrt_exact)
 from conicval.oracle import sample_poly
+from conicval.valuation import InfinitePlaceValuation, PlaceValuation
+from conicval.value import Value
 
 
 class TestFieldArith:
@@ -160,22 +162,61 @@ class TestTonelliShanks:
 
 
 def _tuple_reference(k):
-    """*, inverse and ** of k on coefficient tuples modulo the modulus."""
-    p, mod = k.p, k.modulus
+    """*, inverse and ** of k on coefficient tuples (lowest degree first)
+    modulo the modulus: schoolbook product, long division, extended Euclid
+    and square-and-multiply."""
+    p, mod, n = k.p, k.modulus, k.degree
 
     def pad(c):
-        return tuple(c) + (0,) * (k.degree - len(c))
+        return tuple(c) + (0,) * (n - len(c))
+
+    def trim(c):
+        c = [x % p for x in c]
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    def poly_mul(a, b):
+        out = [0] * (len(a) + len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return trim(out)
+
+    def poly_divmod(a, b):
+        a, b = trim(a), trim(b)
+        inv = pow(b[-1], -1, p)
+        quo = [0] * max(len(a) - len(b) + 1, 0)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % p, len(a) - len(b)
+            quo[shift] = c
+            a = trim([x - c * b[i - shift] if i >= shift else x
+                      for i, x in enumerate(a)])
+        return trim(quo), a
 
     def mul(a, b):
-        a, b = fields._ip_trim(list(a)), fields._ip_trim(list(b))
-        return pad(fields._ip_mod(fields._ip_mul(a, b, p), mod, p))
+        return pad(poly_divmod(poly_mul(a, b), mod)[1])
+
+    def sub(a, b):
+        n = max(len(a), len(b))
+        return trim([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
+                     for i in range(n)])
 
     def inverse(a):
-        return pad(fields._ip_xgcd(fields._ip_trim(list(a)), mod, p)[1])
+        r0, r1, s0, s1 = trim(mod), trim(a), [], [1]
+        while r1:
+            q, r = poly_divmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, sub(s0, poly_mul(q, s1))
+        assert len(r0) == 1
+        return pad(trim([x * pow(r0[0], -1, p) for x in s0]))
 
     def power(a, e):
-        base = fields._ip_trim(list(a if e >= 0 else inverse(a)))
-        return pad(fields._ip_pow_mod(base, abs(e), mod, p))
+        base, out, e = (a if e >= 0 else inverse(a)), pad([1]), abs(e)
+        while e:
+            if e & 1:
+                out = mul(out, base)
+            base, e = mul(base, base), e >> 1
+        return out
 
     return mul, inverse, power
 
@@ -217,8 +258,7 @@ class TestPrimeFieldFastPath:
 
     def test_element_keeps_the_constant_term(self):
         k = FF(7)
-        assert k.element([9, 3, 5]).coeffs == \
-            fields._ip_mod((2, 3, 5), k.modulus, 7) == (2,)
+        assert k.element([9, 3, 5]).coeffs == (2,)
         assert k.element([]) == k.zero()
 
     def test_zero_has_no_inverse(self):
@@ -328,13 +368,13 @@ class TestIntegerKernels:
     """gcd over Q[t] and Q(t)[x] and multiplication over Q run on integer
     rows; each is checked against a route that stays in the field."""
 
-    def test_tower_gcd_agrees_with_prs(self, qt):
+    def test_tower_gcd_agrees_with_euclid(self, qt):
         ring = PolyRing(qt, "x")
         rng = random.Random(41)
         for _ in range(100):
             a, b, c = (_nonzero_poly(rng, ring, 3) for _ in range(3))
             f, g = a * c, b * c
-            assert poly_gcd(f, g) == fields._tower_gcd(f, g)
+            assert poly_gcd(f, g) == _euclid(f, g).monic()
 
     def test_rational_gcd_agrees_with_euclid(self):
         ring = PolyRing(QQ, "t")
@@ -427,8 +467,7 @@ class TestCofactorKernels:
             cases.append((a * c, b * c))
         for num, den in cases:
             h = RatFunc(field, num, den)
-            assert (h.num, h.den) == _gcd_then_divide(num, den,
-                                                      fields._tower_gcd)
+            assert (h.num, h.den) == _gcd_then_divide(num, den, _euclid)
 
     def test_tower_mul_agrees_with_schoolbook(self, qt):
         ring = PolyRing(qt, "x")
@@ -598,7 +637,7 @@ class TestCharacteristicZeroRows:
         for f in polys:
             x = field.from_poly(f)
             assert x.field.level == level
-            assert fields._reduced_rows(*x.rows, level) == x.rows
+            assert x.field.kernel.reduced(*x.rows) == x.rows
             assert x.num is f and x.den.is_one() and x.is_polynomial()
             assert x == RatFunc(field, f, field.ring.one())
 
@@ -837,6 +876,102 @@ def _rank_mod_p(rows, p):
     return rank
 
 
+def _ref_divmod(f, g):
+    """Long division of coefficient tuples over F_q, one FFElement
+    operation at a time."""
+    rem, inv = list(f), 1 / g[-1]
+    quo = [g[-1].field.zero()] * max(len(f) - len(g) + 1, 0)
+    while len(rem) >= len(g):
+        c, shift = rem[-1] * inv, len(rem) - len(g)
+        quo[shift] = c
+        for j, b in enumerate(g):
+            rem[shift + j] = rem[shift + j] - c * b
+        while rem and not rem[-1]:
+            rem.pop()
+    return tuple(quo), tuple(rem)
+
+
+def _ref_gcd(f, g):
+    """Monic gcd of coefficient tuples by Euclid on ``_ref_divmod``."""
+    while g:
+        f, g = g, _ref_divmod(f, g)[1]
+    return tuple(c / f[-1] for c in f)
+
+
+def _ref_order(f, pi):
+    m = 0
+    while True:
+        quo, rem = _ref_divmod(f, pi)
+        if rem:
+            return m
+        f, m = quo, m + 1
+
+
+class TestFqRowsAgainstSchoolbook:
+    """F_q[t], F_q(t) and F_q(t)(x) on rows (``_FqRows``, ``_FqxRows``)
+    against schoolbook routines on FFElement coefficients, on seeded
+    draws; places of degree 2 and 3 are irreducible when they have no root."""
+
+    QS = [3, 7, 9, 25, 27]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_products_divisions_and_gcds(self, q):
+        ring = PolyRing(GF(q), "t")
+        rng = random.Random(q)
+        for _ in range(40):
+            f, g, h = (_nonzero_poly(rng, ring, 5) for _ in range(3))
+            assert (f * g).coeffs == _schoolbook(f, g), (f, g)
+            quo, rem = divmod(f * h + g, h)
+            assert (quo.coeffs, rem.coeffs) == \
+                _ref_divmod((f * h + g).coeffs, h.coeffs), (f, g, h)
+            assert poly_gcd(f * h, g * h).coeffs == \
+                _ref_gcd((f * h).coeffs, (g * h).coeffs), (f, g, h)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_normal_form(self, q):
+        field = FunctionField(GF(q), "t")
+        tower = FunctionField(field, "x")
+        rng = random.Random(100 + q)
+        for level in (field, tower):
+            one = level.ring.field.one()
+            for _ in range(12):
+                a, b, c = (_nonzero_poly(rng, level.ring, 3) for _ in range(3))
+                h = RatFunc(level, a * c, b * c)
+                assert h.rows == RatFunc(level, a, b).rows, (a, b, c)
+                assert h.rows == (level.from_poly(a * c)
+                                  / level.from_poly(b * c)).rows, (a, b, c)
+                assert h.den.leading() == one, h
+                assert h * level.from_poly(b) == level.from_poly(a), h
+                if level is field:
+                    assert _ref_gcd(h.num.coeffs, h.den.coeffs) == (one,), h
+                else:
+                    assert _euclid(h.num, h.den).degree() == 0, h
+
+    @pytest.mark.parametrize("q", QS)
+    def test_place_orders(self, q):
+        k = GF(q)
+        field = FunctionField(k, "t")
+        rng = random.Random(200 + q)
+        places = []
+        while len(places) < 4:
+            d = len(places) % 3 + 1
+            pi = field.ring.poly([k.element_at(rng.randrange(q))
+                                  for _ in range(d)] + [k.one()])
+            if d == 1 or not any(not pi(c) for c in k.elements()):
+                places.append(PlaceValuation(field, pi))
+        for _ in range(15):
+            f, g = (_nonzero_poly(rng, field.ring, 4) for _ in range(2))
+            for v in places:
+                i, j = rng.randint(0, 2), rng.randint(0, 2)
+                num, den = f * v.pi ** i, g * v.pi ** j
+                want = (_ref_order(num.coeffs, v.pi.coeffs)
+                        - _ref_order(den.coeffs, v.pi.coeffs))
+                assert v.value_of(field.ratfunc(num, den)) == Value(want), \
+                    (v.pi, num, den)
+            assert InfinitePlaceValuation(field).value_of(field.ratfunc(f, g)) \
+                == Value(g.degree() - f.degree()), (f, g)
+
+
 class TestFlattening:
     @pytest.mark.parametrize("q,d", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 2),
                                      (7, 3), (9, 2), (25, 2)])
@@ -908,6 +1043,22 @@ class TestFlattening:
         for _ in range(20):
             a = ring.poly([f9.element_at(rng.randrange(9)) for _ in range(3)])
             assert fl.from_flat(fl.to_flat(a)) == a
+
+    def test_generator_search_steps_by_blocks_of_p(self, monkeypatch, capsys):
+        """F_p(theta + c + l) = F_p(theta + c) for l in F_p, so one c per
+        block of p indices is tried: over F_(10007^2), t fails and so does
+        every t + l, and the two residue fields are flattened in 4
+        eliminations, not 20,016."""
+        calls = []
+        eliminate = FlatQuotient._eliminate
+        monkeypatch.setattr(FlatQuotient, "_eliminate",
+                            lambda self, theta: calls.append(theta)
+                            or eliminate(self, theta))
+        assert main(["quat", "decide", "--val",
+                     "Fq(t):q=100140049,place=t^3-t-1", "--a", "t^3-t-1",
+                     "--b", "1"]) == 0
+        assert "no_extension_algebra_split" in capsys.readouterr().out
+        assert len(calls) <= 4
 
     def test_roundtrip(self):
         f3 = FF(3)

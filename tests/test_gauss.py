@@ -182,17 +182,21 @@ def _rewrite_value(w, h):
     return w._min_value(r.num) - w._min_value(r.den)
 
 
-# identity pivots, the Q(t) entries of PIVOT_FIXTURES, and Moebius pivots
-# whose inverse has a denominator of degree 1, one at a non-integral root
-ROW_FIXTURES = ([("Q(t):place=t", "x"), ("Q(t):place=inf", "x")]
-                + [f for f in PIVOT_FIXTURES if f[0].startswith("Q(t)")]
+# identity pivots, the Q(t) and F_q(t) entries of PIVOT_FIXTURES, and
+# Moebius pivots whose inverse has a denominator of degree 1, one at a
+# non-integral root
+ROW_FIXTURES = ([("Q(t):place=t", "x"), ("Q(t):place=inf", "x"),
+                 ("Fq(t):q=3,place=t^2+1", "x")]
+                + [f for f in PIVOT_FIXTURES
+                   if f[0].startswith(("Q(t)", "Fq(t)"))]
                 + [("Q(t):place=inf", "(t*x+1)/(x+t)"),
                    ("Q(t):place=t+1/2", "(x+t)/(2*x-1)")])
 
 
 class TestRowValues:
-    """Over Q(t), value_of runs on Z[t] rows for the identity pivot and
-    for elements of positive degree; it agrees with ``_rewrite``."""
+    """Over Q(t) and F_q(t), value_of runs on Z[t] or F_q[t] rows for the
+    identity pivot and for elements of positive degree; it agrees with
+    ``_rewrite``."""
 
     @pytest.mark.parametrize("val, pivot", ROW_FIXTURES)
     def test_agrees_with_rewrite(self, val, pivot):

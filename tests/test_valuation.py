@@ -8,8 +8,16 @@ from conicval.errors import (ConicvalError, NegativeValue, UnsupportedPlace,
 from conicval.fields import FF, FunctionField, QQ
 from conicval.oracle import sample_field_element
 from conicval.valuation import (InfinitePlaceValuation, PAdicValuation,
-                                PlaceValuation, _poly_order)
+                                PlaceValuation)
 from conicval.value import INFINITY, Value, ValueGroup
+
+
+def _poly_order(f, pi):
+    """The largest m with pi^m dividing f != 0, by Poly division."""
+    m = 0
+    while not f % pi:
+        f, m = f // pi, m + 1
+    return m
 
 
 class TestValue:
