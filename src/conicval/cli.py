@@ -446,6 +446,18 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 
+def _nonnegative_int(text: str) -> int:
+    """The argparse type of a bound or a sample count: an int >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_argument_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="conicval",
@@ -467,7 +479,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
             p.add_argument("--a", required=True, help="first coefficient")
             p.add_argument("--b", required=True, help="second coefficient")
         p.add_argument("--json", action="store_true", help="machine output")
-        p.add_argument("--search-bound", type=int, default=200,
+        p.add_argument("--search-bound", type=_nonnegative_int, default=200,
                        help="height bound for rational point searches")
 
     p = sub.add_parser("analyze", help="decide the distinguished extension "
@@ -504,7 +516,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--search-bound", type=int, default=200)
+    p.add_argument("--search-bound", type=_nonnegative_int, default=200)
     p.set_defaults(handler=_cmd_quat_split)
     p = qsub.add_parser("decide", help="unramified extension decision")
     common(p)
@@ -525,7 +537,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    help=f"one of {', '.join(_SUITES)} or all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_nonnegative_int, default=200)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify)
     return top

@@ -33,7 +33,7 @@ from .gauss import (GaussExtension, RAMIFIED, SPLIT_PAIR,
                     quadratic_extension_analysis)
 from .quaternion import (QuaternionAlgebra, UNRAMIFIED_EXTENSION,
                          conic_points, decide_unramified_extension, is_split)
-from .value import INFINITY, Value, ValueGroup
+from .value import Value, ValueGroup
 from .valuation import Valuation
 
 
@@ -383,8 +383,8 @@ class DistinguishedExtension:
     def value_of(self, elem) -> Value:
         """min of w1(e_i) + beta_i over the quadruple (e0, e1, e2, e3).
 
-        Over Q(t) and F_q(t) the quadruple is not built: for each of f and g
-        in f + g*s, with f = Rn/Rd its reduced rows of Z[t][x] or F_q[t][x]
+        The quadruple is not built: for each of f and g in f + g*s, with
+        f = Rn/Rd its reduced rows of Z[x], Z[t][x] or F_q[t][x]
         (``RatFunc.rows``), M = Rn*Rd(-x) and D = Rd*Rd(-x) give
         w1(e_i) = w1(M_part) - w1(D_even), M_part the even or odd x-degree
         rows of M.  A part constant in z while w1's pivot is not the
@@ -395,24 +395,13 @@ class DistinguishedExtension:
             elem = self.conic_field.element(elem)
         if not elem:
             raise ZeroElement("the distinguished extension has no value at 0")
-        if self.w1.field.level == 1:
-            return self._value_on_rows(elem)
-        best = INFINITY
-        for ei, bi in zip(elem.quadruple(), self.beta):
-            if ei:
-                val = self.w1.value_of(ei) + bi
-                if val < best:
-                    best = val
-        return best
-
-    def _value_on_rows(self, elem) -> Value:
         w1, values, K = self.w1, [], self.w1.field.kernel
         for k, h in enumerate((elem.f, elem.g)):
             if not h:
                 continue
             rn, rd = h.rows
             top = len(rd) - 1
-            neg = [K.base.neg(r) if (top - i) % 2 else r
+            neg = [K.neg([r])[0] if (top - i) % 2 else r
                    for i, r in enumerate(rd)]                # Rd(-x)
             m = K.mul(rn, neg)
             d = K.mul(rd, neg)[::2]                          # D is even
@@ -424,10 +413,9 @@ class DistinguishedExtension:
                 if not part:
                     continue
                 if (not w1._identity and len(part) == len(d)
-                        and [K.base.mul(r, d[0]) for r in part]
-                        == [K.base.mul(r, part[0]) for r in d]):
+                        and K.mul(part, [d[0]]) == K.mul(d, [part[0]])):
                     # e_i is the constant lc(M_part) / lc(D) of E
-                    c = RatFunc(self.v.base, _rows=(part[0], d[0]))
+                    c = K.to_poly(w1.field.ring, [part[0]], [d[0]])
                     values.append(w1.value_of(c) + self.beta[i])
                 else:
                     values.append(Value(w1.row_value(part) + shift)

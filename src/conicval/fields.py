@@ -18,9 +18,9 @@ to deal with.
 A rational function in Q(t), Q(x) or F_q(t) (level 0) or in Q(t)(x) or
 F_q(t)(x) (level 1) is stored as its reduced rows (N, D) of Z[x], Z[t][x],
 F_q[t] or F_q[t][x], on which its arithmetic runs; a row kernel per ring
-(``PolyRing.kernel``) hides the row format.  Products and gcds of
-polynomials over Q, Q(t), F_q and F_q(t), and divisions over F_q, run on
-the same rows.
+(``PolyRing.kernel``) hides the row format.  Polynomials exist over Q, F_q,
+Q(t) and F_q(t) only, and their products and gcds, and divisions over F_q,
+run on the same rows.
 
 Over every finite field F_q, polynomials factor by one distinct-degree
 routine (``_ddf``, iterated Frobenius x^(q^d) mod g) and a seeded
@@ -390,15 +390,14 @@ class PolyRing:
 
     ``level`` is 0 over Q and F_q and 1 over Q(t) and F_q(t); ``kernel``
     holds the rows (Z[x], Z[t][x], F_q[t] or F_q[t][x]) that its products
-    and gcds run on and ``FunctionField(field, var)`` stores.  Over a
-    level-1 function field both are None, and polynomials compute by
-    schoolbook and Euclid on their coefficients.
+    and gcds run on and ``FunctionField(field, var)`` stores.  Any other
+    field, a level-1 function field included, has no kernel and raises
+    ``UnsupportedField``.
     """
 
     def __init__(self, field, var: str):
         self.field = field
         self.var = var
-        self.level = self.kernel = None
         if isinstance(field, (RationalField, FF)):
             self.level = 0
             self.kernel = field.kernel if isinstance(field, FF) else _INT_ROWS[0]
@@ -406,6 +405,8 @@ class PolyRing:
             self.level = 1
             self.kernel = (_INT_ROWS[1] if field.characteristic == 0
                            else _FqxRows(field.kernel))
+        else:
+            raise UnsupportedField(f"no polynomials over {field!r}")
 
     def poly(self, coeffs) -> "Poly":
         cs = [self.field.coerce(c) for c in coeffs]
@@ -527,18 +528,8 @@ class Poly:
         if not a or not b:
             return self.ring.zero()
         K = self.ring.kernel
-        if K is not None:
-            (ra, da), (rb, db) = K.rows(a), K.rows(b)
-            return K.to_poly(self.ring, K.mul(ra, rb), K.mul(da, db))
-        zero = self.ring.field.zero()
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = out[i + j] + ai * bj
-        while out and not out[-1]:
-            out.pop()
-        return Poly(self.ring, tuple(out))
+        (ra, da), (rb, db) = K.rows(a), K.rows(b)
+        return K.to_poly(self.ring, K.mul(ra, rb), K.mul(da, db))
 
     __rmul__ = __mul__
 
@@ -679,13 +670,12 @@ def _paren(s: str) -> str:
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) is an error.
 
-    Over Q, Q(t), F_q and F_q(t) it is taken on the ring's rows
-    (``PolyRing.kernel``): over Z or Z[t] by sympy's ``dmp_inner_gcd``
-    (both inputs scaled by nonzero constants, so by Gauss's lemma their gcd
-    there is the gcd over the field up to a unit), over F_q by Euclid on
-    F_q[t] rows (``_FqRows``), and over F_q(t) by a
-    primitive pseudo-remainder sequence over F_q[t] (``_FqxRows``).  Over
-    a level-1 function field it is Euclid on the coefficients.
+    It is taken on the ring's rows (``PolyRing.kernel``): over Q and Q(t)
+    on Z or Z[t] by sympy's ``dmp_inner_gcd`` (both inputs scaled by
+    nonzero constants, so by Gauss's lemma their gcd there is the gcd over
+    the field up to a unit), over F_q by Euclid on F_q[t] rows
+    (``_FqRows``), and over F_q(t) by a primitive pseudo-remainder sequence
+    over F_q[t] (``_FqxRows``).
     """
     if not f and not g:
         raise ZeroPolynomial("gcd(0, 0) is undefined")
@@ -693,14 +683,9 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return f.monic()
     if not f:
         return g.monic()
-    K = f.ring.kernel
-    if K is not None:   # h / lc(h) is monic
-        h = K.gcd_rows(K.rows(f.coeffs)[0], K.rows(g.coeffs)[0])
-        return K.to_poly(f.ring, h, [h[0]])
-    a, b = f, g
-    while b:
-        a, b = b, a % b
-    return a.monic()
+    K = f.ring.kernel   # h / lc(h) is monic
+    h = K.gcd_rows(K.rows(f.coeffs)[0], K.rows(g.coeffs)[0])
+    return K.to_poly(f.ring, h, [h[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -1059,8 +1044,6 @@ class FunctionField:
         self.var = var
         self.level = self.ring.level    # 0 for k(t), 1 for k(t)(x); see RatFunc
         self.kernel = self.ring.kernel
-        if self.kernel is None:
-            raise UnsupportedField(f"no rational functions over {field!r}")
 
     @property
     def coefficient_field(self):
@@ -1491,25 +1474,28 @@ def _squarefree_monic(f: Poly):
 
 
 def _poly_pth_root(f: Poly) -> Poly:
-    """p-th root of a polynomial of the form g(X)^p = h(X^p) in char p."""
-    p = f.ring.field.characteristic
+    """p-th root of a polynomial of the form g(X)^p = h(X^p) in char p.
+
+    Over F_q every coefficient of h is a p-th power.  Over F_q(t) one is
+    exactly when its num and den lie in F_q[t^p]; an h(X^p) with another
+    coefficient, such as X^3 - t over F_3(t), is inseparable and raises
+    ``UnsupportedField``."""
+    field = f.ring.field
+    p = field.characteristic
     if p == 0:
         raise ZeroPolynomial("polynomial with zero derivative in char 0?")
-    coeffs = []
-    for k in range(0, f.degree() + 1, p):
-        c = f.coeffs[k]
-        coeffs.append(_ff_pth_root(c))
-    for k in range(len(f.coeffs)):
-        if k % p and f.coeffs[k]:
-            raise ZeroPolynomial("polynomial is not a p-th power")
-    return f.ring.poly(coeffs)
-
-
-def _ff_pth_root(c):
-    if isinstance(c, FFElement):
-        d = c.field.degree
-        return c ** (c.field.p ** (d - 1)) if d > 1 else c
-    raise UnsupportedField("p-th roots only implemented over finite fields")
+    if any(c for k, c in enumerate(f.coeffs) if k % p):
+        raise ZeroPolynomial("polynomial is not a p-th power")
+    if isinstance(field, FF):
+        e = p ** (field.degree - 1)
+        return f.ring.poly([c ** e for c in f.coeffs[::p]])
+    try:
+        return f.ring.poly([RatFunc(field, _poly_pth_root(c.num),
+                                    _poly_pth_root(c.den))
+                            for c in f.coeffs[::p]])
+    except ZeroPolynomial:
+        raise UnsupportedField(f"{f} is inseparable over {field!r}; it has "
+                               "no squarefree decomposition") from None
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -1582,16 +1568,14 @@ def _factor_ff(f: Poly):
 
 
 def _poly_index(g: Poly):
-    field = g.ring.field
+    """The ``element_at`` indices of the coefficients of g over F_q."""
+    p = g.ring.field.p
     idx = []
     for c in g.coeffs:
-        if isinstance(c, FFElement):
-            v = 0
-            for a in reversed(c.coeffs):
-                v = v * c.field.p + a
-            idx.append(v)
-        else:
-            idx.append(c)
+        v = 0
+        for a in reversed(c.coeffs):
+            v = v * p + a
+        idx.append(v)
     return tuple(idx)
 
 

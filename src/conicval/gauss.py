@@ -51,6 +51,7 @@ class GaussExtension(Valuation):
         self.residue_var = residue_var
         self.residue_field = FunctionField(v.residue_field, residue_var)
         self.uniformizer = field.coerce(v.uniformizer)
+        self._pivot_rows = None
         if not self._identity:
             # x = (d*Y - b)/(-c*Y + a) inverts Y = (a*x + b)/(c*x + d)
             num, den = pivot.num.coeffs, pivot.den.coeffs
@@ -61,9 +62,7 @@ class GaussExtension(Valuation):
             yfield = FunctionField(v.base, "_y")
             self._inverse = RatFunc(yfield, yfield.ring.poly([-b, d]),
                                     yfield.ring.poly([a, -c]))
-        # over k(t), values run on rows: x = P'/Q', (P', Q') the inverse's rows
-        self._pivot_rows = None
-        if field.level == 1 and not self._identity:
+            # values run on rows: x = P'/Q', (P', Q') the inverse's rows
             p, q = self._inverse.rows
             self._pivot_rows = (p, q, min(v.row_order(r) for r in q if r))
 
@@ -76,26 +75,20 @@ class GaussExtension(Valuation):
         return self.field
 
     def _rewrite(self, h: RatFunc) -> RatFunc:
-        """h in E(_y), the pivot's variable: with x = P/Q the pivot's inverse
-        and k = max(deg num, deg den), F(P, Q)/G(P, Q) for the forms
-        F = sum f_i * P^i * Q^(k-i) of num and G of den, by Horner's rule in
-        P on polynomials, as one RatFunc.  A constant h is substituted by
-        ``RatFunc.__call__``, whose Horner's rule leaves it a bare coefficient
-        of E: the Gauss-constant defect, whose fix is its own change."""
+        """h in E(_y), the pivot's variable: for h = N/D of degree k > 0
+        (``RatFunc.rows``), S(N)*Q'^(k - deg N) / (S(D)*Q'^(k - deg D)),
+        with x = P'/Q' and S the substitution of ``_substituted``.  A
+        constant h is substituted by ``RatFunc.__call__``, whose Horner's
+        rule leaves it a bare coefficient of E: the Gauss-constant defect,
+        whose fix is its own change."""
         if self._identity:
             return h
         k = h.degree()
         if k > 0:
-            p, q = self._inverse.num, self._inverse.den
-            forms = []
-            for f in (h.num, h.den):
-                acc = p.ring.zero()
-                for i in range(k, -1, -1):
-                    c = f.coeffs[i] if i < len(f.coeffs) else 0
-                    term = c if q.is_one() else (q ** (k - i)).scale(c)
-                    acc = acc * p + term
-                forms.append(acc)
-            return RatFunc(self._inverse.field, *forms)
+            K, q = self.field.kernel, self._pivot_rows[1]
+            return RatFunc(self._inverse.field, _rows=tuple(
+                K.mul(self._substituted(r), K.pow(q, k - K.degree(r)))
+                for r in h.rows))
         return h(self._inverse)
 
     def _min_value(self, f: Poly) -> Value:
@@ -110,31 +103,26 @@ class GaussExtension(Valuation):
     def value_of(self, h) -> Value:
         """w(h) = w(num) - w(den), as the Gauss valuation is multiplicative.
 
-        Over Q(t) and F_q(t), for the identity pivot or h of positive
-        degree, the rows N and D of h (``RatFunc.rows``) are valued by
-        ``row_value``, with no RatFunc built and no gcd run.  Otherwise
-        (over Q, or a constant h with another pivot) h goes through
+        For the identity pivot or h of positive degree, the rows N and D of
+        h (``RatFunc.rows``) are valued by ``row_value``, with no RatFunc
+        built and no gcd run.  A constant h with another pivot goes through
         ``_rewrite``, which keeps the Gauss-constant defect.
         """
         h = self.field.coerce(h)
         if not h:
             return INFINITY
-        if self.field.level == 1 and (self._identity or h.degree() > 0):
+        if self._identity or h.degree() > 0:
             n, d = h.rows
             return Value(self.row_value(n) - self.row_value(d))
         h = self._rewrite(h)
         return self._min_value(h.num) - self._min_value(h.den)
 
-    def row_value(self, rows) -> int:
-        """w of a nonzero polynomial of Z[t][x] over Q(t) or F_q[t][x] over
-        F_q(t), given as rows (x outer, highest degree first).  For another
-        pivot, with x = P'/Q' and d the x-degree, this is
-        w_y(sum R_i P'^i Q'^(d-i)) - d*w_y(Q'), the sum taken by one Horner
-        pass on rows."""
-        order = self.v.row_order
-        if self._pivot_rows is None:
-            return min(order(r) for r in rows if r)
-        p, q, qval = self._pivot_rows
+    def _substituted(self, rows):
+        """sum R_i P'^i Q'^(d-i) for the rows R_i of a polynomial of degree
+        d in x (``RatFunc.rows``, highest degree first), with x = P'/Q' the
+        pivot's inverse: its substitution times Q'^d, by one Horner pass on
+        rows."""
+        p, q, _ = self._pivot_rows
         K = self.field.kernel
         acc, qpow = [rows[0]], K.one
         for r in rows[1:]:
@@ -142,7 +130,18 @@ class GaussExtension(Valuation):
             acc = K.mul(acc, p)
             if r:
                 acc = K.add(acc, K.mul([r], qpow))
-        return min(order(c) for c in acc if c) - (len(rows) - 1) * qval
+        return acc
+
+    def row_value(self, rows) -> int:
+        """w of a nonzero polynomial of Z[x] over Q, Z[t][x] over Q(t) or
+        F_q[t][x] over F_q(t), given as rows (``RatFunc.rows``): the least
+        ``v.row_order`` of an entry for the identity pivot, and for another
+        w_y(``_substituted(rows)``) - d*w_y(Q'), d the x-degree."""
+        order = self.v.row_order
+        if self._pivot_rows is None:
+            return min(order(r) for r in rows if r)
+        return (min(order(c) for c in self._substituted(rows) if c)
+                - (len(rows) - 1) * self._pivot_rows[2])
 
     def residue_of(self, h):
         """Residue in kappa(Ybar); requires value >= 0, zero when value > 0."""

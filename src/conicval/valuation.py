@@ -86,8 +86,13 @@ class PAdicValuation(Valuation):
         x = self.base.coerce(x)
         if not x:
             return INFINITY
-        return Value(_int_order(x.numerator, self.p)
-                     - _int_order(x.denominator, self.p))
+        return Value(self.row_order(x.numerator)
+                     - self.row_order(x.denominator))
+
+    def row_order(self, n: int) -> int:
+        """Order at p of a nonzero integer: an entry of a row of Z[x]
+        (``RatFunc.rows``), valued like the rows of Z[t] and F_q[t]."""
+        return _int_order(n, self.p)
 
     def residue_of(self, x):
         x = self.base.coerce(x)

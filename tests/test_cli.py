@@ -200,6 +200,30 @@ def _run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+class TestNonnegativeCounts:
+    """--search-bound and --samples take ints >= 0; a negative one is a
+    usage error at parse time, exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ("quat", "split", "--field", "Q", "--a", "2", "--b", "3",
+         "--search-bound", "-5"),
+        ("analyze", "--val", "Q:p=5", "--a=2", "--b=3", "--search-bound=-1"),
+        ("verify", "--suite", "hilbert", "--samples", "-1"),
+    ])
+    def test_negative_is_rejected(self, argv):
+        code, out, err = _run_main(argv)
+        assert (code, out) == (2, "")
+        assert "must be >= 0" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("quat", "split", "--field", "Q", "--a", "2", "--b", "3",
+         "--search-bound", "0"),
+        ("verify", "--suite", "hilbert", "--samples", "0"),
+    ])
+    def test_zero_is_accepted(self, argv):
+        assert _run_main(argv)[0] == 0
+
+
 class TestParserReuse:
     """main builds its parser once per process; a call leaves nothing behind
     that a later call could see."""

@@ -85,56 +85,57 @@ def _quadruple_value(w, e):
     return best
 
 
+def _check_rows_against_quadruple(val, a, b, seed, constants=True):
+    """w* on rows against ``_quadruple_value`` on 20 nonzero elements whose
+    four parts are drawn in E(z); with ``constants`` 40% of the draws are
+    constants of E (zero included), otherwise a part has degree 0 only
+    when it is zero."""
+    v = parse_valuation(val)
+    base = v.base
+    w = _wstar(base, parse_field_element(a, base),
+               parse_field_element(b, base), v)
+    cf = w.conic_field
+    x = cf.ef.gen()
+    rng = random.Random(seed)
+
+    def part():
+        if constants and rng.random() < 0.4:    # constant in z, possibly zero
+            return cf.ef.coerce(sample_field_element(rng, base))
+        h = sample_ratfunc(rng, cf.zfield, 2, 1)
+        while not constants and h and h.degree() < 1:
+            h = sample_ratfunc(rng, cf.zfield, 2, 1)
+        return _subs_square(h, cf.ef)
+
+    checked = 0
+    while checked < 20:
+        e = cf.element(part() + part() * x, part() + part() * x)
+        if e:
+            assert w.value_of(e) == _quadruple_value(w, e), e
+            checked += 1
+
+
 class TestRowValues:
-    """Over Q(t), w* runs on Z[t] rows; it agrees with the quadruple,
-    parts constant in z (the fallback when a != b) included."""
+    """w* runs on the rows of Z[x], Z[t][x] or F_q[t][x] at every base
+    field; it agrees with the quadruple, parts constant in z (valued as
+    constants of E when a != b) included."""
 
     @pytest.mark.parametrize("place", ["t", "t-2", "inf"])
     @pytest.mark.parametrize("a, b", [("-1", "-1"), ("t", "1")])
     def test_agrees_with_quadruple(self, place, a, b):
-        v = parse_valuation(f"Q(t):place={place}")
-        qt = v.base
-        w = _wstar(qt, parse_field_element(a, qt), parse_field_element(b, qt), v)
-        cf = w.conic_field
-        x = cf.ef.gen()
-        rng = random.Random(37)
-
-        def part():
-            if rng.random() < 0.4:      # constant in z, possibly zero
-                return cf.ef.coerce(sample_field_element(rng, qt))
-            return _subs_square(sample_ratfunc(rng, cf.zfield, 2, 1), cf.ef)
-
-        checked = 0
-        while checked < 20:
-            e = cf.element(part() + part() * x, part() + part() * x)
-            if e:
-                assert w.value_of(e) == _quadruple_value(w, e), e
-                checked += 1
-
+        _check_rows_against_quadruple(f"Q(t):place={place}", a, b, 37)
 
     @pytest.mark.parametrize("val", ["Fq(t):q=3,place=t", "Fq(t):q=5,place=t^2+2",
                                      "Fq(t):q=9,place=inf"])
     @pytest.mark.parametrize("a, b", [("-1", "-1"), ("t", "1")])
     def test_agrees_with_quadruple_over_fq(self, val, a, b):
-        """Over F_q(t), w* runs on F_q[t][x] rows."""
-        v = parse_valuation(val)
-        ft = v.base
-        w = _wstar(ft, parse_field_element(a, ft), parse_field_element(b, ft), v)
-        cf = w.conic_field
-        x = cf.ef.gen()
-        rng = random.Random(41)
+        _check_rows_against_quadruple(val, a, b, 41)
 
-        def part():
-            if rng.random() < 0.4:      # constant in z, possibly zero
-                return cf.ef.coerce(sample_field_element(rng, ft))
-            return _subs_square(sample_ratfunc(rng, cf.zfield, 2, 1), cf.ef)
-
-        checked = 0
-        while checked < 20:
-            e = cf.element(part() + part() * x, part() + part() * x)
-            if e:
-                assert w.value_of(e) == _quadruple_value(w, e), e
-                checked += 1
+    @pytest.mark.parametrize("a, b, constants", [("-1", "-1", True),
+                                                 ("2", "3", False)])
+    def test_agrees_with_quadruple_over_q5(self, a, b, constants):
+        """Over Q:p=5, with a=2, b=3 no part is constant in z: the
+        Gauss-constant defect crashes w* and the quadruple alike there."""
+        _check_rows_against_quadruple("Q:p=5", a, b, 43, constants)
 
 
 class TestGaussConstantDefectOverFq:

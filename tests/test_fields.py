@@ -124,6 +124,31 @@ class TestIsSquare:
         assert ok and root * root == (t ** 3 + 1) * (t + 1)
 
 
+class TestPthRootsOverFqT:
+    """In F_3(t)(x) a polynomial with zero derivative is g(x^3); it is a
+    cube when the coefficients of g are cubes of F_3(t), and inseparable
+    otherwise."""
+
+    @pytest.fixture
+    def tower(self, f3t):
+        ex = FunctionField(f3t, "x")
+        return ex.gen(), ex.coerce(f3t.gen())
+
+    def test_x6_is_the_square_of_x3(self, tower):
+        x, _ = tower
+        assert is_square(x ** 6) == (True, x ** 3)
+
+    def test_cube_of_a_quadratic(self, tower):
+        x, t = tower
+        _, parts = squarefree_decomposition((x ** 6 + t ** 9).num)
+        assert parts == [((x ** 2 + t ** 3).num, 3)]
+
+    def test_inseparable_polynomial_is_rejected(self, tower):
+        x, t = tower
+        with pytest.raises(UnsupportedField, match="inseparable"):
+            is_square(x ** 3 - t)
+
+
 class TestTonelliShanks:
     """FF.sqrt against the whole-field table it replaced, which kept the
     first root in index order (``setdefault``); the fields reach 2-adic
@@ -1076,6 +1101,10 @@ class TestFlattening:
 
 
 class TestConstructors:
+    def test_no_polynomials_over_a_tower(self, qt):
+        with pytest.raises(UnsupportedField):
+            PolyRing(FunctionField(qt, "x"), "y")
+
     def test_characteristic_two_rejected(self):
         with pytest.raises(UnsupportedField):
             FF(2)
