@@ -447,7 +447,8 @@ def _cmd_verify(args):
 
 
 def _nonnegative_int(text: str) -> int:
-    """The argparse type of a bound or a sample count: an int >= 0."""
+    """The argparse type of a bound, a sample count or a family size: an
+    int >= 0."""
     try:
         n = int(text)
     except ValueError:
@@ -485,7 +486,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="decide the distinguished extension "
                        "and report all constructive data")
     common(p)
-    p.add_argument("--family", type=int, default=3,
+    p.add_argument("--family", type=_nonnegative_int, default=3,
                    help="sample size for the rational-residue family")
     p.set_defaults(handler=_cmd_analyze)
 
@@ -524,7 +525,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="extensions with rational residue field")
     common(p)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_nonnegative_int, required=True)
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("polyrep", help="degree of E(x) over E(Y)")

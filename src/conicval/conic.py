@@ -384,12 +384,15 @@ class DistinguishedExtension:
         """min of w1(e_i) + beta_i over the quadruple (e0, e1, e2, e3).
 
         The quadruple is not built: for each of f and g in f + g*s, with
-        f = Rn/Rd its reduced rows of Z[x], Z[t][x] or F_q[t][x]
-        (``RatFunc.rows``), M = Rn*Rd(-x) and D = Rd*Rd(-x) give
-        w1(e_i) = w1(M_part) - w1(D_even), M_part the even or odd x-degree
-        rows of M.  A part constant in z while w1's pivot is not the
-        identity is built as that constant of E and valued by
-        ``w1.value_of``, whose ``_rewrite`` keeps the Gauss-constant defect.
+        f = Rn/Rd the pair of rows of Z[x], Z[t][x] or F_q[t][x] that f
+        stores (``RatFunc.fraction``, unreduced at level 1), M = Rn*Rd(-x)
+        and D = Rd*Rd(-x) give w1(e_i) = w1(M_part) - w1(D_even), M_part the
+        even or odd x-degree rows of M.  A common factor c of Rn and Rd
+        multiplies M_part and D by the even c*c(-x), which leaves the
+        difference and the constancy test unchanged, so no gcd is run.  A
+        part constant in z while w1's pivot is not the identity is built as
+        that constant of E and valued by ``w1.value_of``, whose
+        ``_rewrite`` keeps the Gauss-constant defect.
         """
         if isinstance(elem, (int, RatFunc, Poly)):
             elem = self.conic_field.element(elem)
@@ -399,7 +402,7 @@ class DistinguishedExtension:
         for k, h in enumerate((elem.f, elem.g)):
             if not h:
                 continue
-            rn, rd = h.rows
+            rn, rd = h.fraction
             top = len(rd) - 1
             neg = [K.neg([r])[0] if (top - i) % 2 else r
                    for i, r in enumerate(rd)]                # Rd(-x)
@@ -412,8 +415,7 @@ class DistinguishedExtension:
                     part = part[1:]
                 if not part:
                     continue
-                if (not w1._identity and len(part) == len(d)
-                        and K.mul(part, [d[0]]) == K.mul(d, [part[0]])):
+                if not w1._identity and K.proportional(part, d):
                     # e_i is the constant lc(M_part) / lc(D) of E
                     c = K.to_poly(w1.field.ring, [part[0]], [d[0]])
                     values.append(w1.value_of(c) + self.beta[i])

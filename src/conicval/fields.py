@@ -697,14 +697,27 @@ class _Rows:
     """Arithmetic on the rows of one ring R (Z[x], Z[t][x], F_q[t] or
     F_q[t][x]), x outer and highest degree first.  ``reduced(n, d)`` is the
     normal form of n / d: gcd 1, and d times the ``unit`` that normalises
-    it.  ``rows(coeffs)`` is (rows, den) with the polynomial of these
-    coefficients equal to rows / den, den a constant row, no prime of R
-    dividing den and every row; ``to_poly`` inverts it.  A level-1
-    kernel's ``base`` is the kernel of its coefficients' rows in k[t]."""
+    it; ``RatFunc`` runs it when a level-0 element is made and on the first
+    use of a level-1 element's ``rows``.  ``rows(coeffs)`` is (rows, den)
+    with the polynomial of these coefficients equal to rows / den, den a
+    constant row, no prime of R dividing den and every row; ``to_poly``
+    inverts it.  A level-1 kernel's ``base`` is the kernel of its
+    coefficients' rows in k[t]."""
 
     @staticmethod
     def degree(a) -> int:
         return len(a) - 1
+
+    @staticmethod
+    def lead(a):
+        """The row of degree 0 of the leading coefficient of a nonzero a."""
+        return [a[0]]
+
+    def proportional(self, n, d) -> bool:
+        """Whether n / d is constant, for nonzero n and d: n*lc(d) ==
+        d*lc(n), which no common factor of n and d changes."""
+        return (self.degree(n) == self.degree(d)
+                and self.mul(n, self.lead(d)) == self.mul(d, self.lead(n)))
 
     def rows(self, coeffs):
         """L the lcm of the denominators of the coefficients' reduced rows,
@@ -736,6 +749,8 @@ class _Rows:
         return out
 
     def reduced(self, n, d):
+        """The canonical pair of n / d (``RatFunc.rows``): at level 1 it
+        runs on the first use of ``rows``, not when the element is made."""
         if n == self.zero:
             return n, self.one
         if d != self.one:
@@ -1096,21 +1111,33 @@ class FunctionField:
 
 
 class RatFunc:
-    """Rational function in canonical form: the normal form of its reduced
-    rows, so that two constructions of the same function produce identical
-    representations.
+    """Rational function whose ``rows`` are canonical: the normal form of
+    its reduced rows, so that two constructions of the same function
+    produce identical representations.
 
     A rational function over k = Q or F_q (in k(t) or Q(x), level 0) or
     over k(t) (in k(t)(x), level 1, ``FunctionField.level``) is stored as
-    ``rows``: a pair (N, D) of rows of the field's kernel (Z[x], Z[t][x],
-    F_q[t] or F_q[t][x], see ``PolyRing.kernel``) with gcd 1 and D
-    normalised (``reduced``: a positive leading integer in characteristic
-    0, a monic leading coefficient in characteristic p).  Arithmetic runs
-    on the rows, one kernel product or sum and one gcd in ``__init__``, and
-    the Polys num and den (gcd 1, den monic) are built on first use.
+    ``fraction``: a pair (N, D) of rows of the field's kernel (Z[x],
+    Z[t][x], F_q[t] or F_q[t][x], see ``PolyRing.kernel``) with N/D the
+    function.  ``rows`` is the canonical pair, gcd 1 and D normalised
+    (``reduced``: a positive leading integer in characteristic 0, a monic
+    leading coefficient in characteristic p); the Polys num and den (gcd 1,
+    den monic) are built from it on first use.
+
+    Arithmetic runs on ``fraction``, one kernel product or sum per
+    operation.  At level 0 the gcd of ``reduced`` runs at once, so
+    ``fraction`` is ``rows``: these elements are the coefficients of
+    level-1 rows and of Polys, and Euclid and Horner chains over them
+    would compound unreduced sizes (left unreduced, the Euclid chains of
+    ``poly_gcd`` over Q(t) took minutes where they take a second).  At
+    level 1 ``+ - * /`` leave ``fraction`` unreduced and ``rows`` runs
+    ``reduced`` on first use and keeps the result.  Valuations are
+    multiplicative, so w(N) - w(D) is the same for every pair: they read
+    ``fraction``, as do ``bool`` and ``is_constant``; equality, hashing,
+    printing, num/den, degrees and powers read ``rows``.
     """
 
-    __slots__ = ("field", "rows", "_num", "_den")
+    __slots__ = ("field", "fraction", "_reduced", "_num", "_den")
 
     def __init__(self, field: FunctionField, num: Poly | None = None,
                  den: Poly | None = None, _reduced: bool = False, _rows=None):
@@ -1118,13 +1145,22 @@ class RatFunc:
             raise DivisionByZero("rational function with zero denominator")
         self.field = field
         K = field.kernel
-        # Polys are always converted and reduced; _reduced vouches only for
-        # rows that are already canonical
+        # _reduced vouches only for rows that are already canonical
         if _rows is None:
             (rn, dn), (rd, dd) = K.rows(num.coeffs), K.rows(den.coeffs)
             _rows, _reduced = (K.mul(rn, dd), K.mul(rd, dn)), False
-        self.rows = _rows if _reduced else K.reduced(*_rows)
+        if not (_reduced or field.level):
+            _rows, _reduced = K.reduced(*_rows), True
+        self.fraction, self._reduced = _rows, _reduced
         self._num = self._den = None
+
+    @property
+    def rows(self):
+        """The canonical pair: ``reduced`` of ``fraction``, on first use."""
+        if not self._reduced:
+            self.fraction = self.field.kernel.reduced(*self.fraction)
+            self._reduced = True
+        return self.fraction
 
     def _polys(self):
         n, d = self.rows
@@ -1165,7 +1201,7 @@ class RatFunc:
         if o is None:
             p = _promote(self, other)
             return NotImplemented if p is None else p + other
-        (n1, d1), (n2, d2), K = self.rows, o.rows, self.field.kernel
+        (n1, d1), (n2, d2), K = self.fraction, o.fraction, self.field.kernel
         if d1 == d2:
             return RatFunc(self.field, _rows=(K.add(n1, n2), d1))
         return RatFunc(self.field, _rows=(K.add(K.mul(n1, d2), K.mul(n2, d1)),
@@ -1184,16 +1220,16 @@ class RatFunc:
         return (-self) + other
 
     def __neg__(self):
-        n, d = self.rows
+        n, d = self.fraction
         return RatFunc(self.field, _rows=(self.field.kernel.neg(n), d),
-                       _reduced=True)
+                       _reduced=self._reduced)
 
     def __mul__(self, other):
         o = self._other(other)
         if o is None:
             p = _promote(self, other)
             return NotImplemented if p is None else p * other
-        (n1, d1), (n2, d2), K = self.rows, o.rows, self.field.kernel
+        (n1, d1), (n2, d2), K = self.fraction, o.fraction, self.field.kernel
         return RatFunc(self.field, _rows=(K.mul(n1, n2), K.mul(d1, d2)))
 
     __rmul__ = __mul__
@@ -1205,7 +1241,7 @@ class RatFunc:
             return NotImplemented if p is None else p / other
         if not o:
             raise DivisionByZero("division by the zero rational function")
-        (n1, d1), (n2, d2), K = self.rows, o.rows, self.field.kernel
+        (n1, d1), (n2, d2), K = self.fraction, o.fraction, self.field.kernel
         return RatFunc(self.field, _rows=(K.mul(n1, d2), K.mul(d1, n2)))
 
     def __rtruediv__(self, other):
@@ -1228,7 +1264,7 @@ class RatFunc:
                        _reduced=True)
 
     def __bool__(self):
-        return self.rows[0] != self.field.kernel.zero
+        return self.fraction[0] != self.field.kernel.zero
 
     def __eq__(self, other):
         if isinstance(other, RatFunc):
@@ -1253,6 +1289,11 @@ class RatFunc:
     def degree(self) -> int:
         """max(deg num, deg den); the degree of the map P^1 -> P^1."""
         return max(map(self.field.kernel.degree, self.rows))
+
+    def is_constant(self) -> bool:
+        """``degree() == 0``, read on ``fraction`` with no gcd."""
+        n, d = self.fraction
+        return not n or self.field.kernel.proportional(n, d)
 
     def __repr__(self):
         return str(self)

@@ -101,18 +101,20 @@ class GaussExtension(Valuation):
         return best
 
     def value_of(self, h) -> Value:
-        """w(h) = w(num) - w(den), as the Gauss valuation is multiplicative.
+        """w(h) = w(N) - w(D), as the Gauss valuation is multiplicative.
 
-        For the identity pivot or h of positive degree, the rows N and D of
-        h (``RatFunc.rows``) are valued by ``row_value``, with no RatFunc
-        built and no gcd run.  A constant h with another pivot goes through
-        ``_rewrite``, which keeps the Gauss-constant defect.
+        For the identity pivot or a nonconstant h, the pair N/D that h
+        stores (``RatFunc.fraction``, unreduced at level 1) is valued by
+        ``row_value``, with no RatFunc built and no gcd run: any pair of h
+        gives the same difference.  A constant h (``RatFunc.is_constant``)
+        with another pivot goes through ``_rewrite``, which keeps the
+        Gauss-constant defect.
         """
         h = self.field.coerce(h)
         if not h:
             return INFINITY
-        if self._identity or h.degree() > 0:
-            n, d = h.rows
+        if self._identity or not h.is_constant():
+            n, d = h.fraction
             return Value(self.row_value(n) - self.row_value(d))
         h = self._rewrite(h)
         return self._min_value(h.num) - self._min_value(h.den)

@@ -201,14 +201,19 @@ def _run_main(argv):
 
 
 class TestNonnegativeCounts:
-    """--search-bound and --samples take ints >= 0; a negative one is a
-    usage error at parse time, exit 2."""
+    """--search-bound, --samples, --family and --count take ints >= 0; a
+    negative one is a usage error at parse time, exit 2, whatever the
+    verdict (analyze builds no family when it is PRESENT)."""
 
     @pytest.mark.parametrize("argv", [
         ("quat", "split", "--field", "Q", "--a", "2", "--b", "3",
          "--search-bound", "-5"),
         ("analyze", "--val", "Q:p=5", "--a=2", "--b=3", "--search-bound=-1"),
         ("verify", "--suite", "hilbert", "--samples", "-1"),
+        ("analyze", "--val", "Q(t):place=t", "--a=-1", "--b=-1",
+         "--family", "-3"),
+        ("analyze", "--val", "Q:p=5", "--a=2", "--b=3", "--family", "-3"),
+        ("family", "--val", "Q:p=5", "--a=2", "--b=3", "--count", "-3"),
     ])
     def test_negative_is_rejected(self, argv):
         code, out, err = _run_main(argv)
@@ -219,6 +224,10 @@ class TestNonnegativeCounts:
         ("quat", "split", "--field", "Q", "--a", "2", "--b", "3",
          "--search-bound", "0"),
         ("verify", "--suite", "hilbert", "--samples", "0"),
+        ("analyze", "--val", "Q(t):place=t", "--a=-1", "--b=-1",
+         "--family", "0"),
+        ("analyze", "--val", "Q:p=5", "--a=2", "--b=3", "--family", "0"),
+        ("family", "--val", "Q:p=5", "--a=2", "--b=3", "--count", "0"),
     ])
     def test_zero_is_accepted(self, argv):
         assert _run_main(argv)[0] == 0

@@ -138,6 +138,59 @@ class TestRowValues:
         _check_rows_against_quadruple("Q:p=5", a, b, 43, constants)
 
 
+class TestUnreducedParts:
+    """w* reads the pairs that f and g store (``RatFunc.fraction``),
+    unreduced at level 1: an element whose parts hide a common factor,
+    constants (x+1)*c/(x+1) with c = pi^k*u and parts constant in z
+    included, gets the value of its canonical copy, or raises as it does
+    (the Gauss-constant defect over Q:p=5 with a=2, b=3)."""
+
+    @pytest.mark.parametrize("val, a, b", [("Q(t):place=t", "-1", "-1"),
+                                           ("Q(t):place=t", "t", "1"),
+                                           ("Q:p=5", "2", "3")])
+    def test_unreduced_and_canonical_agree(self, val, a, b):
+        v = parse_valuation(val)
+        base = v.base
+        w = _wstar(base, parse_field_element(a, base),
+                   parse_field_element(b, base), v)
+        cf, ex = w.conic_field, w.conic_field.ef
+        x = ex.gen()
+        rng = random.Random(61)
+
+        def hidden(h):
+            g = sample_field_element(rng, ex, nonzero=True) * (x + 1)
+            return h * g / g
+
+        def part():
+            r = rng.random()
+            if r < 0.3:     # (x+1)*c/(x+1), c = pi^k*u, a constant of E
+                c = (v.uniformizer ** rng.randint(-2, 2)
+                     * sample_field_element(rng, base, nonzero=True))
+                return (x + 1) * c / (x + 1)
+            if r < 0.5:     # constant in z
+                h = sample_ratfunc(rng, cf.zfield, 2, 1)
+                return hidden(_subs_square(h, ex))
+            return hidden(sample_ratfunc(rng, ex, 3, 2))
+
+        def outcome(e):
+            try:
+                return w.value_of(e)
+            except AttributeError:
+                return AttributeError
+
+        unreduced = 0
+        for _ in range(20):
+            f, g = part(), part()
+            canonical = [RatFunc(ex, _rows=ex.kernel.reduced(*h.fraction),
+                                 _reduced=True) for h in (f, g)]
+            unreduced += sum(h.fraction != c.rows
+                             for h, c in zip((f, g), canonical))
+            e = ConicFieldElement(cf, f, g)
+            if e:
+                assert outcome(e) == outcome(cf.element(*canonical)), e
+        assert unreduced >= 20 or ex.level == 0
+
+
 class TestGaussConstantDefectOverFq:
     """The F_q(t) form of the Gauss-constant defect: t has value 1 at the
     place t, but a pivot other than x values it through ``_rewrite``."""

@@ -607,6 +607,100 @@ class TestTowerRows:
             assert dmp_gcd(n, d, 1, ZZ) == [[1]] and d[0][0] > 0
 
 
+def _copy(h):
+    """A new element storing the same pair as h, unreduced at level 1."""
+    return RatFunc(h.field, _rows=h.fraction)
+
+
+def _eager(h):
+    """h reduced at once, as every level-0 element is."""
+    h.rows
+    return h
+
+
+# Seeded level-1 expressions, each a function of four operands and of the
+# step that follows every operation: a sum, a difference, a product, a
+# quotient and a negation, the two parts of ConicFieldElement.__mul__ and
+# of its inverse (depth 3, m standing for a*x^2 + b), and three zeros.
+_EXPRESSIONS = [
+    lambda a, b, c, d, m, s: s(a + b),
+    lambda a, b, c, d, m, s: s(a - b),
+    lambda a, b, c, d, m, s: s(a * b),
+    lambda a, b, c, d, m, s: s(a / b),
+    lambda a, b, c, d, m, s: s(-a),
+    lambda a, b, c, d, m, s: s(s(a * c) + s(s(b * d) * m)),
+    lambda a, b, c, d, m, s: s(s(a * d) + s(b * c)),
+    lambda a, b, c, d, m, s: s(a / s(s(a * a) - s(s(b * b) * m))),
+    lambda a, b, c, d, m, s: s(s(-b) / s(s(a * a) - s(s(b * b) * m))),
+    lambda a, b, c, d, m, s: s(a - a),
+    lambda a, b, c, d, m, s: s(s(a * b) - s(b * a)),
+    lambda a, b, c, d, m, s: s(s(s(a + b) - b) - a),
+]
+
+
+class TestLazyTowerRows:
+    """At level 1 (Q(t)(x), F_q(t)(x)) + - * / keep the pair they form
+    (``RatFunc.fraction``) unreduced, and ``rows`` reduces it on first
+    use.  Every result must give the rows, str, hash, == and bool of the
+    eager form, reduced after each operation, and its rows must be
+    ``reduced`` of the unreduced pair."""
+
+    @pytest.mark.parametrize("coefficients", ["Q(t)", "F3(t)", "F9(t)"])
+    def test_lazy_results_match_the_eager_form(self, coefficients):
+        from conicval.oracle import sample_ratfunc
+        k = FunctionField({"Q(t)": QQ, "F3(t)": GF(3),
+                           "F9(t)": GF(9)}[coefficients], "t")
+        ex = FunctionField(k, "x")
+        K, t = ex.kernel, ex.coerce(k.gen())
+        assert ex.level == 1
+        m = ex.from_poly(ex.ring.poly([k.gen(), 0, 1]))    # x^2 + t
+        rng = random.Random(53)
+        draws = zeros = unreduced = 0
+        while draws < 6:
+            ops = [sample_ratfunc(rng, ex, 2, 1) * t ** rng.randint(-1, 1)
+                   for _ in range(4)]
+            if not ops[1]:
+                continue
+            draws += 1
+            for expression in _EXPRESSIONS:
+                lazy = expression(*map(_copy, ops), m, lambda h: h)
+                eager = expression(*(_eager(_copy(h)) for h in ops), m, _eager)
+                pair = lazy.fraction
+                assert bool(lazy) == bool(eager)
+                assert lazy.rows == eager.rows == K.reduced(*pair)
+                assert str(lazy) == str(eager)
+                assert hash(lazy) == hash(eager) and lazy == eager
+                zeros += not eager
+                unreduced += pair != eager.rows
+        assert zeros >= 3 * draws and unreduced >= 2 * draws
+
+
+@pytest.mark.parametrize("coefficients", ["Q", "F9", "Q(t)", "F3(t)", "F9(t)"])
+def test_is_constant_sees_through_common_factors(coefficients):
+    """is_constant() is degree() == 0 with no gcd: on (x+1)*c/(x+1) and on
+    a*g/g, stored unreduced at level 1, it answers for the canonical form."""
+    from conicval.oracle import sample_field_element, sample_ratfunc
+    k = {"Q": QQ, "F9": GF(9), "Q(t)": FunctionField(QQ, "t"),
+         "F3(t)": FunctionField(GF(3), "t"),
+         "F9(t)": FunctionField(GF(9), "t")}[coefficients]
+    ex = FunctionField(k, "x")
+    pi = ex.coerce(k.gen() if k != QQ else 5)
+    rng = random.Random(54)
+    xp1, constants = ex.gen() + 1, 0
+    for i in range(40):
+        if i % 2:
+            c = pi ** rng.randint(-2, 2) * sample_field_element(rng, k)
+            h = xp1 * c / xp1
+        else:
+            g = sample_ratfunc(rng, ex, 2, 1)
+            h = sample_ratfunc(rng, ex, 1, 1) * g / g if g else g
+        canonical = RatFunc(ex, _rows=ex.kernel.reduced(*h.fraction),
+                            _reduced=True)
+        assert h.is_constant() == (canonical.degree() == 0), h
+        constants += canonical.degree() == 0
+    assert constants >= 20
+
+
 def _fraction_canonical(num, den):
     """Canonical (num, den) over Q by Fraction cofactors: clear both to
     integer rows, take the cofactors of their gcd over Z, and put each

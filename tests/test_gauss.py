@@ -6,10 +6,11 @@ import pytest
 from conicval.cli import field_variables, parse_valuation
 from conicval.errors import (ConstantInput, InvalidPivot, NonzeroValue,
                              SquareInput, ZeroInput)
-from conicval.fields import FF, FunctionField, QQ, is_square
+from conicval.fields import FF, FunctionField, QQ, RatFunc, is_square
 from conicval.gauss import (GaussExtension, gauss_extension, gauss_residue,
                             quadratic_extension_analysis, subfield_degree)
-from conicval.oracle import hensel_count, sample_ratfunc
+from conicval.oracle import (hensel_count, sample_field_element,
+                             sample_ratfunc)
 from conicval.parser import parse_element
 from conicval.valuation import PAdicValuation, PlaceValuation
 from conicval.value import INFINITY, Value
@@ -212,6 +213,48 @@ class TestRowValues:
             if h and (w._identity or h.degree() > 0):
                 assert w.value_of(h) == _rewrite_value(w, h), h
                 checked += 1
+
+
+def _outcome(value_of, h):
+    """value_of(h), or the AttributeError that the Gauss-constant defect
+    raises on a constant over Q with a pivot other than x."""
+    try:
+        return value_of(h)
+    except AttributeError:
+        return AttributeError
+
+
+class TestUnreducedPairs:
+    """value_of reads the pair that h stores (``RatFunc.fraction``),
+    unreduced at level 1, and picks the constant path by
+    ``is_constant``: an element with a hidden common factor, constants
+    (x+1)*c/(x+1) with c = pi^k*u included, gets the value of its
+    canonical copy, the defect's value for constants included."""
+
+    @pytest.mark.parametrize("val, pivot", ROW_FIXTURES)
+    def test_unreduced_and_canonical_agree(self, val, pivot):
+        v = parse_valuation(val)
+        ex = FunctionField(v.base, "x")
+        variables = dict(field_variables(v.base), x=ex.gen())
+        w = GaussExtension(v, ex.coerce(parse_element(pivot, ex, variables)))
+        rng = random.Random(59)
+        xp1, hidden = ex.gen() + 1, 0
+        for i in range(24):
+            if i % 3 == 0:
+                c = (v.uniformizer ** rng.randint(-2, 2)
+                     * sample_field_element(rng, v.base, nonzero=True))
+                h = xp1 * c / xp1
+            else:
+                g = (sample_field_element(rng, ex, nonzero=True)
+                     * w.uniformizer)
+                h = sample_ratfunc(rng, ex, 2, 2) * g / g
+            canonical = RatFunc(ex, _rows=ex.kernel.reduced(*h.fraction),
+                                _reduced=True)
+            hidden += h.fraction != canonical.rows
+            assert h.is_constant() == (canonical.degree() == 0), h
+            assert (_outcome(w.value_of, h)
+                    == _outcome(w.value_of, canonical)), h
+        assert hidden >= 16 or ex.level == 0
 
 
 class TestUnitPartOffIdentity:
