@@ -656,7 +656,7 @@ class TestLazyTowerRows:
         m = ex.from_poly(ex.ring.poly([k.gen(), 0, 1]))    # x^2 + t
         rng = random.Random(53)
         draws = zeros = unreduced = 0
-        while draws < 6:
+        while draws < 4:
             ops = [sample_ratfunc(rng, ex, 2, 1) * t ** rng.randint(-1, 1)
                    for _ in range(4)]
             if not ops[1]:
