@@ -37,7 +37,7 @@ from fractions import Fraction
 
 import sympy
 from sympy.polys.domains import ZZ
-from sympy.polys.densearith import dmp_add, dmp_exquo, dmp_mul, dmp_neg
+from sympy.polys.densearith import dmp_exquo
 from sympy.polys.densebasic import dmp_ground_LC, dmp_to_tuple
 from sympy.polys.euclidtools import dmp_inner_gcd
 from sympy.polys.galoistools import (gf_add, gf_irred_p_rabin, gf_mul,
@@ -671,11 +671,12 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, 0) is an error.
 
     It is taken on the ring's rows (``PolyRing.kernel``): over Q and Q(t)
-    on Z or Z[t] by sympy's ``dmp_inner_gcd`` (both inputs scaled by
-    nonzero constants, so by Gauss's lemma their gcd there is the gcd over
-    the field up to a unit), over F_q by Euclid on F_q[t] rows
-    (``_FqRows``), and over F_q(t) by a primitive pseudo-remainder sequence
-    over F_q[t] (``_FqxRows``).
+    on Z[x] or Z[t][x] (both inputs scaled by nonzero constants, so by
+    Gauss's lemma their gcd there is the gcd over the field up to a unit),
+    by sympy's ``dmp_inner_gcd`` except over Q with a constant input, where
+    it is the gcd of the entries (``_IntRows``); over F_q by Euclid on
+    F_q[t] rows (``_FqRows``), and over F_q(t) by a primitive
+    pseudo-remainder sequence over F_q[t] (``_FqxRows``).
     """
     if not f and not g:
         raise ZeroPolynomial("gcd(0, 0) is undefined")
@@ -693,6 +694,23 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+def _convolve(a, b):
+    """The product of two rows of ints, highest degree first, unreduced:
+    schoolbook (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+    ch. 8), a scaling when either row has length 1."""
+    if not a or not b:
+        return []
+    if len(a) == 1 or len(b) == 1:
+        c, row = (a[0], b) if len(a) == 1 else (b[0], a)
+        return [c * x for x in row]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
 class _Rows:
     """Arithmetic on the rows of one ring R (Z[x], Z[t][x], F_q[t] or
     F_q[t][x]), x outer and highest degree first.  ``reduced(n, d)`` is the
@@ -702,7 +720,42 @@ class _Rows:
     with the polynomial of these coefficients equal to rows / den, den a
     constant row, no prime of R dividing den and every row; ``to_poly``
     inverts it.  A level-1 kernel's ``base`` is the kernel of its
-    coefficients' rows in k[t]."""
+    coefficients' rows in k[t].
+
+    ``add``, ``neg`` and ``mul`` are plain list code shared by the kernels:
+    on ints at level 0 (``_IntRows``; ``_FqRows`` reduces ``_convolve`` mod
+    p and keeps galoistools' sums), and over ``base`` at level 1, where the
+    zero row is ``zero`` ([[]] in Z[t][x], [] in F_q[t][x]).  Rows here
+    have 1-3 entries, where sympy's generic dense loops cost more than the
+    arithmetic."""
+
+    def add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        d = len(a) - len(b)
+        out = a[:d] + ([self.base.add(x, y) for x, y in zip(a[d:], b)]
+                       if self.u else [x + y for x, y in zip(a[d:], b)])
+        while out and not out[0]:
+            del out[0]
+        return out or self.zero
+
+    def neg(self, a):
+        return [self.base.neg(c) for c in a] if self.u else [-c for c in a]
+
+    def mul(self, a, b):
+        """Schoolbook: ``_convolve`` at level 0, over ``base`` at level 1."""
+        if not self.u:
+            return _convolve(a, b)
+        if a == self.zero or b == self.zero:
+            return self.zero
+        base = self.base
+        out = [base.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    xy = base.mul(x, y)
+                    out[j] = base.add(out[j], xy) if out[j] else xy
+        return out
 
     @staticmethod
     def degree(a) -> int:
@@ -770,29 +823,30 @@ class _IntRows(_Rows):
     """Z[x] (u = 0) or Z[t][x] (u = 1) in sympy's dense form: the rows of
     Q(x) and Q(t), and of Q(t)(x).  Z[x] and Z[t][x] are UFDs, so a reduced
     fraction there is unique up to sign, and D gets a positive leading
-    integer."""
+    integer.  Sums and products are ``_Rows``' on plain ints, and so are,
+    in Z[x] with a constant row, exact division (``//`` of each entry) and
+    gcd and cofactors (the gcd of all entries, what ``dup_zz_heu_gcd``
+    returns after ``dup_extract``).  Other divisions and gcds call sympy's
+    ``dmp_exquo`` and ``dmp_inner_gcd``; every result equals sympy's."""
 
     def __init__(self, u: int, base=None):
         self.u, self.base = u, base
         self.zero, self.one = ([], [[]])[u], ([1], [[1]])[u]
 
-    def add(self, a, b):
-        return dmp_add(a, b, self.u, ZZ)
-
-    def neg(self, a):
-        return dmp_neg(a, self.u, ZZ)
-
-    def mul(self, a, b):
-        return dmp_mul(a, b, self.u, ZZ)
-
     def exquo(self, a, b):
-        return dmp_exquo(a, b, self.u, ZZ)
+        if self.u or len(b) > 1:
+            return dmp_exquo(a, b, self.u, ZZ)
+        return [x // b[0] for x in a]
 
     def gcd_rows(self, a, b):
-        return dmp_inner_gcd(a, b, self.u, ZZ)[0]
+        if self.u or 1 not in (len(a), len(b)):
+            return dmp_inner_gcd(a, b, self.u, ZZ)[0]
+        return [math.gcd(*a, *b)]
 
     def cofactors(self, a, b):
-        return dmp_inner_gcd(a, b, self.u, ZZ)[1:]
+        if self.u or 1 not in (len(a), len(b)):
+            return dmp_inner_gcd(a, b, self.u, ZZ)[1:]
+        return super().cofactors(a, b)
 
     def unit(self, a):
         return self.neg(self.one) if dmp_ground_LC(a, self.u, ZZ) < 0 else None
@@ -860,13 +914,9 @@ class _FqRows(_Rows):
         return gf_neg(a, self.p, ZZ)
 
     def mul(self, a, b):
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
+        """``_convolve`` over Z, then each entry mod p, or each block mod m
+        and p (``_reduce``)."""
+        out = _convolve(a, b)
         return [c % self.p for c in out] if self.k == 1 else self._reduce(out)
 
     def _reduce(self, row):
@@ -967,29 +1017,6 @@ class _FqxRows(_Rows):
 
     def __init__(self, base: _FqRows):
         self.base = base
-
-    def add(self, a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        d = len(a) - len(b)
-        out = a[:d] + [self.base.add(x, y) for x, y in zip(a[d:], b)]
-        while out and not out[0]:
-            del out[0]
-        return out
-
-    def neg(self, a):
-        return [self.base.neg(c) for c in a]
-
-    def mul(self, a, b):
-        """Schoolbook over F_q[t]."""
-        if not a or not b:
-            return []
-        base = self.base
-        out = [[] for _ in range(len(a) + len(b) - 1)]
-        for i, x in enumerate(a):
-            for j, y in enumerate(b, i):
-                out[j] = base.add(out[j], base.mul(x, y))
-        return out
 
     def unit(self, a):
         unit = self.base.unit(a[0])
@@ -1292,8 +1319,8 @@ class RatFunc:
 
     def is_constant(self) -> bool:
         """``degree() == 0``, read on ``fraction`` with no gcd."""
-        n, d = self.fraction
-        return not n or self.field.kernel.proportional(n, d)
+        (n, d), K = self.fraction, self.field.kernel
+        return n == K.zero or K.proportional(n, d)
 
     def __repr__(self):
         return str(self)

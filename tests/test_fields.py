@@ -701,6 +701,19 @@ def test_is_constant_sees_through_common_factors(coefficients):
     assert constants >= 20
 
 
+@pytest.mark.parametrize("coefficients", ["Q(t)", "F3(t)"])
+def test_is_constant_on_a_level_one_zero(coefficients):
+    """x/(x+1) - x/(x+1) is the zero of Q(t)(x) or F_3(t)(x), stored as the
+    kernel's zero row ([[]] in Z[t][x]): constant, of degree 0."""
+    k = GF(3) if coefficients == "F3(t)" else QQ
+    ex = FunctionField(FunctionField(k, "t"), "x")
+    x = ex.gen()
+    h = x / (x + 1) - x / (x + 1)
+    assert not h and h.fraction[0] == ex.kernel.zero
+    assert h.is_constant() and h.degree() == 0
+    assert RatFunc(ex, _rows=h.fraction).is_constant()
+
+
 def _fraction_canonical(num, den):
     """Canonical (num, den) over Q by Fraction cofactors: clear both to
     integer rows, take the cofactors of their gcd over Z, and put each
