@@ -15,7 +15,7 @@ from .conic import (AnalysisReport, ConicFieldElement, ConicFunctionField,
                     distinguished_value_group, rational_residue_family)
 from .fields import (FF, FFElement, FlatQuotient, FunctionField, GF, Poly,
                      PolyRing, QQ, RatFunc, RationalField, factor,
-                     field_arith, is_irreducible, is_square, poly_gcd,
+                     is_irreducible, is_square, poly_gcd,
                      square_class_reduce, squarefree_decomposition,
                      sqrt_exact)
 from .gauss import (GaussExtension, INERT, QuadraticExtensionAnalysis,

@@ -467,7 +467,7 @@ def build_argument_parser() -> argparse.ArgumentParser:
                     "splitting, and the distinguished extension decision.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, field=True, val=True, ab=True):
+    def common(p, field=True, val=True, ab=True, bound=True):
         if field:
             p.add_argument("--field", help='base field descriptor, e.g. "Q", '
                            '"Q(t)", "GF(9)", "Fq(t):q=3"')
@@ -480,8 +480,10 @@ def build_argument_parser() -> argparse.ArgumentParser:
             p.add_argument("--a", required=True, help="first coefficient")
             p.add_argument("--b", required=True, help="second coefficient")
         p.add_argument("--json", action="store_true", help="machine output")
-        p.add_argument("--search-bound", type=_nonnegative_int, default=200,
-                       help="height bound for rational point searches")
+        if bound:
+            p.add_argument("--search-bound", type=_nonnegative_int,
+                           default=200, help="height bound for rational "
+                           "point searches")
 
     p = sub.add_parser("analyze", help="decide the distinguished extension "
                        "and report all constructive data")
@@ -492,13 +494,13 @@ def build_argument_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="value (and residue) of f + g*s under "
                        "the distinguished extension")
-    common(p)
+    common(p, bound=False)
     p.add_argument("--f", required=True, help="rational function in x")
     p.add_argument("--g", required=True, help="rational function in x")
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("gauss", help="Gauss extension value and residue")
-    common(p, field=False, ab=False)
+    common(p, field=False, ab=False, bound=False)
     p.add_argument("--pivot", required=True, help="pivot, e.g. 5*x or t*(x-1)")
     p.add_argument("--eval", required=True, help="element of E(x)")
     p.set_defaults(handler=_cmd_gauss)

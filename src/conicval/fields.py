@@ -19,8 +19,9 @@ A rational function in Q(t), Q(x) or F_q(t) (level 0) or in Q(t)(x) or
 F_q(t)(x) (level 1) is stored as its reduced rows (N, D) of Z[x], Z[t][x],
 F_q[t] or F_q[t][x], on which its arithmetic runs; a row kernel per ring
 (``PolyRing.kernel``) hides the row format.  Polynomials exist over Q, F_q,
-Q(t) and F_q(t) only, and their products and gcds, and divisions over F_q,
-run on the same rows.
+Q(t) and F_q(t) only, and their products, gcds, squarefree decompositions
+(``_squarefree_rows``) and divisions over F_q run on the same rows; square
+classes over k(t) and k(t)(x) read one split x = k*s^2*c (``_square_split``).
 
 Over every finite field F_q, polynomials factor by one distinct-degree
 routine (``_ddf``, iterated Frobenius x^(q^d) mod g) and a seeded
@@ -65,9 +66,6 @@ class RationalField:
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
-
-    def contains(self, x) -> bool:
-        return isinstance(x, (Fraction, int))
 
     def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):
@@ -161,9 +159,6 @@ class FF:
         for x in self.elements():
             if x:
                 yield x
-
-    def contains(self, x) -> bool:
-        return isinstance(x, FFElement) and x.field == self
 
     def coerce(self, x) -> "FFElement":
         if isinstance(x, FFElement):
@@ -425,9 +420,6 @@ class PolyRing:
 
     def from_int(self, n: int) -> "Poly":
         return self.poly([n])
-
-    def contains(self, x) -> bool:
-        return isinstance(x, Poly) and x.ring == self
 
     def coerce(self, x) -> "Poly":
         if isinstance(x, Poly):
@@ -727,7 +719,9 @@ class _Rows:
     p and keeps galoistools' sums), and over ``base`` at level 1, where the
     zero row is ``zero`` ([[]] in Z[t][x], [] in F_q[t][x]).  Rows here
     have 1-3 entries, where sympy's generic dense loops cost more than the
-    arithmetic."""
+    arithmetic.  The squarefree decomposition runs on ``derivative``
+    (through each kernel's ``times(c, k)``), ``gcd_rows``, ``exquo`` and,
+    in characteristic p only, ``pth_root``."""
 
     def add(self, a, b):
         if len(a) < len(b):
@@ -756,6 +750,14 @@ class _Rows:
                     xy = base.mul(x, y)
                     out[j] = base.add(out[j], xy) if out[j] else xy
         return out
+
+    def derivative(self, a):
+        """d/dx: entry i, of degree n - i, times n - i (``times``)."""
+        n = len(a) - 1
+        out = [self.times(c, n - i) for i, c in enumerate(a[:-1])]
+        while out and not out[0]:
+            del out[0]
+        return out or self.zero
 
     @staticmethod
     def degree(a) -> int:
@@ -832,6 +834,9 @@ class _IntRows(_Rows):
     def __init__(self, u: int, base=None):
         self.u, self.base = u, base
         self.zero, self.one = ([], [[]])[u], ([1], [[1]])[u]
+
+    def times(self, c, k: int):
+        return [x * k for x in c] if self.u else c * k
 
     def exquo(self, a, b):
         if self.u or len(b) > 1:
@@ -932,6 +937,23 @@ class _FqRows(_Rows):
                 r[s] = 0
         return gf_strip([c % p for c in reversed(r)])
 
+    def derivative(self, a):
+        """d/dt on the packed row: slot i from the constant end, in the
+        block of t^(i // w), times i // w; the lowest block drops out."""
+        p, n = self.p, len(a) - 1
+        return gf_strip([a[i] * ((n - i) // self.w) % p
+                         for i in range(len(a) - self.w)])
+
+    def pth_root(self, a):
+        """The p-th root of a row of F_q[t^p]: the blocks at t^(jp), each
+        coefficient raised to q/p (the identity over F_p)."""
+        k, w, e = self.k, self.w, self.field.order // self.p
+        r, out = a[::-1], []
+        for s in range(0, len(r), self.p * w):
+            c = self.pow(gf_strip(r[s:s + k][::-1]), e)[::-1]
+            out += c + [0] * (w - len(c))
+        return gf_strip(out[::-1])
+
     def degree(self, a) -> int:
         return (len(a) - 1) // self.w
 
@@ -1002,6 +1024,8 @@ class _FqRows(_Rows):
         return gf_strip(row), self.one
 
     def to_poly(self, ring: PolyRing, rows, den) -> Poly:
+        if den != self.one:
+            rows = self.mul(rows, self.inverse(den))
         k, r = self.k, rows[::-1] + [0] * (self.k - 1)
         return Poly(ring, tuple(FFElement(self.field, tuple(r[i:i + k]))
                                 for i in range(0, len(rows), self.w)))
@@ -1016,7 +1040,21 @@ class _FqxRows(_Rows):
     zero, one = [], [[1]]
 
     def __init__(self, base: _FqRows):
-        self.base = base
+        self.base, self.p = base, base.p
+
+    def times(self, c, k: int):
+        return gf_mul_ground(c, k % self.p, self.p, ZZ)
+
+    def pth_root(self, a):
+        """The p-th root of a row of F_q(t)[x^p] up to a unit of F_q(t): its
+        primitive part is a p-th power exactly when every entry lies in
+        F_q[t^p], and then it is ``base.pth_root`` of every p-th entry."""
+        base = self.base
+        a = self._ground_quo(a, self.content(a))
+        if any(base.derivative(c) for c in a):
+            raise UnsupportedField("inseparable polynomial: it has no "
+                                   "squarefree decomposition")
+        return [base.pth_root(c) for c in a[::self.p]]
 
     def unit(self, a):
         unit = self.base.unit(a[0])
@@ -1115,9 +1153,6 @@ class FunctionField:
 
     def from_int(self, n: int) -> "RatFunc":
         return self.from_poly(self.ring.from_int(n))
-
-    def contains(self, x) -> bool:
-        return isinstance(x, RatFunc) and x.field == self
 
     def coerce(self, x) -> "RatFunc":
         if isinstance(x, RatFunc) and x.field == self:
@@ -1332,7 +1367,7 @@ class RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# context inference, and the four operations exported for library callers
+# context inference
 # ---------------------------------------------------------------------------
 
 
@@ -1348,26 +1383,6 @@ def infer_context(x):
     raise ContextMismatch(f"no field context for {x!r}")
 
 
-def field_arith(a, b, op: str):
-    """Apply one of add/sub/mul/div with explicit context checking."""
-    ca, cb = infer_context(a), infer_context(b)
-    if ca != cb and not isinstance(a, int) and not isinstance(b, int):
-        raise ContextMismatch(f"operands live in {ca!r} and {cb!r}")
-    ctx = ca if not isinstance(a, int) else cb
-    a, b = ctx.coerce(a), ctx.coerce(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if not b:
-            raise DivisionByZero("division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # squares and square classes
 # ---------------------------------------------------------------------------
@@ -1377,9 +1392,10 @@ def is_square(x, ctx=None):
     """Decide x in K*^2; returns (flag, root) with root None when not a square.
 
     Supported K: the rationals, finite fields, and rational function fields
-    over either (squareness there reduces to squarefree decomposition plus a
-    constant square test, so no factorization is needed).  Over F_q it is
-    ``FF.sqrt``: Euler's test, then the Tonelli-Shanks root of least index.
+    over either, where x = k * s^2 * c (``_square_split``) is a square
+    exactly when k = 1 and the constant c is a square, so no factorization
+    is needed.  Over F_q it is ``FF.sqrt``: Euler's test, then the
+    Tonelli-Shanks root of least index.
     """
     if ctx is None:
         ctx = infer_context(x)
@@ -1397,24 +1413,26 @@ def is_square(x, ctx=None):
         root = ctx.sqrt(x)
         return root is not None, root
     if isinstance(ctx, FunctionField):
-        return _ratfunc_square(x)
+        k, s, c = _square_split(x)
+        if k != 1:
+            return False, None
+        ok, root = is_square(c, ctx.coefficient_field)
+        return ok, s * root if ok else None
     raise UnsupportedField(f"squareness is not decidable over {ctx!r}")
 
 
-def _ratfunc_square(x: RatFunc):
-    """den is monic, so x is a square exactly when every multiplicity in
-    num and den is even and lc(num) is a square."""
-    lead, parts = squarefree_decomposition(x.num)
-    parts = parts + [(g, -m) for g, m in squarefree_decomposition(x.den)[1]]
-    if any(m % 2 for _, m in parts):
-        return False, None
-    ok, croot = is_square(lead, x.field.coefficient_field)
-    if not ok:
-        return False, None
-    root = x.field.coerce(croot)
-    for g, m in parts:
-        root = root * x.field.from_poly(g) ** (m // 2)
-    return True, root
+def _square_split(x: RatFunc):
+    """(k, s, c) with x = k * s^2 * c: k the product of the odd-multiplicity
+    squarefree parts of num and den (1/g^m = g * (g^(-(m+1)/2))^2 for odd
+    m), s the remaining powers and c = lc(num), as den is monic."""
+    k = s = x.field.one()
+    for sign, poly in ((1, x.num), (-1, x.den)):
+        for g, m in squarefree_decomposition(poly)[1]:
+            g = x.field.from_poly(g)
+            if m % 2:
+                k = k * g
+            s = s * g ** (sign * m // 2)
+    return k, s, x.num.leading()
 
 
 def sqrt_exact(x, ctx=None):
@@ -1429,9 +1447,8 @@ def square_class_reduce(x, ctx=None):
 
     Over Q the representative is the squarefree integer with the sign of x;
     over a finite field it is 1 or the first nonsquare in index order; over
-    k(t) it is the product of the odd-multiplicity squarefree parts of the
-    numerator and denominator times the representative of the leftover
-    constant.  Returns (r, s).
+    k(t) it is k times the representative of c, for x = k * s^2 * c
+    (``_square_split``).  Returns (r, s).
     """
     if ctx is None:
         ctx = infer_context(x)
@@ -1454,25 +1471,9 @@ def square_class_reduce(x, ctx=None):
         c0 = _canonical_nonsquare(ctx)
         return c0, sqrt_exact(x / c0, ctx)
     if isinstance(ctx, FunctionField):
-        kernel = ctx.one()
-        s = ctx.one()
-        for poly, inverted in ((x.num, False), (x.den, True)):
-            if poly.degree() > 0:
-                for g, m in squarefree_decomposition(poly.monic())[1]:
-                    gf = ctx.from_poly(g)
-                    if m % 2 == 1:
-                        kernel = kernel * gf
-                    half = m // 2
-                    s = s * gf ** (-half if inverted else half)
-                    if m % 2 == 1 and inverted:
-                        # 1/g = g/g^2: kernel got g, compensate inside s
-                        s = s / gf
-        c = x / (kernel * s * s)
-        if c.num.degree() != 0 or not c.den.is_one():
-            raise InvariantViolated("square-class residue not constant")
-        c_red, c_s = square_class_reduce(c.num.coeffs[0], ctx.coefficient_field)
-        r = kernel * ctx.coerce(c_red)
-        s = s * ctx.coerce(c_s)
+        k, s, c = _square_split(x)
+        c_red, c_s = square_class_reduce(c, ctx.coefficient_field)
+        r, s = k * ctx.coerce(c_red), s * ctx.coerce(c_s)
         if r * s * s != x:
             raise InvariantViolated("square class: r * s * s != x")
         return r, s
@@ -1498,72 +1499,40 @@ def _canonical_nonsquare(ctx: FF):
 
 
 def squarefree_decomposition(f: Poly):
-    """Yun decomposition valid in characteristic 0 and odd characteristic p.
-
-    Returns (lead, [(g_i, m_i)]) with f = lead * prod g_i^{m_i}, the g_i monic,
+    """(lead, [(g_i, m_i)]) with f = lead * prod g_i^{m_i}, the g_i monic,
     squarefree and pairwise coprime, listed with increasing multiplicity.
-    """
+
+    Musser's loop runs once on f's rows (``_squarefree_rows``), by the
+    kernel's ``derivative``, ``gcd_rows`` and ``exquo``; in characteristic p
+    the part it leaves is a p-th power, decomposed again on ``pth_root``."""
     if not f:
         raise ZeroPolynomial("squarefree decomposition of zero")
-    lead = f.leading()
-    f = f.monic()
-    if f.degree() == 0:
-        return lead, []
-    parts = _squarefree_monic(f)
-    merged: dict[int, Poly] = {}
-    for g, m in parts:
-        merged[m] = merged[m] * g if m in merged else g
-    return lead, [(g, m) for m, g in sorted(merged.items())]
+    K = f.ring.kernel
+    merged = {}
+    for g, m in _squarefree_rows(K, K.rows(f.coeffs)[0]):
+        merged[m] = K.mul(merged[m], g) if m in merged else g
+    return f.leading(), [(K.to_poly(f.ring, g, K.lead(g)), m)
+                         for m, g in sorted(merged.items())]
 
 
-def _squarefree_monic(f: Poly):
-    p = f.ring.field.characteristic
-    fp = f.derivative()
-    if not fp:
-        # f is a p-th power: take the p-th root coefficientwise
-        root = _poly_pth_root(f)
-        return [(g, m * p) for g, m in _squarefree_monic(root)]
-    out = []
-    c = poly_gcd(f, fp)
-    w = f // c
-    i = 1
-    while w.degree() > 0:
-        y = poly_gcd(w, c)
-        z = w // y
-        if z.degree() > 0:
+def _squarefree_rows(K, f):
+    """Musser's loop on a row f of K (von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, ch. 14): [(g, m)], the g squarefree, pairwise coprime
+    and of positive degree, with f = unit * prod g^m."""
+    if K.degree(f) < 1:
+        return []
+    fp = K.derivative(f)
+    c = f if fp == K.zero else K.gcd_rows(f, fp)
+    w, i, out = K.exquo(f, c), 1, []
+    while K.degree(w) > 0:
+        y = K.gcd_rows(w, c)
+        z = K.exquo(w, y)
+        if K.degree(z) > 0:
             out.append((z, i))
-        i += 1
-        w = y
-        c = c // y
-    if c.degree() > 0:
-        root = _poly_pth_root(c)
-        out.extend((g, m * p) for g, m in _squarefree_monic(root))
+        i, w, c = i + 1, y, K.exquo(c, y)
+    if K.degree(c) > 0:
+        out += [(g, m * K.p) for g, m in _squarefree_rows(K, K.pth_root(c))]
     return out
-
-
-def _poly_pth_root(f: Poly) -> Poly:
-    """p-th root of a polynomial of the form g(X)^p = h(X^p) in char p.
-
-    Over F_q every coefficient of h is a p-th power.  Over F_q(t) one is
-    exactly when its num and den lie in F_q[t^p]; an h(X^p) with another
-    coefficient, such as X^3 - t over F_3(t), is inseparable and raises
-    ``UnsupportedField``."""
-    field = f.ring.field
-    p = field.characteristic
-    if p == 0:
-        raise ZeroPolynomial("polynomial with zero derivative in char 0?")
-    if any(c for k, c in enumerate(f.coeffs) if k % p):
-        raise ZeroPolynomial("polynomial is not a p-th power")
-    if isinstance(field, FF):
-        e = p ** (field.degree - 1)
-        return f.ring.poly([c ** e for c in f.coeffs[::p]])
-    try:
-        return f.ring.poly([RatFunc(field, _poly_pth_root(c.num),
-                                    _poly_pth_root(c.den))
-                            for c in f.coeffs[::p]])
-    except ZeroPolynomial:
-        raise UnsupportedField(f"{f} is inseparable over {field!r}; it has "
-                               "no squarefree decomposition") from None
 
 
 def is_irreducible(f: Poly) -> bool:

@@ -25,6 +25,11 @@ from .errors import (ExpressionOutOfRange, ExpressionSyntaxError,
 # quotient, an expression may ask for.
 MAX_EXPONENT = 1000
 
+# The deepest nesting an expression may have, each open '(' and each unary
+# '-' one level: at up to eight frames a level, the parser's recursion stays
+# inside Python's default limit of 1000 frames.
+MAX_NESTING = 100
+
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv}
 
@@ -61,6 +66,7 @@ class _Parser:
         self.i = 0
         self.context = context
         self.variables = variables
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -103,11 +109,21 @@ class _Parser:
                 raise ExpressionOutOfRange(f"exponent or degree beyond "
                                            f"{MAX_EXPONENT} (offset {pos})")
 
+    def nested(self, operand, pos):
+        """operand() one level deeper, at most MAX_NESTING levels."""
+        if self.depth == MAX_NESTING:
+            raise ExpressionOutOfRange(f"nesting beyond {MAX_NESTING} "
+                                       f"(offset {pos})")
+        self.depth += 1
+        value = operand()
+        self.depth -= 1
+        return value
+
     def factor(self):
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return -self.factor()
+            return -self.nested(self.factor, pos)
         return self.power()
 
     def power(self):
@@ -140,7 +156,7 @@ class _Parser:
                 raise UndeclaredVariable(text, pos)
             return self.variables[text]
         if kind == "op" and text == "(":
-            value = self.expr()
+            value = self.nested(self.expr, pos)
             self.expect_op(")")
             return value
         raise ExpressionSyntaxError(

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -14,6 +16,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod
 
 from conicval import cli
+from conicval.errors import ExpressionOutOfRange
 from conicval.parser import parse_element
 
 
@@ -95,6 +98,10 @@ class TestMalformedInput:
           "--b", "2"), "InputError", "(1)/(u) is not a polynomial"),
         (("quat", "split", "--field", "GF(5)[u]/(u^-1)", "--a", "1",
           "--b", "2"), "InputError", "(1)/(u) is not a polynomial"),
+        (("analyze", "--val", "Q:p=5", "--a=" + "(" * 150 + "1" + ")" * 150,
+          "--b", "3"), "ExpressionOutOfRange", "nesting beyond 100"),
+        (("analyze", "--val", "Q:p=5", "--a=" + "-" * 1000 + "1", "--b", "3"),
+         "ExpressionOutOfRange", "nesting beyond 100"),
     ])
     def test_exit_code_and_message(self, run_cli, validator, args, error,
                                    message):
@@ -119,6 +126,14 @@ class TestMalformedInput:
     def test_degree_at_the_bound_is_accepted(self, qt, text):
         h = parse_element(text, qt, {"t": qt.gen()})
         assert h.degree() <= 1000
+
+    @pytest.mark.parametrize("text", ["(" * 100 + "t" + ")" * 100,
+                                      "-(" * 50 + "t" + ")" * 50])
+    def test_nesting_at_the_bound_is_accepted(self, qt, text):
+        # 100 levels parse; one more unary minus is one level too many
+        assert parse_element(text, qt, {"t": qt.gen()}) == qt.gen()
+        with pytest.raises(ExpressionOutOfRange, match="nesting beyond 100"):
+            parse_element("-" + text, qt, {"t": qt.gen()})
 
 
 class TestFiniteFieldFactorisation:
@@ -318,3 +333,38 @@ class TestParserReuse:
         in_process = _run_main(argv)
         assert in_process[0] == expected_code
         assert (proc.returncode, proc.stdout, proc.stderr) == in_process
+
+
+def _subcommands(parser, prefix=()):
+    """(name, parser) for every leaf subcommand of an argparse parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                if sub.get_default("handler") is None:
+                    yield from _subcommands(sub, prefix + (name,))
+                else:
+                    yield " ".join(prefix + (name,)), sub
+
+
+def test_every_option_is_read_by_its_handler():
+    """Each option's dest appears as args.<dest> in its handler, or, for
+    --val, --field, --a and --b, in ``_valuation_and_coefficients`` when the
+    handler calls it: an option nothing reads would be accepted and
+    ignored."""
+    shared = inspect.getsource(cli._valuation_and_coefficients)
+    commands = dict(_subcommands(cli.build_argument_parser()))
+    assert len(commands) == 9
+    unread = []
+    for name, parser in commands.items():
+        source = inspect.getsource(parser.get_default("handler"))
+        for action in parser._actions:
+            dest = action.dest
+            if dest in ("help", "json"):
+                continue
+            text = source
+            if (dest in ("val", "field", "a", "b")
+                    and "_valuation_and_coefficients(args)" in source):
+                text += shared
+            if f"args.{dest}" not in text:
+                unread.append((name, dest))
+    assert unread == []

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -12,40 +13,33 @@ from conicval.cli import main, parse_base_field
 from conicval.errors import (ContextMismatch, DegreeTooLarge, DivisionByZero,
                              UnsupportedField, ZeroInput, ZeroPolynomial)
 from conicval.fields import (FF, FlatQuotient, FunctionField, GF, PolyRing,
-                             QQ, RatFunc, factor, field_arith, is_irreducible,
-                             is_square, poly_gcd, square_class_reduce,
+                             QQ, RatFunc, factor, is_irreducible, is_square,
+                             poly_gcd, square_class_reduce,
                              squarefree_decomposition, sqrt_exact)
-from conicval.oracle import sample_poly
+from conicval.oracle import sample_field_element, sample_poly
 from conicval.valuation import InfinitePlaceValuation, PlaceValuation
 from conicval.value import Value
 
 
-class TestFieldArith:
-    def test_rational_add(self):
-        assert field_arith(Fraction(1, 2), Fraction(1, 3), "add") == Fraction(5, 6)
+class TestOperatorContexts:
+    """The element operators check their contexts and promote ints."""
 
     def test_prime_field_mul(self):
         f5 = FF(5)
-        assert field_arith(f5.from_int(2), f5.from_int(3), "mul") == f5.from_int(1)
+        assert f5.from_int(2) * f5.from_int(3) == f5.from_int(1)
 
     def test_extension_field_mul(self):
         f25 = FF(5, (-2, 0, 1))   # F_5[u]/(u^2 - 2)
         u = f25.gen()
-        assert field_arith(u, u, "mul") == f25.from_int(2)
-
-    def test_division_by_zero(self):
-        with pytest.raises(DivisionByZero):
-            field_arith(Fraction(1), Fraction(0), "div")
+        assert u * u == f25.from_int(2)
 
     def test_context_mismatch(self):
         with pytest.raises(ContextMismatch):
-            field_arith(FF(5).from_int(1), FF(7).from_int(1), "add")
-        with pytest.raises(ContextMismatch):
-            field_arith(Fraction(1), FF(5).from_int(1), "add")
+            FF(5).from_int(1) + FF(7).from_int(1)
 
     def test_int_promotion(self):
         f5 = FF(5)
-        assert field_arith(2, f5.from_int(3), "mul") == f5.from_int(1)
+        assert 2 * f5.from_int(3) == f5.from_int(1)
 
 
 def _all_contexts():
@@ -972,6 +966,79 @@ class TestSquareClasses:
         x = (t + 1) ** 3 * t ** 2
         r, s = square_class_reduce(x)
         assert r * s * s == x
+
+
+def _sqf_fields():
+    return {"Q": QQ, "Q(t)": FunctionField(QQ, "t"), "F_3": GF(3),
+            "F_9": GF(9), "F_3(t)": FunctionField(GF(3), "t"),
+            "F_9(t)": FunctionField(GF(9), "t")}
+
+
+def _sqf_product(rng, ring, p, factors):
+    """lead * prod g_i^m_i, up to ``factors`` g_i, with m_i in {1, 2, p,
+    p + 1, 2p} and the g_i of degree at most 2, below p = 3, so that no
+    factor over F_q(t) is inseparable."""
+    f = ring.poly([sample_field_element(rng, ring.field, nonzero=True)])
+    for _ in range(rng.randint(1, factors)):
+        f = f * _nonzero_poly(rng, ring, 2) ** rng.choice(
+            [1, 2, p, p + 1, 2 * p])
+    return f
+
+
+def _to_sympy(f):
+    """f as a sympy Poly over Q or F_p."""
+    x, field = sympy.Symbol(f.ring.var), f.ring.field
+    if field == QQ:
+        return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(f.coeffs)], x, domain="QQ")
+    return sympy.Poly([c.lift_int() for c in reversed(f.coeffs)], x,
+                      modulus=field.p)
+
+
+class TestSquarefreeOracle:
+    """``squarefree_decomposition`` on seeded products prod g_i^m_i, with
+    multiplicities that reach the p-th-root step, checked by its definition
+    (``Poly.derivative`` is the separability reference) and over Q and F_3
+    against sympy; ``is_square`` and ``square_class_reduce``, which share
+    one square split, must agree on the same products."""
+
+    @pytest.mark.parametrize("name", list(_sqf_fields()))
+    def test_decomposition_by_its_definition(self, name):
+        k = _sqf_fields()[name]
+        ring, p = PolyRing(k, "x"), k.characteristic or 3
+        rng = random.Random(2401)
+        for _ in range(12):
+            f = _sqf_product(rng, ring, p, 3)
+            lead, parts = squarefree_decomposition(f)
+            rebuilt = ring.one()
+            for g, m in parts:
+                assert g.is_monic() and g.degree() > 0
+                assert poly_gcd(g, g.derivative()).is_one(), (f, g)
+                rebuilt = rebuilt * g ** m
+            assert rebuilt.scale(lead) == f
+            for (g, _), (h, _) in itertools.combinations(parts, 2):
+                assert poly_gcd(g, h).is_one(), (f, g, h)
+            ms = [m for _, m in parts]
+            assert ms == sorted(set(ms))
+            if name in ("Q", "F_3"):
+                assert ([(_to_sympy(g), m) for g, m in parts]
+                        == _to_sympy(f).sqf_list()[1]), f
+
+    @pytest.mark.parametrize("name", list(_sqf_fields()))
+    def test_square_exactly_when_the_class_is_one(self, name):
+        K = FunctionField(_sqf_fields()[name], "x")
+        p = K.characteristic or 3
+        rng = random.Random(2402)
+        for _ in range(6):
+            x = (K.from_poly(_sqf_product(rng, K.ring, p, 2))
+                 / K.from_poly(_sqf_product(rng, K.ring, p, 1)))
+            h = K.from_poly(_nonzero_poly(rng, K.ring, 1))
+            for y in (x, x * h * h, h * h):
+                r, s = square_class_reduce(y)
+                assert r * s * s == y
+                ok, root = is_square(y)
+                assert ok == (r == 1), y
+                assert not ok or root * root == y
 
 
 def _monic_irreducibles(k, d):

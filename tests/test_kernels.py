@@ -6,7 +6,10 @@ and cofactors on plain ints.  Every result must equal sympy's dense
 routine at the same u, entry for entry, since ``RatFunc.rows``, hashes and
 printed output are built from them.  The level-1 sum and product shared by
 Z[t][x] and F_q[t][x] (``_Rows``) are checked over F_3 and F_9 against a
-degree-by-degree reference on the ``_FqRows`` base kernel.
+degree-by-degree reference on the ``_FqRows`` base kernel.  The steps of
+the squarefree decomposition that run on rows, ``derivative`` in every
+kernel and ``pth_root`` in characteristic p, are checked against
+``Poly.derivative`` and against p-th powers.
 """
 
 import pytest
@@ -21,7 +24,8 @@ from sympy.polys.densebasic import (dmp_ground_LC, dmp_strip,  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.euclidtools import dmp_inner_gcd  # noqa: E402
 
-from conicval.fields import (_INT_ROWS, GF, FunctionField,  # noqa: E402
+from conicval.errors import UnsupportedField  # noqa: E402
+from conicval.fields import (_INT_ROWS, GF, QQ, FunctionField,  # noqa: E402
                              PolyRing)
 
 SEEDED = settings(max_examples=100, derandomize=True, deadline=None,
@@ -86,6 +90,29 @@ class TestIntRowsAgainstSympy:
         _check_int_rows(u, a, b, c)
 
 
+def _fq_rows(k):
+    """Rows of F_q[t] (``k.kernel``) from drawn coefficients."""
+    ring = PolyRing(k, "t")
+    return st.lists(st.integers(0, k.order - 1), max_size=4).map(
+        lambda cs: k.kernel.rows(ring.poly(map(k.element_at, cs)).coeffs)[0])
+
+
+def _kernel(name):
+    """(ring, kernel, strategy of its rows) for one kernel by name."""
+    if name == "Z[x]":
+        return PolyRing(QQ, "x"), _INT_ROWS[0], _ROW0
+    if name == "Z[t][x]":
+        return PolyRing(FunctionField(QQ, "t"), "x"), _INT_ROWS[1], _ROW1
+    if name.endswith("[t]"):
+        k = GF(int(name[2:-3]))
+        return PolyRing(k, "t"), k.kernel, _fq_rows(k)
+    k = GF(int(name[2:-6]))
+    ring = PolyRing(FunctionField(k, "t"), "x")
+    rows = st.lists(_fq_rows(k), max_size=4).map(
+        lambda r: r[next((i for i, c in enumerate(r) if c), len(r)):])
+    return ring, ring.kernel, rows
+
+
 def _tower_reference(base, a, b, product):
     """a*b or a+b of F_q[t][x] rows, coefficient by x-degree on the base
     kernel's ``mul`` and ``add``."""
@@ -110,16 +137,53 @@ def _tower_reference(base, a, b, product):
 @SEEDED
 @given(data=st.data())
 def test_tower_sum_and_product_over_fq(q, data):
-    ex = FunctionField(FunctionField(GF(q), "t"), "x")
-    K, k = ex.kernel, GF(q)
-    base, ring = K.base, PolyRing(k, "t")
-    poly = st.lists(st.integers(0, q - 1), max_size=4).map(
-        lambda cs: base.rows(ring.poly(map(k.element_at, cs)).coeffs)[0])
-    tower = st.lists(poly, max_size=4).map(
-        lambda r: r[next((i for i, c in enumerate(r) if c), len(r)):])
-    a, b = data.draw(tower), data.draw(tower)
+    _, K, rows = _kernel(f"F_{q}[t][x]")
+    a, b = data.draw(rows), data.draw(rows)
     assert K.zero == []
-    assert K.mul(a, b) == _tower_reference(base, a, b, True), (a, b)
-    assert K.add(a, b) == _tower_reference(base, a, b, False), (a, b)
+    assert K.mul(a, b) == _tower_reference(K.base, a, b, True), (a, b)
+    assert K.add(a, b) == _tower_reference(K.base, a, b, False), (a, b)
     assert K.add(a, K.neg(a)) == K.zero
 
+
+
+@pytest.mark.parametrize("name", ["Z[x]", "Z[t][x]", "F_3[t]", "F_9[t]",
+                                  "F_3[t][x]"])
+@SEEDED
+@given(data=st.data())
+def test_derivative_against_poly_derivative(name, data):
+    """The kernel's ``derivative`` against ``Poly.derivative``, which
+    multiplies the coefficient of each degree k by k."""
+    ring, K, rows = _kernel(name)
+    a = data.draw(rows)
+    reference = K.to_poly(ring, a, K.one).derivative()
+    assert K.derivative(a) == K.rows(reference.coeffs)[0], a
+
+
+@pytest.mark.parametrize("name", ["F_3[t]", "F_9[t]", "F_27[t]",
+                                  "F_3[t][x]"])
+@SEEDED
+@given(data=st.data())
+def test_pth_root_of_a_pth_power(name, data):
+    """``pth_root(a^p)`` is a up to a unit: a itself over F_q[t], and a up
+    to its content over F_q[t][x]."""
+    ring, K, rows = _kernel(name)
+    a = data.draw(rows)
+    root = K.pth_root(K.pow(a, K.p))
+    if a == K.zero:
+        assert root == K.zero
+    else:
+        assert (K.to_poly(ring, root, K.lead(root))
+                == K.to_poly(ring, a, K.lead(a))), a
+
+
+def test_pth_root_divides_out_the_content():
+    K = _kernel("F_3[t][x]")[1]
+    # t*x^3 + t^4 = t * (x + t)^3
+    assert K.pth_root([[1, 0], [], [], [1, 0, 0, 0, 0]]) == [[1], [1, 0]]
+
+
+def test_inseparable_row_is_rejected():
+    K = _kernel("F_3[t][x]")[1]
+    # x^3 - t: zero derivative in x, and t is not a cube in F_3(t)
+    with pytest.raises(UnsupportedField, match="inseparable"):
+        K.pth_root([[1], [], [], [2, 0]])
