@@ -25,8 +25,6 @@ import re
 import sys
 from fractions import Fraction
 
-import sympy
-
 from .conic import ConicFunctionField, DistinguishedExtension, analyze, \
     rational_residue_family
 from .errors import ConicvalError, InputError
@@ -218,8 +216,10 @@ def _cmd_gauss(args):
 
 def _cmd_hilbert(args):
     place = args.place.strip()
-    if place != "inf" and not (place.isdigit() and sympy.isprime(int(place))):
-        raise InputError(f"place {place!r} is neither a prime nor inf")
+    if place != "inf":
+        import sympy
+        if not (place.isdigit() and sympy.isprime(int(place))):
+            raise InputError(f"place {place!r} is neither a prime nor inf")
     a = Fraction(parse_field_element(args.a, QQ))
     b = Fraction(parse_field_element(args.b, QQ))
     s = hilbert_symbol(a, b, place if place == "inf" else int(place))

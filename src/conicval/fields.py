@@ -28,6 +28,14 @@ routine (``_ddf``, iterated Frobenius x^(q^d) mod g) and a seeded
 equal-degree split (``_edf``), in time polynomial in the degree and log q;
 irreducibility is ``_ddf`` stopped at its first factor.  The modulus m of
 F_p[u]/(m) is checked with galoistools' Rabin test on its int row.
+
+Importing this module does not import sympy, and neither does arithmetic
+over Q, Q(t) and Q(t)(x) as long as the Z[t][x] gcds it meets have an
+operand constant in x.  The functions that need sympy import it when they
+are called: primality and prime powers (``FF``, ``GF``), the Rabin test,
+factoring over Q (``square_class_reduce``, ``factor``), the Z[t][x] gcd
+and division of two rows of positive degree in x (``_IntRows``), and the
+Z[x] gcd when six evaluation points of the heuristic fail (``_zz_gcd``).
 """
 
 from __future__ import annotations
@@ -35,14 +43,6 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-
-import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.densearith import dmp_exquo
-from sympy.polys.densebasic import dmp_ground_LC, dmp_to_tuple
-from sympy.polys.euclidtools import dmp_inner_gcd
-from sympy.polys.galoistools import (gf_add, gf_irred_p_rabin, gf_mul,
-                                     gf_mul_ground, gf_neg, gf_strip, gf_sub)
 
 from .errors import (ContextMismatch, DegreeTooLarge, DivisionByZero,
                      InvariantViolated, SquareInput, UnsupportedField,
@@ -102,16 +102,18 @@ class FF:
                  var: str = "u", _validate: bool = True):
         if p == 2:
             raise UnsupportedField("characteristic 2 is not supported")
-        if _validate and not sympy.isprime(p):
-            raise UnsupportedField(f"{p} is not prime")
+        if _validate:
+            import sympy
+            if not sympy.isprime(p):
+                raise UnsupportedField(f"{p} is not prime")
         if modulus is None:
             modulus = (0, 1)
-        modulus = tuple(gf_strip([c % p for c in reversed(modulus)])[::-1])
+        modulus = tuple(_strip([c % p for c in reversed(modulus)])[::-1])
         if len(modulus) < 2:
             raise UnsupportedField("modulus must have degree >= 1")
         if modulus[-1] != 1:
             raise UnsupportedField("modulus must be monic")
-        if _validate and not gf_irred_p_rabin(list(reversed(modulus)), p, ZZ):
+        if _validate and not _rabin_irreducible(modulus, p):
             raise UnsupportedField(f"modulus {modulus} is reducible mod {p}")
         self.p = p
         self.modulus = modulus
@@ -131,7 +133,7 @@ class FF:
         c = [x % self.p for x in coeffs]
         if len(c) > self.degree:
             return self.kernel.element(_gf_divmod(
-                gf_strip(c[::-1]), self.kernel.modulus, self.p)[1])
+                _strip(c[::-1]), self.kernel.modulus, self.p)[1])
         c += [0] * (self.degree - len(c))
         return FFElement(self, tuple(c))
 
@@ -302,7 +304,7 @@ class FFElement:
 
     def _row(self) -> list[int]:
         """The galoistools row over F_p (highest degree first, stripped)."""
-        return gf_strip(list(self.coeffs[::-1]))
+        return _strip(list(self.coeffs[::-1]))
 
     def __bool__(self):
         return any(self.coeffs)
@@ -340,6 +342,7 @@ def GF(q: int, var: str = "u") -> FF:
 
 def _split_prime_power(q: int) -> tuple[int, int]:
     if q > 2 and q % 2:
+        import sympy
         if sympy.isprime(q):
             return q, 1
         # the base of the largest exponent is prime exactly for a prime power
@@ -360,10 +363,17 @@ def canonical_modulus(p: int, d: int) -> tuple[int, ...]:
     if key not in _CANONICAL_MODULI:
         for index in range(p ** d):
             m = _digits(index, p, d) + (1,)
-            if gf_irred_p_rabin(list(reversed(m)), p, ZZ):
+            if _rabin_irreducible(m, p):
                 _CANONICAL_MODULI[key] = m
                 break
     return _CANONICAL_MODULI[key]
+
+
+def _rabin_irreducible(m: tuple[int, ...], p: int) -> bool:
+    """galoistools' Rabin test on the coefficients of m, lowest first."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irred_p_rabin
+    return gf_irred_p_rabin(list(reversed(m)), p, ZZ)
 
 
 def _digits(index: int, p: int, n: int) -> tuple[int, ...]:
@@ -664,9 +674,9 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
     It is taken on the ring's rows (``PolyRing.kernel``): over Q and Q(t)
     on Z[x] or Z[t][x] (both inputs scaled by nonzero constants, so by
-    Gauss's lemma their gcd there is the gcd over the field up to a unit),
-    by sympy's ``dmp_inner_gcd`` except over Q with a constant input, where
-    it is the gcd of the entries (``_IntRows``); over F_q by Euclid on
+    Gauss's lemma their gcd there is the gcd over the field up to a unit)
+    by ``_IntRows``, over Q on plain ints and over Q(t) by sympy's
+    ``dmp_inner_gcd`` unless an input is constant; over F_q by Euclid on
     F_q[t] rows (``_FqRows``), and over F_q(t) by a primitive
     pseudo-remainder sequence over F_q[t] (``_FqxRows``).
     """
@@ -689,18 +699,119 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 def _convolve(a, b):
     """The product of two rows of ints, highest degree first, unreduced:
     schoolbook (von zur Gathen and Gerhard, *Modern Computer Algebra*,
-    ch. 8), a scaling when either row has length 1."""
+    ch. 8), a scaling when either row has length 1.  The outer loop skips
+    zeros, so it runs on the row with fewer nonzero entries."""
     if not a or not b:
         return []
     if len(a) == 1 or len(b) == 1:
         c, row = (a[0], b) if len(a) == 1 else (b[0], a)
         return [c * x for x in row]
+    if len(a) + len(b) > 6 and len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return out
+
+
+def _int_divides(f, g):
+    """f / g in Z[x] for a row g of positive degree, or None if g does not
+    divide f there (sympy's ``dup_rr_div`` with a zero remainder)."""
+    n = len(f) - len(g) + 1
+    if n <= 0:
+        return None if f else []
+    lc, rest, r, q = g[0], g[1:], list(f), []
+    for i in range(n):
+        c, m = divmod(r[i], lc)
+        if m:
+            return None
+        q.append(c)
+        if c:
+            for j, y in enumerate(rest, i + 1):
+                r[j] -= c * y
+    return None if any(r[n:]) else q
+
+
+def _zz_gcd(f, g):
+    """(h, f/h, g/h) for h the gcd of two rows of Z[x], each zero or of
+    positive degree: exactly what sympy's ``dup_inner_gcd`` returns.  The
+    gcd of the contents comes out first (``dup_extract``); then the
+    heuristic gcd (``_heu_gcd``) runs, and only when it fails sympy."""
+    if not f or not g:
+        h, one = f or g, [1] if f or g else []
+        if h and h[0] < 0:
+            h, one = [-c for c in h], [-1]
+        return (h, [], one) if not f else (h, one, [])
+    c = math.gcd(*f, *g)
+    found = _heu_gcd(*((f, g) if c == 1 else
+                       ([x // c for x in f], [x // c for x in g])))
+    if found is None:
+        return _sympy_gcd(f, g, 0)
+    h, cff, cfg = found
+    return (h if c == 1 else [x * c for x in h]), cff, cfg
+
+
+def _sympy_gcd(f, g, u: int):
+    """sympy's ``dmp_inner_gcd`` over Z (``dup_inner_gcd`` at u = 0)."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dmp_inner_gcd
+    return dmp_inner_gcd(f, g, u, ZZ)
+
+
+def _heu_gcd(f, g):
+    """(h, f/h, g/h) for rows f and g of Z[x] of positive degree with
+    coprime contents, or None: GCDHEU (Char, Geddes and Gonnet, J. Symbolic
+    Comput. 7, 1989) as sympy's ``dup_zz_heu_gcd`` runs it, step for step,
+    so that the triple is sympy's.  At each of six points xi the integer
+    gcd of f(xi) and g(xi), and each cofactor, is interpolated in the
+    symmetric base-xi digits; a candidate is accepted when exact division
+    confirms it."""
+    f_norm, g_norm = max(map(abs, f)), max(map(abs, g))
+    b = 2 * min(f_norm, g_norm) + 29
+    xi = max(min(b, 99 * math.isqrt(b)),
+             2 * min(f_norm // abs(f[0]), g_norm // abs(g[0])) + 4)
+    for _ in range(6):
+        ff, gg = _horner(f, xi), _horner(g, xi)
+        if ff and gg:
+            h = math.gcd(ff, gg)
+            cff, cfg = ff // h, gg // h
+            h = _interpolate(h, xi)
+            c = math.gcd(*h)
+            h = h if c == 1 else [x // c for x in h]
+            if ((q := _int_divides(f, h)) is not None
+                    and (r := _int_divides(g, h)) is not None):
+                return h, q, r
+            cff = _interpolate(cff, xi)
+            if ((h := _int_divides(f, cff)) is not None
+                    and (r := _int_divides(g, h)) is not None):
+                return h, cff, r
+            cfg = _interpolate(cfg, xi)
+            if ((h := _int_divides(g, cfg)) is not None
+                    and (q := _int_divides(f, h)) is not None):
+                return h, q, cfg
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _horner(f, xi: int) -> int:
+    v = 0
+    for c in f:
+        v = v * xi + c
+    return v
+
+
+def _interpolate(h: int, xi: int):
+    """The row whose digits in base xi, each in (-xi/2, xi/2], make h."""
+    out = []
+    while h:
+        d = h % xi
+        if d > xi // 2:
+            d -= xi
+        out.append(d)
+        h = (h - d) // xi
+    return out[::-1]
 
 
 class _Rows:
@@ -716,12 +827,12 @@ class _Rows:
 
     ``add``, ``neg`` and ``mul`` are plain list code shared by the kernels:
     on ints at level 0 (``_IntRows``; ``_FqRows`` reduces ``_convolve`` mod
-    p and keeps galoistools' sums), and over ``base`` at level 1, where the
-    zero row is ``zero`` ([[]] in Z[t][x], [] in F_q[t][x]).  Rows here
-    have 1-3 entries, where sympy's generic dense loops cost more than the
-    arithmetic.  The squarefree decomposition runs on ``derivative``
-    (through each kernel's ``times(c, k)``), ``gcd_rows``, ``exquo`` and,
-    in characteristic p only, ``pth_root``."""
+    p and has galoistools' sums as plain list code too), and over ``base``
+    at level 1, where the zero row is ``zero`` ([[]] in Z[t][x], [] in
+    F_q[t][x]).  Rows here have 1-3 entries, where sympy's generic dense
+    loops cost more than the arithmetic.  The squarefree decomposition runs
+    on ``derivative`` (through each kernel's ``times(c, k)``),
+    ``gcd_rows``, ``exquo`` and, in characteristic p only, ``pth_root``."""
 
     def add(self, a, b):
         if len(a) < len(b):
@@ -820,16 +931,31 @@ class _Rows:
         g = self.gcd_rows(a, b)
         return (a, b) if g == self.one else (self.exquo(a, g), self.exquo(b, g))
 
+    def content(self, a):
+        """The gcd in k[t] of the entries of a level-1 row."""
+        base, g = self.base, self.base.zero
+        for c in a:
+            g = base.gcd_rows(g, c)
+            if g == base.one:
+                break
+        return g
+
 
 class _IntRows(_Rows):
     """Z[x] (u = 0) or Z[t][x] (u = 1) in sympy's dense form: the rows of
     Q(x) and Q(t), and of Q(t)(x).  Z[x] and Z[t][x] are UFDs, so a reduced
     fraction there is unique up to sign, and D gets a positive leading
-    integer.  Sums and products are ``_Rows``' on plain ints, and so are,
-    in Z[x] with a constant row, exact division (``//`` of each entry) and
-    gcd and cofactors (the gcd of all entries, what ``dup_zz_heu_gcd``
-    returns after ``dup_extract``).  Other divisions and gcds call sympy's
-    ``dmp_exquo`` and ``dmp_inner_gcd``; every result equals sympy's."""
+    integer.  Every result equals sympy's dense routine's, entry for entry.
+
+    In Z[x] everything runs on plain ints: sums and products (``_Rows``),
+    exact division (``_int_divides``), and gcd and cofactors (``_zz_gcd``,
+    sympy's heuristic gcd; with a constant row, the gcd of all entries).
+    In Z[t][x] a gcd with an operand constant in x is the gcd in Z[t] of
+    its entry and the other operand's content, as sympy's
+    ``_dmp_simplify_gcd`` takes it, and division by such a row divides
+    each entry in Z[t]; both run on the Z[x] kernel.  Other Z[t][x] gcds
+    and divisions import and call sympy's ``dmp_inner_gcd`` and
+    ``dmp_exquo``."""
 
     def __init__(self, u: int, base=None):
         self.u, self.base = u, base
@@ -839,22 +965,47 @@ class _IntRows(_Rows):
         return [x * k for x in c] if self.u else c * k
 
     def exquo(self, a, b):
-        if self.u or len(b) > 1:
-            return dmp_exquo(a, b, self.u, ZZ)
-        return [x // b[0] for x in a]
+        if len(b) == 1:
+            c = b[0]
+            return ([self.base.exquo(x, c) for x in a] if self.u
+                    else [x // c for x in a])
+        if self.u:
+            from sympy.polys.densearith import dmp_exquo
+            from sympy.polys.domains import ZZ
+            return dmp_exquo(a, b, 1, ZZ)
+        q = _int_divides(a, b)
+        if q is None:
+            raise InvariantViolated(f"{b} does not divide {a} in Z[x]")
+        return q
+
+    def _ground_gcd(self, a, b):
+        """The gcd of a and b when one of them is constant in x, else None:
+        in Z[x] the gcd of all entries; in Z[t][x], for nonzero rows, the
+        gcd in Z[t] of the contents (entries) of both."""
+        if 1 not in (len(a), len(b)):
+            return None
+        if not self.u:
+            return [math.gcd(*a, *b)]
+        if a[0] and b[0]:
+            return [self.base.gcd_rows(self.content(a), self.content(b))]
+        return None
+
+    def _inner_gcd(self, a, b):
+        return _sympy_gcd(a, b, 1) if self.u else _zz_gcd(a, b)
 
     def gcd_rows(self, a, b):
-        if self.u or 1 not in (len(a), len(b)):
-            return dmp_inner_gcd(a, b, self.u, ZZ)[0]
-        return [math.gcd(*a, *b)]
+        g = self._ground_gcd(a, b)
+        return self._inner_gcd(a, b)[0] if g is None else g
 
     def cofactors(self, a, b):
-        if self.u or 1 not in (len(a), len(b)):
-            return dmp_inner_gcd(a, b, self.u, ZZ)[1:]
-        return super().cofactors(a, b)
+        g = self._ground_gcd(a, b)
+        if g is None:
+            return self._inner_gcd(a, b)[1:]
+        return (a, b) if g == self.one else (self.exquo(a, g), self.exquo(b, g))
 
     def unit(self, a):
-        return self.neg(self.one) if dmp_ground_LC(a, self.u, ZZ) < 0 else None
+        lead = a[0][0] if self.u else a[0]
+        return self.neg(self.one) if lead < 0 else None
 
     def rows(self, coeffs):
         if self.u or not coeffs:
@@ -875,6 +1026,16 @@ _INT_ROWS = (_IntRows(0),)
 _INT_ROWS += (_IntRows(1, _INT_ROWS[0]),)
 
 
+def _strip(row):
+    """row without its leading zeros (galoistools' ``gf_strip``)."""
+    if not row or row[0]:
+        return row
+    for i, c in enumerate(row):
+        if c:
+            return row[i:]
+    return []
+
+
 def _gf_divmod(a, b, p: int):
     """galoistools' ``gf_div`` for b != 0, with 1/lc(b) from ``pow``."""
     da, db = len(a) - 1, len(b) - 1
@@ -887,7 +1048,7 @@ def _gf_divmod(a, b, p: int):
         if c:
             for j in range(1, db + 1):
                 h[i + j] -= c * b[j]
-    return h[:da - db + 1], gf_strip([c % p for c in h[da - db + 1:]])
+    return h[:da - db + 1], _strip([c % p for c in h[da - db + 1:]])
 
 
 class _FqRows(_Rows):
@@ -910,13 +1071,24 @@ class _FqRows(_Rows):
         self.modulus = list(reversed(field.modulus))     # m as a row
 
     def add(self, a, b):
-        return gf_add(a, b, self.p, ZZ)
+        """galoistools' ``gf_add``: the shorter row adds into the tail."""
+        if not a:
+            return b
+        if not b:
+            return a
+        p, d = self.p, len(a) - len(b)
+        if d < 0:
+            a, b, d = b, a, -d
+        if d:
+            return a[:d] + [(x + y) % p for x, y in zip(a[d:], b)]
+        return _strip([(x + y) % p for x, y in zip(a, b)])
 
     def sub(self, a, b):
-        return gf_sub(a, b, self.p, ZZ)
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        return gf_neg(a, self.p, ZZ)
+        p = self.p
+        return [-c % p for c in a]
 
     def mul(self, a, b):
         """``_convolve`` over Z, then each entry mod p, or each block mod m
@@ -935,13 +1107,13 @@ class _FqRows(_Rows):
                     for i in range(k):
                         r[s - k + i] -= c * m[i]
                 r[s] = 0
-        return gf_strip([c % p for c in reversed(r)])
+        return _strip([c % p for c in reversed(r)])
 
     def derivative(self, a):
         """d/dt on the packed row: slot i from the constant end, in the
         block of t^(i // w), times i // w; the lowest block drops out."""
         p, n = self.p, len(a) - 1
-        return gf_strip([a[i] * ((n - i) // self.w) % p
+        return _strip([a[i] * ((n - i) // self.w) % p
                          for i in range(len(a) - self.w)])
 
     def pth_root(self, a):
@@ -950,9 +1122,9 @@ class _FqRows(_Rows):
         k, w, e = self.k, self.w, self.field.order // self.p
         r, out = a[::-1], []
         for s in range(0, len(r), self.p * w):
-            c = self.pow(gf_strip(r[s:s + k][::-1]), e)[::-1]
+            c = self.pow(_strip(r[s:s + k][::-1]), e)[::-1]
             out += c + [0] * (w - len(c))
-        return gf_strip(out[::-1])
+        return _strip(out[::-1])
 
     def degree(self, a) -> int:
         return (len(a) - 1) // self.w
@@ -975,10 +1147,12 @@ class _FqRows(_Rows):
         r0, r1, s0, s1 = self.modulus, c, [], [1]
         while r1:
             q, r = _gf_divmod(r0, r1, p)
-            r0, r1, s0, s1 = r1, r, s1, gf_sub(s0, gf_mul(q, s1, p, ZZ), p, ZZ)
+            qs = [c % p for c in _convolve(q, s1)]
+            r0, r1, s0, s1 = r1, r, s1, self.sub(s0, qs)
         if len(r0) != 1:
             raise DivisionByZero("element not invertible (modulus reducible?)")
-        return gf_mul_ground(s0, pow(r0[0], -1, p), p, ZZ)
+        inv = pow(r0[0], -1, p)
+        return [c * inv % p for c in s0]
 
     def element(self, c) -> "FFElement":
         """The element of F_q of a reduced row of at most k entries."""
@@ -1021,7 +1195,7 @@ class _FqRows(_Rows):
         for c in reversed(coeffs):
             row += pad
             row += c.coeffs[::-1]
-        return gf_strip(row), self.one
+        return _strip(row), self.one
 
     def to_poly(self, ring: PolyRing, rows, den) -> Poly:
         if den != self.one:
@@ -1043,7 +1217,8 @@ class _FqxRows(_Rows):
         self.base, self.p = base, base.p
 
     def times(self, c, k: int):
-        return gf_mul_ground(c, k % self.p, self.p, ZZ)
+        p, k = self.p, k % self.p
+        return [x * k % p for x in c] if k else []
 
     def pth_root(self, a):
         """The p-th root of a row of F_q(t)[x^p] up to a unit of F_q(t): its
@@ -1059,14 +1234,6 @@ class _FqxRows(_Rows):
     def unit(self, a):
         unit = self.base.unit(a[0])
         return None if unit is None else [unit]
-
-    def content(self, a):
-        g = []
-        for c in a:
-            g = self.base.gcd_rows(g, c)
-            if g == self.base.one:
-                break
-        return g
 
     def _ground_quo(self, a, c):
         return a if c == self.base.one else [self.base.exquo(x, c) for x in a]
@@ -1338,7 +1505,8 @@ class RatFunc:
 
     def __hash__(self):
         u = self.field.level
-        return hash((self.field, *(dmp_to_tuple(r, u) for r in self.rows)))
+        return hash((self.field, *(tuple(map(tuple, r)) if u else tuple(r)
+                                   for r in self.rows)))
 
     def __call__(self, x0):
         """Substitute x0 (any compatible value) for the variable."""
@@ -1457,6 +1625,7 @@ def square_class_reduce(x, ctx=None):
         raise ZeroInput("square class of zero is not defined")
     if isinstance(ctx, RationalField):
         # num and den are coprime, and each is far easier to factor alone
+        import sympy
         r = 1 if x > 0 else -1
         for n in (abs(x.numerator), x.denominator):
             for prime, e in sympy.factorint(n).items():
@@ -1668,6 +1837,7 @@ def _factor_rational(f: Poly):
     lead = f.leading()
     if f.degree() == 0:
         return lead, []
+    import sympy
     x = sympy.Symbol(f.ring.var)
     expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** k
                for k, c in enumerate(f.coeffs))

@@ -172,3 +172,6 @@ def parse_element(text: str, context, variables: dict | None = None):
         raise ExpressionOutOfRange(f"division by zero in {text!r}") from exc
     except ValueError as exc:    # past Python's limit on int conversion
         raise ExpressionOutOfRange("integer literal too long") from exc
+    except RecursionError as exc:    # nesting within the bound, deep caller
+        raise ExpressionOutOfRange("expression nesting exhausts the Python "
+                                   "stack of this call") from exc

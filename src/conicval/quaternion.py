@@ -19,9 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-from sympy.solvers.diophantine.diophantine import diop_ternary_quadratic_normal
-
 from .errors import (InvariantViolated, NotUnitUnit, UnsupportedField,
                      ZeroInput)
 from .fields import (FF, QQ, FunctionField, RationalField, factor,
@@ -226,6 +223,7 @@ def _odd_primes(values):
     if rest:
         yield from sorted(p for p in found if p < _TRIAL_BOUND)
         found = {p for p in found if p > _TRIAL_BOUND}
+        import sympy
         found.update(int(p) for n in rest for p in sympy.factorint(n))
     yield from sorted(found)
 
@@ -326,6 +324,14 @@ def _local_symbols(q: QuaternionAlgebra):
     yield "inf", _local_symbol(a, b, InfinitePlaceValuation(field))
 
 
+def diop_ternary_quadratic_normal(eq):
+    """sympy's Legendre descent on eq = A*X^2 + B*Y^2 - Z^2, imported when
+    it is first needed; ``conic_points`` looks this name up on each call."""
+    from sympy.solvers.diophantine.diophantine import \
+        diop_ternary_quadratic_normal as descent
+    return descent(eq)
+
+
 def conic_points(a, b, k, bound: int = 200):
     """The nontrivial points (x, y, z) of a*x^2 + b*y^2 = z^2 over k, lazily
     in a fixed order; each caller takes the first point it can use.
@@ -364,6 +370,7 @@ def conic_points(a, b, k, bound: int = 200):
                 if r * r == n // d:
                     yield Fraction(x), Fraction(y), Fraction(r)
     (ra, sa), (rb, sb) = square_class_reduce(a, QQ), square_class_reduce(b, QQ)
+    import sympy
     X, Y, Z = sympy.symbols("X Y Z")
     x, y, z = diop_ternary_quadratic_normal(
         int(ra) * X ** 2 + int(rb) * Y ** 2 - Z ** 2)

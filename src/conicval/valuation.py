@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
-
 from .errors import (ContextMismatch, InvariantViolated, NegativeValue,
                      UnsupportedField, UnsupportedPlace, ZeroInput)
 from .fields import (FF, FlatQuotient, FunctionField, Poly, QQ, RationalField,
@@ -75,6 +73,7 @@ class PAdicValuation(Valuation):
         if p == 2:
             raise UnsupportedPlace("dyadic valuations are excluded (v(2) = 0 "
                                    "is a standing hypothesis)")
+        import sympy
         if not sympy.isprime(p):
             raise UnsupportedPlace(f"{p} is not prime")
         self.p = p

@@ -135,6 +135,22 @@ class TestMalformedInput:
         with pytest.raises(ExpressionOutOfRange, match="nesting beyond 100"):
             parse_element("-" + text, qt, {"t": qt.gen()})
 
+    def test_nesting_from_a_deep_caller_is_an_input_error(self, qt):
+        # 100 levels take about 820 frames, so 250 frames of callers can
+        # exhaust the default limit of 1000 below the bound
+        text = "(" * 100 + "t" + ")" * 100
+
+        def parse_from(depth):
+            if depth:
+                return parse_from(depth - 1)
+            try:
+                return parse_element(text, qt, {"t": qt.gen()})
+            except ExpressionOutOfRange as exc:
+                return exc
+
+        result = parse_from(250)
+        assert result == qt.gen() or "stack" in str(result), result
+
 
 class TestFiniteFieldFactorisation:
     """Splitting over F_q(t) when a has factors of degree d with q^d above a
@@ -368,3 +384,37 @@ def test_every_option_is_read_by_its_handler():
             if f"args.{dest}" not in text:
                 unread.append((name, dest))
     assert unread == []
+
+
+# A Q(t) eval on the w* of (t, 1), whose pivot inverse is reduced when the
+# extension is built, and an identity-pivot gauss, both from
+# tests/data/cli_golden.json.
+_SYMPY_FREE = [
+    ["eval", "--val", "Q(t):place=t", "--a=t", "--b=1", "--f=0",
+     "--g=(2*(t)^2)*x^3"],
+    ["gauss", "--val", "Q(t):place=t", "--pivot", "x",
+     "--eval=(3*(t)^1)+(3*(t)^-1)*(x)^1+(-5)*(x)^2"],
+]
+
+
+def test_import_and_qt_commands_leave_sympy_unloaded():
+    """sympy is imported where a computation needs it, not by ``import
+    conicval``: a fresh process imports the package and the CLI, runs the
+    commands through ``cli.main`` and lists the sympy modules it holds."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import conicval, conicval.cli\n"
+        "codes = []\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(conicval.cli.main(args))\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "                                if m.split('.')[0] == 'sympy')]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script,
+                           json.dumps(_SYMPY_FREE)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert "sympy" not in loaded, loaded[:5]

@@ -1,16 +1,19 @@
 """The row kernels against independent routes, on seeded hypothesis draws.
 
 The characteristic-0 kernels (``_INT_ROWS``: Z[x] at u = 0, Z[t][x] at
-u = 1) run sums, products and, with a constant row, exact divisions, gcds
-and cofactors on plain ints.  Every result must equal sympy's dense
-routine at the same u, entry for entry, since ``RatFunc.rows``, hashes and
-printed output are built from them.  The level-1 sum and product shared by
-Z[t][x] and F_q[t][x] (``_Rows``) are checked over F_3 and F_9 against a
-degree-by-degree reference on the ``_FqRows`` base kernel.  The steps of
+u = 1) run sums, products, exact divisions, gcds and cofactors on plain
+ints in Z[x], and in Z[t][x] when a row is constant in x.  Every result
+must equal sympy's dense routine at the same u, entry for entry, since
+``RatFunc.rows``, hashes and printed output are built from them.  The
+level-1 sum and product shared by Z[t][x] and F_q[t][x] (``_Rows``) are
+checked over F_3 and F_9 against a degree-by-degree reference on the
+``_FqRows`` base kernel.  The steps of
 the squarefree decomposition that run on rows, ``derivative`` in every
 kernel and ``pth_root`` in characteristic p, are checked against
 ``Poly.derivative`` and against p-th powers.
 """
+
+import random
 
 import pytest
 
@@ -24,6 +27,7 @@ from sympy.polys.densebasic import (dmp_ground_LC, dmp_strip,  # noqa: E402
 from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.euclidtools import dmp_inner_gcd  # noqa: E402
 
+from conicval import fields  # noqa: E402
 from conicval.errors import UnsupportedField  # noqa: E402
 from conicval.fields import (_INT_ROWS, GF, QQ, FunctionField,  # noqa: E402
                              PolyRing)
@@ -88,6 +92,94 @@ class TestIntRowsAgainstSympy:
     def test_seeded_rows(self, u, data):
         a, b, c = (data.draw(_ROWS[u]) for _ in range(3))
         _check_int_rows(u, a, b, c)
+
+
+def _planted(degree):
+    """Z[x] rows a*c and b*c: a, b and c of degree up to ``degree`` with
+    small or past-2^64 entries, so c is a common factor."""
+    row = st.lists(_ENTRY, min_size=1, max_size=degree + 1).map(
+        lambda r: dmp_strip(r, 0))
+    return st.tuples(row, row, row).map(
+        lambda abc: (dmp_mul(abc[0], abc[2], 0, ZZ),
+                     dmp_mul(abc[1], abc[2], 0, ZZ)))
+
+
+def _check_gcd(u, f, g):
+    """gcd, cofactors and exact quotients of f and g against sympy."""
+    K = _INT_ROWS[u]
+    if dmp_zero_p(f, u) and dmp_zero_p(g, u):
+        return
+    h, cf, cg = dmp_inner_gcd(f, g, u, ZZ)
+    assert K.gcd_rows(f, g) == h, (f, g)
+    assert list(K.cofactors(f, g)) == [cf, cg], (f, g)
+    if not dmp_zero_p(h, u):
+        assert K.exquo(f, h) == cf and K.exquo(g, h) == cg, (f, g)
+
+
+class TestIntGcdAgainstSympy:
+    """The plain-int Z[x] gcd (sympy's heuristic step for step, sympy's
+    ``dup_inner_gcd`` when it fails) and the Z[t][x] gcd with a row
+    constant in x."""
+
+    @SEEDED
+    @given(fg=_planted(40))
+    def test_planted_common_factor(self, fg):
+        _check_gcd(0, *fg)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_degree_100_and_more(self, seed):
+        rng = random.Random(seed)
+        a, b, c = ([rng.randint(-2 ** 70, 2 ** 70) or 1
+                    for _ in range(rng.randint(60, 110))] for _ in range(3))
+        _check_gcd(0, dmp_mul(a, c, 0, ZZ), dmp_mul(b, c, 0, ZZ))
+        _check_gcd(0, a, dmp_mul(a, [1, 0, -seed - 2], 0, ZZ))
+
+    @SEEDED
+    @given(fg=_planted(12))
+    def test_fallback_when_the_heuristic_fails(self, fg):
+        # fg is drawn first, so the patch covers only the calls below
+        real = fields._heu_gcd
+        fields._heu_gcd = lambda f, g: None
+        try:
+            _check_gcd(0, *fg)
+        finally:
+            fields._heu_gcd = real
+
+    @SEEDED
+    @given(data=st.data())
+    def test_row_constant_in_x(self, data):
+        """One operand of length 1: its entry and the other's content have
+        their gcd in Z[t], as sympy's ``_dmp_simplify_gcd`` takes it."""
+        c = data.draw(_ROW0) or [1]
+        rows = st.lists(_ROW0, min_size=1, max_size=4).map(
+            lambda r: dmp_strip([dmp_mul(x, c, 0, ZZ) for x in r], 1))
+        f, g, h = data.draw(rows), data.draw(rows)[:1], data.draw(rows)[:1]
+        _check_gcd(1, f, g)
+        _check_gcd(1, g, f)
+        _check_gcd(1, g, h)
+
+
+def _sparse_long(n):
+    """Rows of length up to n with two or three nonzero entries."""
+    return st.lists(st.tuples(st.integers(0, n - 1), _ENTRY), min_size=1,
+                    max_size=3).map(lambda terms: dmp_strip(
+                        [dict(terms).get(n - 1 - i, 0) for i in range(n)], 0))
+
+
+@SEEDED
+@given(dense=st.lists(_ENTRY, min_size=1, max_size=60),
+       sparse=_sparse_long(200))
+def test_products_of_sparse_long_rows(dense, sparse):
+    """``_convolve`` runs its outer loop on the sparser row: the product
+    is sympy's in both operand orders, over Z[x] and mod p."""
+    dense = dmp_strip(dense, 0)
+    K, F = _INT_ROWS[0], GF(3).kernel
+    for a, b in ((dense, sparse), (sparse, dense),
+                 (sparse, dmp_strip(sparse[::-1], 0))):
+        assert K.mul(a, b) == dmp_mul(a, b, 0, ZZ), (a, b)
+        a, b = (dmp_strip([x % 3 for x in r], 0) for r in (a, b))
+        assert F.mul(a, b) == dmp_strip(
+            [x % 3 for x in dmp_mul(a, b, 0, ZZ)], 0), (a, b)
 
 
 def _fq_rows(k):
