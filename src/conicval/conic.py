@@ -2,16 +2,15 @@
 extension of a valuation v on E to F.
 
 The distinguished extension w* restricts to E(x^2) as the Gauss extension
-with respect to z = a*x^2/b and extends uniquely to F.  Elements decompose
-over E(x^2) along the basis (1, x, s, xs), whose values are
+w1 with respect to z = a*x^2/b and extends uniquely to F.  It is
 
-    beta = (0, (v(b)-v(a))/2, v(b)/2, v(b)-v(a)/2),
+    w*(f + g*s) = min(omega(f), omega(g) + v(b)/2),
 
-and w* of a general element is the minimum of w1(e_i) + beta_i over the
-components: the four basis directions are separated by value coset and
-residue component, so no cancellation can occur.  This evaluation rule is
-cross-checked against the norm identity w1(N(e)) = 4*w*(e), N the norm to
-E(x^2), by tests/test_conic.py (TestGaloisNormOracle).
+omega the monomial valuation on E(x) with omega(x) = (v(b) - v(a))/2, which
+restricts to w1 on E(x^2) (``DistinguishedExtension.value_of`` says why).
+tests/test_conic.py checks it against the norm identity w1(N(e)) = 4*w*(e),
+N the norm to E(x^2), and against the components along the basis
+(1, x, s, xs) of F over E(x^2), valued one by one.
 
 The value group is Gamma union the cosets (v(a)/2 + Gamma), (v(b)/2 + Gamma),
 (v(ab)/2 + Gamma).  The residue field is described explicitly: a conic
@@ -314,7 +313,7 @@ def distinguished_value_group(v: Valuation, cf: ConicFunctionField) -> ValueGrou
 
 class DistinguishedExtension:
     """The unique extension to F of the Gauss extension on E(x^2) with
-    respect to a*x^2/b; evaluation by the graded minimum formula."""
+    respect to a*x^2/b; values by the monomial valuation omega on E(x)."""
 
     def __init__(self, v: Valuation, cf: ConicFunctionField):
         self.v = v
@@ -326,8 +325,10 @@ class DistinguishedExtension:
         pivot = RatFunc(zf, zf.ring.poly([v.base.zero(), a / b]), zf.ring.one())
         self.w1 = GaussExtension(v, pivot, residue_var="z")
         va, vb = self.va, self.vb
-        self.beta = (Value(0), Value(Fraction(vb - va, 2)),
-                     Value(Fraction(vb, 2)), Value(vb) - Value(Fraction(va, 2)))
+        self._gamma = Fraction(vb - va, 2)          # omega(x)
+        self._half_b = Fraction(vb, 2)              # w*(s)
+        self.beta = (Value(0), Value(self._gamma), Value(self._half_b),
+                     Value(self._gamma + self._half_b))
         self.value_group = distinguished_value_group(v, cf)
         self._build_residue_desc()
 
@@ -381,48 +382,41 @@ class DistinguishedExtension:
         return (f"w*[{self.v.describe()}; s^2 = ({cf.a})*{cf.var}^2 + ({cf.b})]")
 
     def value_of(self, elem) -> Value:
-        """min of w1(e_i) + beta_i over the quadruple (e0, e1, e2, e3).
+        """w*(f + g*s) = min(omega(f), omega(g) + v(b)/2), omega the monomial
+        valuation on E(x) with omega(x) = gamma = (v(b) - v(a))/2.
 
-        The quadruple is not built: for each of f and g in f + g*s, with
-        f = Rn/Rd the pair of rows of Z[x], Z[t][x] or F_q[t][x] that f
-        stores (``RatFunc.fraction``, unreduced at level 1), M = Rn*Rd(-x)
-        and D = Rd*Rd(-x) give w1(e_i) = w1(M_part) - w1(D_even), M_part the
-        even or odd x-degree rows of M.  A common factor c of Rn and Rd
-        multiplies M_part and D by the even c*c(-x), which leaves the
-        difference and the constancy test unchanged, so no gcd is run.  A
-        part constant in z while w1's pivot is not the identity is built as
-        that constant of E and valued by ``w1.value_of``, whose
-        ``_rewrite`` keeps the Gauss-constant defect.
+        This is the minimum of w1(e_i) + beta_i over the components e_i of
+        the element along (1, x, s, xs) over E(x^2), whose values are beta =
+        (0, gamma, v(b)/2, gamma + v(b)/2).  omega restricted to E(x^2) is
+        w1, since 2*gamma = -v(a/b).  Write f = e0(x^2) + x*e1(x^2).  If
+        gamma is not in Gamma, omega(e0) and omega(x*e1) lie in different
+        cosets of Gamma.  If it is, omega is the Gauss valuation in X = x/c,
+        c in E of value gamma, and the residues of e0 and x*e1, scaled by a
+        common constant, lie in kappa(Xbar^2) and Xbar*kappa(Xbar^2), which
+        meet only in 0.  Either way no cancellation occurs and omega(f) =
+        min(w1(e0) + beta_0, w1(e1) + beta_1); likewise for g.
+
+        omega is multiplicative, so f is valued on the pair N/D that it
+        stores (``RatFunc.fraction``, unreduced at level 1), with no gcd run.
         """
         if isinstance(elem, (int, RatFunc, Poly)):
             elem = self.conic_field.element(elem)
         if not elem:
             raise ZeroElement("the distinguished extension has no value at 0")
-        w1, values, K = self.w1, [], self.w1.field.kernel
-        for k, h in enumerate((elem.f, elem.g)):
-            if not h:
-                continue
-            rn, rd = h.fraction
-            top = len(rd) - 1
-            neg = [K.neg([r])[0] if (top - i) % 2 else r
-                   for i, r in enumerate(rd)]                # Rd(-x)
-            m = K.mul(rn, neg)
-            d = K.mul(rd, neg)[::2]                          # D is even
-            shift = -w1.row_value(d)
-            even = (len(m) - 1) % 2        # m[even::2] has even x-degrees
-            for i, part in ((2 * k, m[even::2]), (2 * k + 1, m[1 - even::2])):
-                while part and not part[0]:
-                    part = part[1:]
-                if not part:
-                    continue
-                if not w1._identity and K.proportional(part, d):
-                    # e_i is the constant lc(M_part) / lc(D) of E
-                    c = K.to_poly(w1.field.ring, [part[0]], [d[0]])
-                    values.append(w1.value_of(c) + self.beta[i])
-                else:
-                    values.append(Value(w1.row_value(part) + shift)
-                                  + self.beta[i])
-        return min(values)
+        values = []
+        for h, shift in ((elem.f, 0), (elem.g, self._half_b)):
+            if h:
+                n, d = h.fraction
+                values.append(self._omega(n) - self._omega(d) + shift)
+        return Value(min(values))
+
+    def _omega(self, rows) -> Fraction:
+        """omega of a nonzero polynomial of Z[x], Z[t][x] or F_q[t][x]
+        given as rows (``RatFunc.rows``, highest degree first): the least
+        ``v.row_order(c) + j*gamma`` over its nonzero entries c of degree j."""
+        order, gamma, top = self.v.row_order, self._gamma, len(rows) - 1
+        return min(order(c) + (top - i) * gamma
+                   for i, c in enumerate(rows) if c)
 
     def residue_of(self, elem):
         """Residue of a value-zero element, in the generators of the

@@ -75,6 +75,33 @@ class TestGoldenVerdicts:
         assert doc["result"]["certificate"] == ["u", "1", "2*u + 3"]
 
 
+class TestDistinguishedExtension:
+    """w* on algebras with a != b, where it once went through a Gauss
+    extension with pivot (a/b)*z: t at the place t got the value 0, the
+    Q:p=5 command exited 1 with an AttributeError, and so did ``verify``."""
+
+    def test_value_of_t_over_qt(self, run_cli, validator):
+        code, doc = run_cli("eval", "--val", "Q(t):place=t", "--a", "t",
+                            "--b", "1", "--f", "t", "--g", "0")
+        validator.validate(doc)
+        assert code == 0 and doc["result"]["value"] == "1"
+
+    def test_unit_over_q5(self, run_cli, validator):
+        code, doc = run_cli("eval", "--val", "Q:p=5", "--a", "2", "--b", "3",
+                            "--f", "x", "--g", "1")
+        validator.validate(doc)
+        assert code == 0
+        assert (doc["result"]["value"], doc["result"]["residue"]) == \
+            ("0", "(T) + (1)*S")
+
+    def test_verify_every_suite_agrees(self, run_cli, validator):
+        code, doc = run_cli("verify", "--suite", "all")
+        validator.validate(doc)
+        assert code == 0 and doc["result"]["agreement"] is True
+        assert doc["result"]["reports"]
+        assert all(r["agreement"] for r in doc["result"]["reports"])
+
+
 class TestMalformedInput:
     """Inputs that once escaped as tracebacks, gave a wrong answer or never
     finished: each is now an InputError with exit code 2."""

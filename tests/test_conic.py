@@ -5,8 +5,10 @@ import pytest
 
 from conicval.cli import parse_field_element, parse_valuation
 from conicval.conic import (ConicFieldElement, ConicFunctionField,
-                            DistinguishedExtension, _even_odd, _subs_square)
+                            DistinguishedExtension, _even_odd, _scale_argument,
+                            _subs_square)
 from conicval.fields import QQ, RatFunc
+from conicval.gauss import GaussExtension
 from conicval.oracle import (sample_conic_element, sample_field_element,
                              sample_ratfunc, valuation_axiom_fuzz)
 from conicval.valuation import PAdicValuation
@@ -40,9 +42,10 @@ def wstar_t_one(qt, vt):
     return _wstar(qt, qt.gen(), 1, vt)
 
 
-# With a pivot other than the identity, as w1's (a/b)*z when a != b, w1
-# gives base-field constants the value 0 over Q(t) and F_q(t) and crashes
-# over Q.
+# With a pivot other than the identity, ``GaussExtension`` gives base-field
+# constants the value 0 over Q(t) and F_q(t) and crashes over Q.  w* no
+# longer goes through it (it values on rows with omega), so the defect now
+# lives only in ``GaussExtension``.
 GAUSS_CONSTANT_DEFECT = ("gauss._rewrite does not coerce a constant numerator "
                          "or denominator into E(_y) when the pivot is not the "
                          "identity")
@@ -51,12 +54,7 @@ GAUSS_CONSTANT_DEFECT = ("gauss._rewrite does not coerce a constant numerator "
 class TestGaloisNormOracle:
     """w* is the unique extension of w1 to F, so w1(N(e)) == 4*w*(e)."""
 
-    @pytest.mark.parametrize("fixture", [
-        "wstar_minus_one",
-        # one of the 15 draws gets a wrong value from the defect
-        pytest.param("wstar_t_one", marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError, reason=GAUSS_CONSTANT_DEFECT)),
-    ])
+    @pytest.mark.parametrize("fixture", ["wstar_minus_one", "wstar_t_one"])
     def test_norm_identity_over_qt(self, fixture, request):
         w = request.getfixturevalue(fixture)
         rng = random.Random(7)
@@ -64,8 +62,6 @@ class TestGaloisNormOracle:
             e = sample_conic_element(rng, w.conic_field)
             assert w.w1.value_of(_galois_norm(e)) == 4 * w.value_of(e), e
 
-    @pytest.mark.xfail(strict=True, raises=AttributeError,
-                       reason=GAUSS_CONSTANT_DEFECT)
     def test_norm_identity_over_q5(self):
         w = _wstar(QQ, 2, 3, PAdicValuation(5))
         rng = random.Random(7)
@@ -75,21 +71,24 @@ class TestGaloisNormOracle:
 
 
 def _quadruple_value(w, e):
-    """min of w1(e_i) + beta_i with each w1(e_i) through ``_rewrite``,
-    which keeps the Gauss-constant defect on parts constant in z."""
+    """min of w1(e_i) + beta_i over the quadruple, with w1(e_i) the
+    identity-pivot Gauss value of e_i((b/a)*y): w1's pivot is (a/b)*z, so
+    z = (b/a)*y.  Independent of ``value_of``'s rows and of the non-identity
+    pivot path of ``GaussExtension``."""
+    cf = w.conic_field
+    gauss = GaussExtension(w.v, cf.zfield.gen())
+    lam = cf.b / cf.a
     best = INFINITY
     for ei, bi in zip(e.quadruple(), w.beta):
         if ei:
-            r = w.w1._rewrite(ei)
-            best = min(best, w.w1._min_value(r.num) - w.w1._min_value(r.den) + bi)
+            best = min(best, gauss.value_of(_scale_argument(ei, lam)) + bi)
     return best
 
 
-def _check_rows_against_quadruple(val, a, b, seed, constants=True):
+def _check_rows_against_quadruple(val, a, b, seed):
     """w* on rows against ``_quadruple_value`` on 20 nonzero elements whose
-    four parts are drawn in E(z); with ``constants`` 40% of the draws are
-    constants of E (zero included), otherwise a part has degree 0 only
-    when it is zero."""
+    four parts are drawn in E(z), 40% of the draws constants of E (zero
+    included)."""
     v = parse_valuation(val)
     base = v.base
     w = _wstar(base, parse_field_element(a, base),
@@ -99,12 +98,9 @@ def _check_rows_against_quadruple(val, a, b, seed, constants=True):
     rng = random.Random(seed)
 
     def part():
-        if constants and rng.random() < 0.4:    # constant in z, possibly zero
+        if rng.random() < 0.4:    # constant in z, possibly zero
             return cf.ef.coerce(sample_field_element(rng, base))
-        h = sample_ratfunc(rng, cf.zfield, 2, 1)
-        while not constants and h and h.degree() < 1:
-            h = sample_ratfunc(rng, cf.zfield, 2, 1)
-        return _subs_square(h, cf.ef)
+        return _subs_square(sample_ratfunc(rng, cf.zfield, 2, 1), cf.ef)
 
     checked = 0
     while checked < 20:
@@ -116,34 +112,29 @@ def _check_rows_against_quadruple(val, a, b, seed, constants=True):
 
 class TestRowValues:
     """w* runs on the rows of Z[x], Z[t][x] or F_q[t][x] at every base
-    field; it agrees with the quadruple, parts constant in z (valued as
-    constants of E when a != b) included."""
+    field; it agrees with the quadruple, parts constant in z included."""
 
     @pytest.mark.parametrize("place", ["t", "t-2", "inf"])
-    @pytest.mark.parametrize("a, b", [("-1", "-1"), ("t", "1")])
+    @pytest.mark.parametrize("a, b", [("-1", "-1"), ("t", "1"), ("1", "t")])
     def test_agrees_with_quadruple(self, place, a, b):
         _check_rows_against_quadruple(f"Q(t):place={place}", a, b, 37)
 
     @pytest.mark.parametrize("val", ["Fq(t):q=3,place=t", "Fq(t):q=5,place=t^2+2",
                                      "Fq(t):q=9,place=inf"])
-    @pytest.mark.parametrize("a, b", [("-1", "-1"), ("t", "1")])
+    @pytest.mark.parametrize("a, b", [("-1", "-1"), ("t", "1"), ("1", "t")])
     def test_agrees_with_quadruple_over_fq(self, val, a, b):
         _check_rows_against_quadruple(val, a, b, 41)
 
-    @pytest.mark.parametrize("a, b, constants", [("-1", "-1", True),
-                                                 ("2", "3", False)])
-    def test_agrees_with_quadruple_over_q5(self, a, b, constants):
-        """Over Q:p=5, with a=2, b=3 no part is constant in z: the
-        Gauss-constant defect crashes w* and the quadruple alike there."""
-        _check_rows_against_quadruple("Q:p=5", a, b, 43, constants)
+    @pytest.mark.parametrize("a, b", [("-1", "-1"), ("2", "3"), ("3", "10")])
+    def test_agrees_with_quadruple_over_q5(self, a, b):
+        _check_rows_against_quadruple("Q:p=5", a, b, 43)
 
 
 class TestUnreducedParts:
     """w* reads the pairs that f and g store (``RatFunc.fraction``),
     unreduced at level 1: an element whose parts hide a common factor,
     constants (x+1)*c/(x+1) with c = pi^k*u and parts constant in z
-    included, gets the value of its canonical copy, or raises as it does
-    (the Gauss-constant defect over Q:p=5 with a=2, b=3)."""
+    included, gets the value of its canonical copy."""
 
     @pytest.mark.parametrize("val, a, b", [("Q(t):place=t", "-1", "-1"),
                                            ("Q(t):place=t", "t", "1"),
@@ -172,12 +163,6 @@ class TestUnreducedParts:
                 return hidden(_subs_square(h, ex))
             return hidden(sample_ratfunc(rng, ex, 3, 2))
 
-        def outcome(e):
-            try:
-                return w.value_of(e)
-            except AttributeError:
-                return AttributeError
-
         unreduced = 0
         for _ in range(20):
             f, g = part(), part()
@@ -187,16 +172,15 @@ class TestUnreducedParts:
                              for h, c in zip((f, g), canonical))
             e = ConicFieldElement(cf, f, g)
             if e:
-                assert outcome(e) == outcome(cf.element(*canonical)), e
+                assert w.value_of(e) == w.value_of(cf.element(*canonical)), e
         assert unreduced >= 20 or ex.level == 0
 
 
 class TestGaussConstantDefectOverFq:
     """The F_q(t) form of the Gauss-constant defect: t has value 1 at the
-    place t, but a pivot other than x values it through ``_rewrite``."""
+    place t.  w* gets it right on rows, but a Gauss extension with a pivot
+    other than x values t through ``_rewrite``."""
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason=GAUSS_CONSTANT_DEFECT)
     def test_wstar_of_t(self, run_cli):
         code, doc = run_cli("eval", "--val", "Fq(t):q=3,place=t", "--a", "t",
                             "--b", "1", "--f", "t", "--g", "0")
@@ -225,12 +209,13 @@ class TestTailPairs:
 
 class TestResidueMultiplicativity:
     """On pairs of value zero, res(e1 * e2) == res(e1) * res(e2) in the
-    residue conic.  Only a=b=-1: when a/b != 1, w1's pivot is not the
-    identity, and the Gauss-constant defect gives constants of E the wrong
-    value (a=t, b=1 over Q(t)) or crashes (Q:p=5)."""
+    residue conic, on case3_units algebras, whose residues go through the
+    identity-pivot ``_w0``.  Not yet on a=t, b=1 (case2_b): its residues go
+    through ``w1.residue_of``, where ``GaussExtension``'s constant defect
+    makes the map fail to be multiplicative."""
 
-    def test_minus_one_minus_one(self, wstar_minus_one):
-        w = wstar_minus_one
+    @staticmethod
+    def _check(w):
         cf = w.conic_field
         rng = random.Random(3)
 
@@ -243,6 +228,18 @@ class TestResidueMultiplicativity:
             e1, e2 = unit(), unit()
             assert w.residue_of(e1 * e2) == \
                 w.residue_of(e1) * w.residue_of(e2), (e1, e2)
+
+    def test_minus_one_minus_one(self, wstar_minus_one):
+        self._check(wstar_minus_one)
+
+    @pytest.mark.parametrize("val, a, b", [("Q:p=5", "2", "3"),
+                                           ("Q(t):place=t", "t^2", "3")])
+    def test_a_not_b(self, val, a, b):
+        v = parse_valuation(val)
+        w = _wstar(v.base, parse_field_element(a, v.base),
+                   parse_field_element(b, v.base), v)
+        assert w.case_tag == "case3_units"
+        self._check(w)
 
 
 class TestResidueConic:
