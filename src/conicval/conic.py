@@ -8,9 +8,11 @@ w1 with respect to z = a*x^2/b and extends uniquely to F.  It is
 
 omega the monomial valuation on E(x) with omega(x) = (v(b) - v(a))/2, which
 restricts to w1 on E(x^2) (``DistinguishedExtension.value_of`` says why).
-tests/test_conic.py checks it against the norm identity w1(N(e)) = 4*w*(e),
-N the norm to E(x^2), and against the components along the basis
-(1, x, s, xs) of F over E(x^2), valued one by one.
+Residues are read off omega's initial forms of f and g, with no Gauss
+extension built.  tests/test_conic.py checks values against the norm
+identity w1(N(e)) = 4*w*(e), N the norm to E(x^2), and against the
+components along the basis (1, x, s, xs) of F over E(x^2), valued one by
+one, and residues against multiplicativity and the named generators.
 
 The value group is Gamma union the cosets (v(a)/2 + Gamma), (v(b)/2 + Gamma),
 (v(ab)/2 + Gamma).  The residue field is described explicitly: a conic
@@ -159,34 +161,6 @@ def _even_odd(rf: RatFunc, zfield: FunctionField):
     return he, ho
 
 
-def _subs_square(rf: RatFunc, tfield: FunctionField) -> RatFunc:
-    """Substitute the square of the target variable: p(z) -> p(T^2)."""
-
-    def spread(p: Poly) -> Poly:
-        coeffs = []
-        for c in p.coeffs:
-            coeffs.append(c)
-            coeffs.append(tfield.ring.field.zero())
-        return tfield.ring.poly(coeffs[:-1] if coeffs else [])
-
-    return RatFunc(tfield, spread(rf.num), spread(rf.den))
-
-
-def _scale_argument(rf: RatFunc, lam) -> RatFunc:
-    """p(z) -> p(lambda * z) for a base-field constant lambda."""
-    fld = rf.field
-
-    def tr(p: Poly) -> Poly:
-        acc = fld.ring.field.one()
-        out = []
-        for c in p.coeffs:
-            out.append(c * acc)
-            acc = acc * lam
-        return fld.ring.poly(out)
-
-    return RatFunc(fld, tr(rf.num), tr(rf.den))
-
-
 # ---------------------------------------------------------------------------
 # residue field descriptions
 # ---------------------------------------------------------------------------
@@ -273,10 +247,6 @@ class ResidueRationalDesc:
             raise InvariantViolated(
                 "rational parametrization failed symbolic verification")
 
-    def embed(self, elem: RatFunc) -> RatFunc:
-        """kappa(zbar) -> kappa(r) by substituting the expression for zbar."""
-        return elem(self.zbar_expr)
-
     def __str__(self):
         return f"{self.kappa!r}({self.rvar}), zbar = {self.zbar_expr}"
 
@@ -313,29 +283,27 @@ def distinguished_value_group(v: Valuation, cf: ConicFunctionField) -> ValueGrou
 
 class DistinguishedExtension:
     """The unique extension to F of the Gauss extension on E(x^2) with
-    respect to a*x^2/b; values by the monomial valuation omega on E(x)."""
+    respect to a*x^2/b; values and residues by the monomial valuation omega
+    on E(x)."""
 
     def __init__(self, v: Valuation, cf: ConicFunctionField):
         self.v = v
         self.conic_field = cf
-        a, b = cf.a, cf.b
-        self.va = int(v.value_of(a).fraction)
-        self.vb = int(v.value_of(b).fraction)
-        zf = cf.zfield
-        pivot = RatFunc(zf, zf.ring.poly([v.base.zero(), a / b]), zf.ring.one())
-        self.w1 = GaussExtension(v, pivot, residue_var="z")
-        va, vb = self.va, self.vb
-        self._gamma = Fraction(vb - va, 2)          # omega(x)
-        self._half_b = Fraction(vb, 2)              # w*(s)
-        self.beta = (Value(0), Value(self._gamma), Value(self._half_b),
-                     Value(self._gamma + self._half_b))
+        self.va = int(v.value_of(cf.a).fraction)
+        self.vb = int(v.value_of(cf.b).fraction)
+        self._gamma = Fraction(self.vb - self.va, 2)     # omega(x)
+        self._half_b = Fraction(self.vb, 2)              # w*(s)
+        self._delta = self._gamma.denominator            # 1 if gamma in Z, else 2
         self.value_group = distinguished_value_group(v, cf)
         self._build_residue_desc()
 
     def _build_residue_desc(self):
+        """The residue field; kappa(Xbar), Xbar in its generators (None for
+        T) and the power of x in sigma, for ``residue_of``."""
         v, cf = self.v, self.conic_field
         va, vb = self.va, self.vb
         pi = v.uniformizer
+        self._x_shift = 0
         if va % 2 == 0 and vb % 2 == 0:
             self.case_tag = CASE_UNITS
             u = pi ** (-(va // 2)) if va else v.base.coerce(1)
@@ -345,33 +313,30 @@ class DistinguishedExtension:
             self.residue = ResidueConicDesc(
                 v.residue_field, v.residue_of(a0), v.residue_of(b0),
                 a0, b0, u, nu)
-            self._u, self._nu = u, nu
-            # identity-pivot Gauss extension on E(z0), z0 = (normalized x)^2
-            self._w0 = GaussExtension(v, cf.zfield.gen(), residue_var="z")
+            self._xfield, self._xbar = self.residue.conic.ef, None
             return
         if va % 2 == 0:
             self.case_tag = CASE_A
             u = cf.a * pi ** (-va) if va else cf.a
-            scale = cf.a * pi ** (-(va // 2)) / cf.b
-            self._j = 3
+            self._x_shift = 1
             subcase = "a"
         elif vb % 2 == 0:
             self.case_tag = CASE_B
             u = cf.b * pi ** (-vb) if vb else cf.b
-            scale = pi ** (-(vb // 2)) if vb else v.base.coerce(1)
-            self._j = 2
             subcase = "b"
         else:
             # v(a), v(b) odd forces v(ab) even; all three odd cannot happen
             self.case_tag = CASE_AB
-            vab = va + vb
-            u = cf.a * cf.b * pi ** (-vab)
-            scale = cf.a * pi ** (-(vab // 2))
-            self._j = 1
+            u = cf.a * cf.b * pi ** (-(va + vb))
             subcase = "ab"
-        self._mj = scale
-        self.residue = ResidueRationalDesc(v.residue_field, subcase, u,
-                                           v.residue_of(u))
+        desc = self.residue = ResidueRationalDesc(
+            v.residue_field, subcase, u, v.residue_of(u))
+        self._xfield = FunctionField(v.residue_field, "X")
+        if subcase == "ab":
+            self._xbar = desc.rfield.gen() / v.residue_of(cf.a * pi ** (-va))
+        else:
+            self._xbar = desc.zbar_expr / v.residue_of(
+                cf.a * pi ** (vb - va) / cf.b)
 
     @property
     def domain(self):
@@ -386,15 +351,16 @@ class DistinguishedExtension:
         valuation on E(x) with omega(x) = gamma = (v(b) - v(a))/2.
 
         This is the minimum of w1(e_i) + beta_i over the components e_i of
-        the element along (1, x, s, xs) over E(x^2), whose values are beta =
-        (0, gamma, v(b)/2, gamma + v(b)/2).  omega restricted to E(x^2) is
-        w1, since 2*gamma = -v(a/b).  Write f = e0(x^2) + x*e1(x^2).  If
-        gamma is not in Gamma, omega(e0) and omega(x*e1) lie in different
-        cosets of Gamma.  If it is, omega is the Gauss valuation in X = x/c,
-        c in E of value gamma, and the residues of e0 and x*e1, scaled by a
-        common constant, lie in kappa(Xbar^2) and Xbar*kappa(Xbar^2), which
-        meet only in 0.  Either way no cancellation occurs and omega(f) =
-        min(w1(e0) + beta_0, w1(e1) + beta_1); likewise for g.
+        the element along (1, x, s, xs) over E(x^2), w1 the Gauss extension
+        with respect to a*x^2/b, whose values are beta = (0, gamma, v(b)/2,
+        gamma + v(b)/2).  omega restricted to E(x^2) is w1, since 2*gamma =
+        -v(a/b).  Write f = e0(x^2) + x*e1(x^2).  If gamma is not in Gamma,
+        omega(e0) and omega(x*e1) lie in different cosets of Gamma.  If it
+        is, omega is the Gauss valuation in X = x/c, c in E of value gamma,
+        and the residues of e0 and x*e1, scaled by a common constant, lie in
+        kappa(Xbar^2) and Xbar*kappa(Xbar^2), which meet only in 0.  Either
+        way no cancellation occurs and omega(f) = min(w1(e0) + beta_0,
+        w1(e1) + beta_1); likewise for g.
 
         omega is multiplicative, so f is valued on the pair N/D that it
         stores (``RatFunc.fraction``, unreduced at level 1), with no gcd run.
@@ -420,41 +386,61 @@ class DistinguishedExtension:
 
     def residue_of(self, elem):
         """Residue of a value-zero element, in the generators of the
-        residue-field description."""
+        residue-field description: res(f + g*s) = R(f) + R(g*sigma)*xi, for
+        sigma in E(x) with w*(sigma) = w*(s) = v(b)/2 and xi = res(s/sigma).
+
+        R(h) is 0 when omega(h) > 0, else in(N)/in(D) on the pair N/D that h
+        stores (initial forms multiply, so any pair gives R(h)).  For P =
+        sum c_j*x^j of omega(P) = m, in(P) = sum res(c_j*pi^(j*gamma - m)) *
+        Xbar^floor(j/delta) over the terms where omega attains m, at which
+        j*gamma - m = -v(c_j).  delta is 1 if gamma is in Z, else 2; then
+        those terms' j share one parity, and a factor x/pi^gamma of odd terms
+        cancels in the quotient.  For sigma = pi^k*x^e, R(g*sigma) =
+        in(N*x^e)/in(D), as pi^k drops out of every coefficient.  Per case:
+
+        * case3_units: Xbar = T = res(x/pi^gamma), sigma = pi^(v(b)/2), xi = S;
+        * case2_a: Xbar = res(x^2/pi^(2*gamma)) = zbar/res(a*pi^(v(b)-v(a))/b),
+          zbar = res(a*x^2/b) (``zbar_expr``); sigma = pi^(v(a)/2)*x, xi = r;
+        * case2_b: the same Xbar, sigma = pi^(v(b)/2) and xi = r;
+        * case2_ab: Xbar = r/res(a*pi^(-v(a))), r = res(a*x/pi^((v(a)+v(b))/2));
+          g*s never has value 0, as omega(g) is in Z and v(b)/2 is not.
+        """
         if isinstance(elem, (int, RatFunc, Poly)):
             elem = self.conic_field.element(elem)
         val = self.value_of(elem)
         if val != Value(0):
             raise NonzeroValue(f"w*({elem}) = {val} != 0")
-        e = elem.quadruple()
-        if self.case_tag == CASE_UNITS:
-            return self._residue_units(e)
-        return self._residue_rational(e)
+        f = self._initial_quotient(elem.f, 0, 0)
+        g = self._initial_quotient(elem.g, self._x_shift, self._half_b)
+        if self._xbar is None:
+            return self.residue.conic.element(f, g)
+        return self.residue.rfield.gen() * g(self._xbar) + f(self._xbar)
 
-    def _residue_units(self, e):
-        cf, v = self.conic_field, self.v
-        u, nu = self._u, self._nu
-        lam = (u / nu) ** 2
-        cscale = (v.base.coerce(1), u / nu, 1 / nu, u / (nu * nu))
-        conic = self.residue.conic
-        parts = []
-        for ei, ci in zip(e, cscale):
-            if ei:
-                transformed = _scale_argument(ei, lam) * ci
-                parts.append(_subs_square(self._w0.residue_of(transformed),
-                                          conic.ef))
-            else:
-                parts.append(conic.ef.zero())
-        t = conic.ef.gen()
-        return conic.element(parts[0] + parts[1] * t, parts[2] + parts[3] * t)
+    def _initial_quotient(self, h, shift, offset):
+        """R(h*sigma) in kappa(Xbar), for sigma = pi^k*x^shift of value
+        offset: in(N*x^shift)/in(D), or 0 when omega(h) + offset > 0."""
+        if not h:
+            return self._xfield.zero()
+        n, d = h.fraction
+        (mn, pn), (md, pd) = self._initial(n, shift), self._initial(d, 0)
+        if mn - md + offset:
+            return self._xfield.zero()
+        return RatFunc(self._xfield, pn, pd)
 
-    def _residue_rational(self, e):
-        desc = self.residue
-        j = self._j
-        r0 = self.w1.residue_of(e[0]) if e[0] else self.w1.residue_field.zero()
-        rj = (self.w1.residue_of(e[j] * (1 / self._mj))
-              if e[j] else self.w1.residue_field.zero())
-        return desc.embed(r0) + desc.embed(rj) * desc.sqrt_expr
+    def _initial(self, rows, shift):
+        """omega(P) and in(P*x^shift), for P given as rows (``RatFunc.rows``,
+        highest degree first)."""
+        v, gamma, top, delta = self.v, self._gamma, len(rows) - 1, self._delta
+        orders = {top - i: v.row_order(c) for i, c in enumerate(rows) if c}
+        m = min(k + j * gamma for j, k in orders.items())
+        ef, ring = self.conic_field.ef, self._xfield.ring
+        p = ef.kernel.to_poly(ef.ring, rows, ef.kernel.one).coeffs   # in E
+        coeffs = [ring.field.zero()] * ((top + shift) // delta + 1)
+        for j, k in orders.items():
+            if k + j * gamma == m:
+                coeffs[(j + shift) // delta] = v.residue_of(
+                    p[j] * v.uniformizer ** (-k))
+        return m, ring.poly(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +537,8 @@ def _residue_family(v: Valuation, cf: ConicFunctionField, ext, count: int,
         if x and y and z), None)
     if point is not None:
         xbar, ybar = point
-        shift = (ext._u / ext._nu) * v.lift(xbar)
-        cc = ext._nu / ext._u
+        shift = (desc.u / desc.nu) * v.lift(xbar)
+        cc = desc.nu / desc.u
         for i in range(1, count + 1):
             c = pi ** (-i) * cc
             pivot = RatFunc(cf.ef,

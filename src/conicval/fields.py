@@ -26,16 +26,16 @@ classes over k(t) and k(t)(x) read one split x = k*s^2*c (``_square_split``).
 Over every finite field F_q, polynomials factor by one distinct-degree
 routine (``_ddf``, iterated Frobenius x^(q^d) mod g) and a seeded
 equal-degree split (``_edf``), in time polynomial in the degree and log q;
-irreducibility is ``_ddf`` stopped at its first factor.  The modulus m of
-F_p[u]/(m) is checked with galoistools' Rabin test on its int row.
+irreducibility is ``_ddf`` stopped at its first factor, and the modulus m of
+F_p[u]/(m) is checked by that test too.
 
 Importing this module does not import sympy, and neither does arithmetic
 over Q, Q(t) and Q(t)(x) as long as the Z[t][x] gcds it meets have an
 operand constant in x.  The functions that need sympy import it when they
-are called: primality and prime powers (``FF``, ``GF``), the Rabin test,
-factoring over Q (``square_class_reduce``, ``factor``), the Z[t][x] gcd
-and division of two rows of positive degree in x (``_IntRows``), and the
-Z[x] gcd when six evaluation points of the heuristic fail (``_zz_gcd``).
+are called: primality and prime powers (``FF``, ``GF``), factoring over
+Q (``square_class_reduce``, ``factor``), the Z[t][x] gcd and division of
+two rows of positive degree in x (``_IntRows``), and the Z[x] gcd when six
+evaluation points of the heuristic fail (``_zz_gcd``).
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ class FF:
             raise UnsupportedField("modulus must have degree >= 1")
         if modulus[-1] != 1:
             raise UnsupportedField("modulus must be monic")
-        if _validate and not _rabin_irreducible(modulus, p):
+        if _validate and not _is_irreducible_ff(
+                PolyRing(FF(p, _validate=False), var).poly(modulus)):
             raise UnsupportedField(f"modulus {modulus} is reducible mod {p}")
         self.p = p
         self.modulus = modulus
@@ -361,19 +362,13 @@ def canonical_modulus(p: int, d: int) -> tuple[int, ...]:
         return (0, 1)
     key = (p, d)
     if key not in _CANONICAL_MODULI:
+        ring = PolyRing(FF(p, _validate=False), "u")
         for index in range(p ** d):
             m = _digits(index, p, d) + (1,)
-            if _rabin_irreducible(m, p):
+            if _is_irreducible_ff(ring.poly(m)):
                 _CANONICAL_MODULI[key] = m
                 break
     return _CANONICAL_MODULI[key]
-
-
-def _rabin_irreducible(m: tuple[int, ...], p: int) -> bool:
-    """galoistools' Rabin test on the coefficients of m, lowest first."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_irred_p_rabin
-    return gf_irred_p_rabin(list(reversed(m)), p, ZZ)
 
 
 def _digits(index: int, p: int, n: int) -> tuple[int, ...]:

@@ -78,7 +78,10 @@ class TestGoldenVerdicts:
 class TestDistinguishedExtension:
     """w* on algebras with a != b, where it once went through a Gauss
     extension with pivot (a/b)*z: t at the place t got the value 0, the
-    Q:p=5 command exited 1 with an AttributeError, and so did ``verify``."""
+    Q:p=5 command exited 1 with an AttributeError, and so did ``verify``.
+    Its case2 residues went through it too: corpus id 719 exited 1 with an
+    AttributeError, and id 732 printed a residue of a map that is not
+    multiplicative."""
 
     def test_value_of_t_over_qt(self, run_cli, validator):
         code, doc = run_cli("eval", "--val", "Q(t):place=t", "--a", "t",
@@ -93,6 +96,18 @@ class TestDistinguishedExtension:
         assert code == 0
         assert (doc["result"]["value"], doc["result"]["residue"]) == \
             ("0", "(T) + (1)*S")
+
+    @pytest.mark.parametrize("args, residue", [
+        (("--val", "Q:p=11", "--a=2", "--b=77", "--f=3", "--g=0"), "3"),
+        (("--val", "Fq(t):q=3,place=t", "--a=2*(t)^2", "--b=2*(t)^1",
+          "--f=(2*(t)^2)*x^0", "--g=(2)*x^1"), "(r)/(r^2 + 1)"),
+    ], ids=["corpus-719", "corpus-732"])
+    def test_case2_a_residue(self, run_cli, validator, args, residue):
+        code, doc = run_cli("eval", *args)
+        validator.validate(doc)
+        assert code == 0
+        assert (doc["result"]["value"], doc["result"]["residue"]) == \
+            ("0", residue)
 
     def test_verify_every_suite_agrees(self, run_cli, validator):
         code, doc = run_cli("verify", "--suite", "all")

@@ -1,18 +1,18 @@
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from conicval.cli import parse_field_element, parse_valuation
 from conicval.conic import (ConicFieldElement, ConicFunctionField,
-                            DistinguishedExtension, _even_odd, _scale_argument,
-                            _subs_square)
-from conicval.fields import QQ, RatFunc
+                            DistinguishedExtension, _even_odd)
+from conicval.fields import QQ, FunctionField, Poly, RatFunc
 from conicval.gauss import GaussExtension
 from conicval.oracle import (sample_conic_element, sample_field_element,
                              sample_ratfunc, valuation_axiom_fuzz)
 from conicval.valuation import PAdicValuation
-from conicval.value import INFINITY
+from conicval.value import INFINITY, Value
 
 
 def _galois_norm(e):
@@ -26,6 +26,44 @@ def _galois_norm(e):
     even, odd = _even_odd(n1 * n1_neg, cf.zfield)
     assert not odd
     return even
+
+
+def _subs_square(rf: RatFunc, tfield: FunctionField) -> RatFunc:
+    """Substitute the square of the target variable: p(z) -> p(T^2)."""
+
+    def spread(p: Poly) -> Poly:
+        coeffs = []
+        for c in p.coeffs:
+            coeffs.append(c)
+            coeffs.append(tfield.ring.field.zero())
+        return tfield.ring.poly(coeffs[:-1] if coeffs else [])
+
+    return RatFunc(tfield, spread(rf.num), spread(rf.den))
+
+
+def _scale_argument(rf: RatFunc, lam) -> RatFunc:
+    """p(z) -> p(lambda * z) for a base-field constant lambda."""
+    fld = rf.field
+
+    def tr(p: Poly) -> Poly:
+        acc = fld.ring.field.one()
+        out = []
+        for c in p.coeffs:
+            out.append(c * acc)
+            acc = acc * lam
+        return fld.ring.poly(out)
+
+    return RatFunc(fld, tr(rf.num), tr(rf.den))
+
+
+def _w1_value(w, h):
+    """w1(h) for h in E(z), w1 the Gauss extension with respect to a*z/b:
+    the identity-pivot Gauss value of h((b/a)*y).  Independent of
+    ``value_of``'s rows and of the non-identity pivot path of
+    ``GaussExtension``."""
+    cf = w.conic_field
+    return GaussExtension(w.v, cf.zfield.gen()).value_of(
+        _scale_argument(h, cf.b / cf.a))
 
 
 def _wstar(base, a, b, v):
@@ -43,16 +81,18 @@ def wstar_t_one(qt, vt):
 
 
 # With a pivot other than the identity, ``GaussExtension`` gives base-field
-# constants the value 0 over Q(t) and F_q(t) and crashes over Q.  w* no
-# longer goes through it (it values on rows with omega), so the defect now
-# lives only in ``GaussExtension``.
+# constants the value 0 over Q(t) and F_q(t) and crashes over Q.  w* builds
+# no Gauss extension (it values and takes residues on rows with omega), and
+# the tests value w1 through an identity pivot (``_w1_value``), so the
+# defect now lives only in ``GaussExtension``.
 GAUSS_CONSTANT_DEFECT = ("gauss._rewrite does not coerce a constant numerator "
                          "or denominator into E(_y) when the pivot is not the "
                          "identity")
 
 
 class TestGaloisNormOracle:
-    """w* is the unique extension of w1 to F, so w1(N(e)) == 4*w*(e)."""
+    """w* is the unique extension of w1 to F, so w1(N(e)) == 4*w*(e), w1
+    valued by ``_w1_value``."""
 
     @pytest.mark.parametrize("fixture", ["wstar_minus_one", "wstar_t_one"])
     def test_norm_identity_over_qt(self, fixture, request):
@@ -60,28 +100,25 @@ class TestGaloisNormOracle:
         rng = random.Random(7)
         for _ in range(15):
             e = sample_conic_element(rng, w.conic_field)
-            assert w.w1.value_of(_galois_norm(e)) == 4 * w.value_of(e), e
+            assert _w1_value(w, _galois_norm(e)) == 4 * w.value_of(e), e
 
     def test_norm_identity_over_q5(self):
         w = _wstar(QQ, 2, 3, PAdicValuation(5))
         rng = random.Random(7)
         for _ in range(15):
             e = sample_conic_element(rng, w.conic_field)
-            assert w.w1.value_of(_galois_norm(e)) == 4 * w.value_of(e), e
+            assert _w1_value(w, _galois_norm(e)) == 4 * w.value_of(e), e
 
 
 def _quadruple_value(w, e):
-    """min of w1(e_i) + beta_i over the quadruple, with w1(e_i) the
-    identity-pivot Gauss value of e_i((b/a)*y): w1's pivot is (a/b)*z, so
-    z = (b/a)*y.  Independent of ``value_of``'s rows and of the non-identity
-    pivot path of ``GaussExtension``."""
-    cf = w.conic_field
-    gauss = GaussExtension(w.v, cf.zfield.gen())
-    lam = cf.b / cf.a
+    """min of w1(e_i) + beta_i over the quadruple, with w1(e_i) from
+    ``_w1_value`` and beta = (0, gamma, v(b)/2, gamma + v(b)/2) the values
+    of (1, x, s, xs), gamma = (v(b) - v(a))/2."""
+    gamma, half_b = Fraction(w.vb - w.va, 2), Fraction(w.vb, 2)
     best = INFINITY
-    for ei, bi in zip(e.quadruple(), w.beta):
+    for ei, bi in zip(e.quadruple(), (0, gamma, half_b, gamma + half_b)):
         if ei:
-            best = min(best, gauss.value_of(_scale_argument(ei, lam)) + bi)
+            best = min(best, _w1_value(w, ei) + Value(bi))
     return best
 
 
@@ -208,26 +245,64 @@ class TestTailPairs:
 
 
 class TestResidueMultiplicativity:
-    """On pairs of value zero, res(e1 * e2) == res(e1) * res(e2) in the
-    residue conic, on case3_units algebras, whose residues go through the
-    identity-pivot ``_w0``.  Not yet on a=t, b=1 (case2_b): its residues go
-    through ``w1.residue_of``, where ``GaussExtension``'s constant defect
-    makes the map fail to be multiplicative."""
+    """The residue map of w* on pairs of value zero: res(e1 * e2) ==
+    res(e1) * res(e2), and res(e1 + e2) == res(e1) + res(e2) when
+    w*(e1 + e2) = 0.  It also sends a constant c of value 0 to v's residue
+    of c, and the elements that the residue-field description names to
+    their generators: x/pi^gamma and s/pi^(v(b)/2) to T and S in
+    case3_units; in the rational cases the case's rho to r, and a*x^2/b to
+    ``zbar_expr``.  The units are e/(pi^k * m), m one of 1, x, s and xs, so
+    that value-zero elements with an s or an x survive in case2, where the
+    value group is (1/2)Z.  The case2 algebras include those of ids 719
+    and 732 of the benchmark corpus."""
 
     @staticmethod
-    def _check(w):
-        cf = w.conic_field
+    def _named(w):
+        """(element, residue) pairs that the residue-field description
+        names."""
+        cf, v = w.conic_field, w.v
+        x, s, pi = cf.x(), cf.s(), v.uniformizer
+
+        def const(c):
+            return cf.element(cf.ef.coerce(c))
+
+        if w.case_tag == "case3_units":
+            conic = w.residue.conic
+            return [(x * const(pi ** ((w.va - w.vb) // 2)), conic.x()),
+                    (s * const(pi ** (-(w.vb // 2))), conic.s())]
+        rho = {"case2_a": s / (x * const(pi ** (w.va // 2))),
+               "case2_b": s * const(pi ** (-(w.vb // 2))),
+               "case2_ab": x * const(cf.a * pi ** (-((w.va + w.vb) // 2)))}
+        return [(rho[w.case_tag], w.residue.rfield.gen()),
+                (x * x * const(cf.a / cf.b), w.residue.zbar_expr)]
+
+    @classmethod
+    def _check(cls, w):
+        cf, v = w.conic_field, w.v
         rng = random.Random(3)
+        basis = [cf.element(1), cf.x(), cf.s(), cf.x() * cf.s()]
 
         def unit():
             e = sample_conic_element(rng, cf)
-            m = int(w.value_of(e).fraction)
-            return e * cf.element(cf.ef.coerce(w.v.uniformizer ** -m))
+            ms = [m for m in basis
+                  if (w.value_of(e) - w.value_of(m)).fraction.denominator == 1]
+            m = rng.choice(ms)
+            k = int((w.value_of(e) - w.value_of(m)).fraction)
+            return e / (m * cf.element(cf.ef.coerce(v.uniformizer ** k)))
 
         for _ in range(12):
             e1, e2 = unit(), unit()
-            assert w.residue_of(e1 * e2) == \
-                w.residue_of(e1) * w.residue_of(e2), (e1, e2)
+            r1, r2 = w.residue_of(e1), w.residue_of(e2)
+            assert w.residue_of(e1 * e2) == r1 * r2, (e1, e2)
+            if e1 + e2 and w.value_of(e1 + e2) == Value(0):
+                assert w.residue_of(e1 + e2) == r1 + r2, (e1, e2)
+        for _ in range(6):
+            c = sample_field_element(rng, v.base, nonzero=True)
+            c = c * v.uniformizer ** -int(v.value_of(c).fraction)
+            assert w.residue_of(cf.element(cf.ef.coerce(c))) == \
+                v.residue_of(c), c
+        for e, r in cls._named(w):
+            assert w.value_of(e) == Value(0) and w.residue_of(e) == r, e
 
     def test_minus_one_minus_one(self, wstar_minus_one):
         self._check(wstar_minus_one)
@@ -239,6 +314,19 @@ class TestResidueMultiplicativity:
         w = _wstar(v.base, parse_field_element(a, v.base),
                    parse_field_element(b, v.base), v)
         assert w.case_tag == "case3_units"
+        self._check(w)
+
+    @pytest.mark.parametrize("val, a, b, case", [
+        ("Q(t):place=t", "t", "1", "case2_b"),
+        ("Q(t):place=t", "1", "t", "case2_a"),
+        ("Q(t):place=inf", "t^3", "t", "case2_ab"),
+        ("Q:p=11", "2", "77", "case2_a"),
+        ("Fq(t):q=3,place=t", "2*t^2", "2*t", "case2_a")])
+    def test_case2(self, val, a, b, case):
+        v = parse_valuation(val)
+        w = _wstar(v.base, parse_field_element(a, v.base),
+                   parse_field_element(b, v.base), v)
+        assert w.case_tag == case
         self._check(w)
 
 

@@ -5,18 +5,18 @@ commands whose answers are right, each with the sha256 of its in-process
 output: ``cli.main(args + ["--json"])``'s stdout, stderr and exit code.
 The commands are copied from ``perfbench/expected.json`` so that this test
 does not read the benchmark's files: its ``seed_pass: true`` entries, and
-the 28 ``seed_pass: false`` entries that w* answers right since it values
-on rows with a monomial valuation (ids 672-674, 678, 681-686, 688, 692,
-696, 702, 703, 706, 713, 714, 717, 718, 720, 722-724, 726, 727, 729 and
-731).  The four of these that print a residue (673, 682, 713, 722) are
-case3_units, whose residues go through an identity-pivot Gauss extension.
+the 29 ``seed_pass: false`` entries that w* answers right since it values
+and takes residues on rows with a monomial valuation (ids 672-674, 678,
+681-686, 688, 692, 696, 702, 703, 706, 713, 714, 717-720, 722-724, 726,
+727, 729 and 731).  Of these, 673, 682, 713 and 722 print a case3_units
+residue and 719 a case2_a one; id 732 (``seed_pass: true``) prints a
+case2_a residue too.  The corpus checks no residue, so these hashes are
+the only pin on them.
 
-Six entries stay out, because the Gauss-constant defect, which now lives
+Five entries stay out, because the Gauss-constant defect, which now lives
 only in ``GaussExtension``, still answers them wrong: the ``gauss`` commands
-with a pivot other than x (ids 601, 634, 644, 653 and 662), and id 719, an
-``eval`` in case2_b whose residue goes through ``w1.residue_of`` and dies
-with an AttributeError.  The change that fixes the defect adds them, so
-that no wrong answer is pinned here.
+with a pivot other than x (ids 601, 634, 644, 653 and 662).  The change that
+fixes the defect adds them, so that no wrong answer is pinned here.
 
 When a change of output is intended and declared, regenerate the hashes of
 the commands already in the file with
@@ -45,7 +45,7 @@ def output_sha256(args) -> str:
 
 def test_corpus_outputs_are_unchanged():
     commands = json.loads(GOLDEN.read_text())
-    assert len(commands) == 728
+    assert len(commands) == 729
     changed = [" ".join(c["args"]) for c in commands
                if output_sha256(c["args"]) != c["sha256"]]
     assert not changed, "\n".join(changed)
