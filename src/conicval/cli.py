@@ -31,6 +31,7 @@ from .errors import ConicvalError, InputError
 from .fields import FF, FunctionField, GF, QQ, is_square
 from .gauss import GaussExtension, gauss_residue, quadratic_extension_analysis, \
     subfield_degree
+from .integers import is_prime
 from .oracle import (OracleReport, degree_oracle, hensel_count,
                      isotropy_search, sample_rational, sample_ratfunc,
                      valuation_axiom_fuzz)
@@ -217,8 +218,7 @@ def _cmd_gauss(args):
 def _cmd_hilbert(args):
     place = args.place.strip()
     if place != "inf":
-        import sympy
-        if not (place.isdigit() and sympy.isprime(int(place))):
+        if not (place.isdigit() and is_prime(int(place))):
             raise InputError(f"place {place!r} is neither a prime nor inf")
     a = Fraction(parse_field_element(args.a, QQ))
     b = Fraction(parse_field_element(args.b, QQ))

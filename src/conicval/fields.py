@@ -31,11 +31,14 @@ F_p[u]/(m) is checked by that test too.
 
 Importing this module does not import sympy, and neither does arithmetic
 over Q, Q(t) and Q(t)(x) as long as the Z[t][x] gcds it meets have an
-operand constant in x.  The functions that need sympy import it when they
-are called: primality and prime powers (``FF``, ``GF``), factoring over
-Q (``square_class_reduce``, ``factor``), the Z[t][x] gcd and division of
-two rows of positive degree in x (``_IntRows``), and the Z[x] gcd when six
-evaluation points of the heuristic fail (``_zz_gcd``).
+operand constant in x.  Primality, prime powers and the factoring of
+integers (``FF``, ``GF``, ``square_class_reduce`` over Q) run on plain ints
+in the ``integers`` module, which calls sympy only for primality from
+3.3*10^24 and for cofactors of 24 digits or more.  The other functions that
+need sympy import it when they are called: factoring polynomials over Q
+(``factor``), the Z[t][x] gcd and division of two rows of positive degree
+in x (``_IntRows``), and the Z[x] gcd when six evaluation points of the
+heuristic fail (``_zz_gcd``).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from fractions import Fraction
 from .errors import (ContextMismatch, DegreeTooLarge, DivisionByZero,
                      InvariantViolated, SquareInput, UnsupportedField,
                      ZeroInput, ZeroPolynomial)
+from .integers import factorint, is_prime, perfect_power
 
 # ---------------------------------------------------------------------------
 # field contexts
@@ -102,10 +106,8 @@ class FF:
                  var: str = "u", _validate: bool = True):
         if p == 2:
             raise UnsupportedField("characteristic 2 is not supported")
-        if _validate:
-            import sympy
-            if not sympy.isprime(p):
-                raise UnsupportedField(f"{p} is not prime")
+        if _validate and not is_prime(p):
+            raise UnsupportedField(f"{p} is not prime")
         if modulus is None:
             modulus = (0, 1)
         modulus = tuple(_strip([c % p for c in reversed(modulus)])[::-1])
@@ -343,13 +345,12 @@ def GF(q: int, var: str = "u") -> FF:
 
 def _split_prime_power(q: int) -> tuple[int, int]:
     if q > 2 and q % 2:
-        import sympy
-        if sympy.isprime(q):
+        if is_prime(q):
             return q, 1
         # the base of the largest exponent is prime exactly for a prime power
-        power = sympy.perfect_power(q)
-        if power and sympy.isprime(power[0]):
-            return int(power[0]), int(power[1])
+        power = perfect_power(q)
+        if power and is_prime(power[0]):
+            return power
     raise UnsupportedField(f"{q} is not an odd prime power")
 
 
@@ -1608,10 +1609,14 @@ def sqrt_exact(x, ctx=None):
 def square_class_reduce(x, ctx=None):
     """Write x = r * s^2 with r the canonical square-class representative.
 
-    Over Q the representative is the squarefree integer with the sign of x;
-    over a finite field it is 1 or the first nonsquare in index order; over
-    k(t) it is k times the representative of c, for x = k * s^2 * c
-    (``_square_split``).  Returns (r, s).
+    Over Q the representative is the squarefree integer with the sign of x,
+    read off ``integers.factorint`` of the numerator and of the denominator:
+    plain-int trial division and Brent's rho below 10^23, ``sympy.factorint``
+    for a cofactor from there up, and primality proven by strong tests below
+    3.3*10^24, by ``sympy.isprime`` above.  Over a finite field it is 1 or
+    the first nonsquare in index order; over k(t) it is k times the
+    representative of c, for x = k * s^2 * c (``_square_split``).  Returns
+    (r, s).
     """
     if ctx is None:
         ctx = infer_context(x)
@@ -1620,12 +1625,11 @@ def square_class_reduce(x, ctx=None):
         raise ZeroInput("square class of zero is not defined")
     if isinstance(ctx, RationalField):
         # num and den are coprime, and each is far easier to factor alone
-        import sympy
         r = 1 if x > 0 else -1
         for n in (abs(x.numerator), x.denominator):
-            for prime, e in sympy.factorint(n).items():
+            for prime, e in factorint(n).items():
                 if e % 2 == 1:
-                    r *= int(prime)
+                    r *= prime
         r = Fraction(r)
         return r, sqrt_exact(x / r, ctx)
     if isinstance(ctx, FF):
@@ -1865,13 +1869,14 @@ class FlatQuotient:
     reduces the F_p-vectors of 1, theta, theta^2, ... and records with each
     echelon row the combination of powers it stands for: the first
     dependency is m, and the same rows give r's coordinates on the powers.
-    Residues are computed on the F_q[t] rows of ``base.kernel``.
+    Residues are computed on the F_q[t] rows of ``base.kernel``.  Callers
+    that already know the modulus is irreducible pass ``_validate=False``.
     """
 
-    def __init__(self, base: FF, modulus: Poly):
+    def __init__(self, base: FF, modulus: Poly, _validate: bool = True):
         if modulus.ring.field != base:
             raise ContextMismatch("modulus is not over the base field")
-        if not _is_irreducible_ff(modulus):
+        if _validate and not _is_irreducible_ff(modulus):
             raise UnsupportedField(f"{modulus} is reducible over {base!r}")
         self.base = base
         self.modulus = modulus.monic()
@@ -1972,5 +1977,7 @@ def quadratic_extension_field(kappa: FF, ubar: FFElement) -> FF:
         m = ((-ubar.coeffs[0]) % kappa.p, 0, 1)
         return FF(kappa.p, m, _validate=False)
     ring = PolyRing(kappa, "t")
-    flat = FlatQuotient(kappa, ring.poly([-ubar, kappa.zero(), kappa.one()]))
+    # t^2 - ubar is irreducible, as ubar is a nonsquare
+    flat = FlatQuotient(kappa, ring.poly([-ubar, kappa.zero(), kappa.one()]),
+                        _validate=False)
     return flat.flat

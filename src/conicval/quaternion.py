@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import integers
 from .errors import (InvariantViolated, NotUnitUnit, UnsupportedField,
                      ZeroInput)
 from .fields import (FF, QQ, FunctionField, RationalField, factor,
@@ -198,33 +199,27 @@ def hilbert_symbol(a, b, place) -> int:
     return -1 if e % 2 else 1
 
 
-_TRIAL_BOUND = 1 << 12
-
-
 def _odd_primes(values):
     """The odd primes dividing a numerator or denominator of the values,
-    ascending.  Trial division finds those below _TRIAL_BOUND, so they are
-    yielded before sympy.factorint runs on the larger cofactors left over,
-    and a consumer that stops early skips the factoring."""
+    ascending.  One pass of trial division (``integers.trial_division``)
+    finds those below 2^12, and a cofactor below 2^24 is prime; the small
+    primes are yielded before ``integers.factor_cofactor`` runs on the
+    larger cofactors left over (Brent's rho below 10^23, ``sympy.factorint``
+    from there up; primality proven by strong tests below 3.3*10^24), so a
+    consumer that stops early skips the factoring."""
     found, rest = set(), set()
     for x in map(Fraction, values):
         for n in (abs(x.numerator), x.denominator):
-            n >>= (n & -n).bit_length() - 1
-            for p in range(3, _TRIAL_BOUND, 2):
-                if p * p > n:
-                    break
-                if n % p == 0:
-                    found.add(p)
-                    while n % p == 0:
-                        n //= p
+            small, n = integers.trial_division(n)
+            found.update(small)
             if n > 1:
-                # no p' < p divides n, so n < p^2 is prime
-                (found if n < p * p else rest).add(n)
+                (found if n < integers.ROUGH_PRIME_BOUND else rest).add(n)
+    found.discard(2)
     if rest:
-        yield from sorted(p for p in found if p < _TRIAL_BOUND)
-        found = {p for p in found if p > _TRIAL_BOUND}
-        import sympy
-        found.update(int(p) for n in rest for p in sympy.factorint(n))
+        yield from sorted(p for p in found if p < integers.TRIAL_BOUND)
+        found = {p for p in found if p > integers.TRIAL_BOUND}
+        for n in rest:
+            found.update(integers.factor_cofactor(n))
     yield from sorted(found)
 
 
@@ -320,7 +315,8 @@ def _local_symbols(q: QuaternionAlgebra):
             for g, _ in factor(poly)[1]:
                 if g not in seen:
                     seen.add(g)
-                    yield str(g), _local_symbol(a, b, PlaceValuation(field, g))
+                    yield str(g), _local_symbol(
+                        a, b, PlaceValuation(field, g, _validate=False))
     yield "inf", _local_symbol(a, b, InfinitePlaceValuation(field))
 
 

@@ -23,6 +23,7 @@ from .errors import (ContextMismatch, InvariantViolated, NegativeValue,
                      UnsupportedField, UnsupportedPlace, ZeroInput)
 from .fields import (FF, FlatQuotient, FunctionField, Poly, QQ, RationalField,
                      RatFunc)
+from .integers import is_prime
 from .value import INFINITY, Value
 
 
@@ -73,8 +74,7 @@ class PAdicValuation(Valuation):
         if p == 2:
             raise UnsupportedPlace("dyadic valuations are excluded (v(2) = 0 "
                                    "is a standing hypothesis)")
-        import sympy
-        if not sympy.isprime(p):
+        if not is_prime(p):
             raise UnsupportedPlace(f"{p} is not prime")
         self.p = p
         self.base = QQ
@@ -129,9 +129,11 @@ def _int_order(n: int, p: int) -> int:
 
 
 class PlaceValuation(Valuation):
-    """The place of k(t) at a monic irreducible polynomial pi."""
+    """The place of k(t) at a monic irreducible polynomial pi.  Callers
+    that already know pi is irreducible, such as a factor that ``factor``
+    returned, pass ``_validate=False``."""
 
-    def __init__(self, base: FunctionField, pi: Poly):
+    def __init__(self, base: FunctionField, pi: Poly, _validate: bool = True):
         k = base.coefficient_field
         if pi.ring != base.ring:
             raise ContextMismatch("place polynomial is not over the base field")
@@ -155,7 +157,7 @@ class PlaceValuation(Valuation):
                 self.residue_field = k
             else:
                 try:
-                    self._flat = FlatQuotient(k, pi)
+                    self._flat = FlatQuotient(k, pi, _validate=_validate)
                 except UnsupportedField:
                     raise UnsupportedPlace(
                         f"{pi} is reducible, not a place") from None

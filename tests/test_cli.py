@@ -430,19 +430,31 @@ def test_every_option_is_read_by_its_handler():
 
 # A Q(t) eval on the w* of (t, 1), whose pivot inverse is reduced when the
 # extension is built, and an identity-pivot gauss, both from
-# tests/data/cli_golden.json.
+# tests/data/cli_golden.json; then corpus commands that test primality,
+# prime powers or factor over Q on plain ints: a Q:p analyze (id 0), a
+# hilbert at an odd prime (id 185), a q_split (id 305), the q_split_big
+# command whose a is a 20-digit semiprime (id 366), a gf_split over GF(25)
+# (id 387) and an fqt analyze at a cubic place over F_9 (id 580).
 _SYMPY_FREE = [
     ["eval", "--val", "Q(t):place=t", "--a=t", "--b=1", "--f=0",
      "--g=(2*(t)^2)*x^3"],
     ["gauss", "--val", "Q(t):place=t", "--pivot", "x",
      "--eval=(3*(t)^1)+(3*(t)^-1)*(x)^1+(-5)*(x)^2"],
+    ["analyze", "--val", "Q:p=100003", "--a", "2", "--b", "3"],
+    ["hilbert", "--a=4133/134", "--b=9325/124", "--place", "7"],
+    ["quat", "split", "--field", "Q", "--a=-41/5", "--b=18/7"],
+    ["quat", "split", "--field", "Q", "--a=41875260544475172209", "--b=5"],
+    ["quat", "split", "--field", "GF(25)", "--a", "12", "--b", "29"],
+    ["analyze", "--val", "Fq(t):q=9,place=t^3+2*t^2+2*t+2",
+     "--a=1*(t^3+2*t^2+2*t+2)^-1", "--b=1", "--family", "2"],
 ]
 
 
 def test_import_and_qt_commands_leave_sympy_unloaded():
     """sympy is imported where a computation needs it, not by ``import
-    conicval``: a fresh process imports the package and the CLI, runs the
-    commands through ``cli.main`` and lists the sympy modules it holds."""
+    conicval`` nor by primality or factoring of small integers: a fresh
+    process imports the package and the CLI, runs the commands through
+    ``cli.main`` and lists the sympy modules it holds."""
     script = (
         "import contextlib, io, json, sys\n"
         "import conicval, conicval.cli\n"
@@ -458,5 +470,5 @@ def test_import_and_qt_commands_leave_sympy_unloaded():
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0]
+    assert codes == [0] * len(_SYMPY_FREE)
     assert "sympy" not in loaded, loaded[:5]

@@ -1273,6 +1273,22 @@ class TestFlattening:
         with pytest.raises(UnsupportedField):
             FlatQuotient(f3, ring.poly([-1, 0, 1]))   # t^2 - 1
 
+    def test_known_irreducible_moduli_are_not_retested(self, monkeypatch):
+        # t^2 - ubar for a nonsquare ubar, and a factor that factor()
+        # returned as the place of a local symbol
+        from conicval.fields import _canonical_nonsquare
+        from conicval.quaternion import QuaternionAlgebra, is_split
+        f9, f3t = GF(9), FunctionField(FF(3), "t")
+        ubar = _canonical_nonsquare(f9)
+        calls = []
+        real = fields._is_irreducible_ff
+        monkeypatch.setattr(fields, "_is_irreducible_ff",
+                            lambda f: calls.append(f) or real(f))
+        assert fields.quadratic_extension_field(f9, ubar).order == 81
+        t = f3t.gen()
+        assert is_split(QuaternionAlgebra(f3t, t * t + 1, t)).split
+        assert calls == []
+
 
 class TestConstructors:
     def test_no_polynomials_over_a_tower(self, qt):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conicval import quaternion
+from conicval import integers, quaternion
 from conicval.errors import (InvariantViolated, NotUnitUnit, UnsupportedField,
                              UnsupportedPlace, ZeroInput)
 from conicval.fields import (FF, FunctionField, GF, QQ, is_square,
@@ -309,9 +309,10 @@ SEMIPRIME30 = 300000000000097100000000001271
 
 @pytest.fixture
 def no_factorint(monkeypatch):
-    def refuse(n, *args, **kwargs):
-        raise AssertionError(f"factorint({n}) called")
-    monkeypatch.setattr(sympy, "factorint", refuse)
+    """Refuse to factor any cofactor that trial division leaves."""
+    def refuse(n):
+        raise AssertionError(f"factor_cofactor({n}) called")
+    monkeypatch.setattr(integers, "factor_cofactor", refuse)
 
 
 def _known_factor_int(rng, primes: set) -> int:
@@ -352,6 +353,10 @@ class TestLazySymbols:
                 failing_seen.add(failing in ("inf", "2"))
         assert failing_seen == {True, False}
 
+    def test_no_factorint_refuses_a_cofactor(self, no_factorint):
+        with pytest.raises(AssertionError, match="factor_cofactor"):
+            rational_support(SEMIPRIME30)
+
     def test_stops_at_two_without_factorint(self, no_factorint):
         r = is_split(QuaternionAlgebra(QQ, SEMIPRIME30, 7))
         assert not r.split and r.failing_place == "2"
@@ -372,8 +377,8 @@ class TestLazySymbols:
     def test_square_class_factors_num_and_den_apart(self, monkeypatch):
         p, q = 10000000000000000051, 30000000000000000041
         calls = []
-        real = sympy.factorint
-        monkeypatch.setattr(sympy, "factorint",
+        real = integers.factor_cofactor
+        monkeypatch.setattr(integers, "factor_cofactor",
                             lambda n: calls.append(n) or real(n))
         assert square_class_reduce(Fraction(-p, q), QQ) == (-p * q, Fraction(1, q))
         assert sorted(calls) == [p, q]
