@@ -19,15 +19,18 @@ A rational function in Q(t), Q(x) or F_q(t) (level 0) or in Q(t)(x) or
 F_q(t)(x) (level 1) is stored as its reduced rows (N, D) of Z[x], Z[t][x],
 F_q[t] or F_q[t][x], on which its arithmetic runs; a row kernel per ring
 (``PolyRing.kernel``) hides the row format.  Polynomials exist over Q, F_q,
-Q(t) and F_q(t) only, and their products, gcds, squarefree decompositions
-(``_squarefree_rows``) and divisions over F_q run on the same rows; square
-classes over k(t) and k(t)(x) read one split x = k*s^2*c (``_square_split``).
+Q(t) and F_q(t) only, and their products, gcds and squarefree
+decompositions (``_squarefree_rows``) run on the same rows; ``Poly``
+division is the generic long division over the coefficient field.  Square
+classes over k(t) and k(t)(x) read one split x = k*s^2*c (``_square_split``)
+off the rows of x.
 
-Over every finite field F_q, polynomials factor by one distinct-degree
-routine (``_ddf``, iterated Frobenius x^(q^d) mod g) and a seeded
-equal-degree split (``_edf``), in time polynomial in the degree and log q;
-irreducibility is ``_ddf`` stopped at its first factor, and the modulus m of
-F_p[u]/(m) is checked by that test too.
+Over every finite field F_q, polynomials factor on F_q[t] rows
+(``_FqRows``) from start to end: Musser's squarefree loop, one
+distinct-degree routine (``_ddf``, iterated Frobenius x^(q^d) mod g) and a
+seeded equal-degree split (``_edf``), in time polynomial in the degree and
+log q; irreducibility is ``_ddf`` stopped at its first factor, and the
+modulus m of F_p[u]/(m) is checked by that test too.
 
 Importing this module does not import sympy, and neither does arithmetic
 over Q, Q(t) and Q(t)(x) as long as the Z[t][x] gcds it meets have an
@@ -116,7 +119,7 @@ class FF:
         if modulus[-1] != 1:
             raise UnsupportedField("modulus must be monic")
         if _validate and not _is_irreducible_ff(
-                PolyRing(FF(p, _validate=False), var).poly(modulus)):
+                FF(p, _validate=False).kernel, list(modulus[::-1])):
             raise UnsupportedField(f"modulus {modulus} is reducible mod {p}")
         self.p = p
         self.modulus = modulus
@@ -363,10 +366,10 @@ def canonical_modulus(p: int, d: int) -> tuple[int, ...]:
         return (0, 1)
     key = (p, d)
     if key not in _CANONICAL_MODULI:
-        ring = PolyRing(FF(p, _validate=False), "u")
+        K = FF(p, _validate=False).kernel
         for index in range(p ** d):
             m = _digits(index, p, d) + (1,)
-            if _is_irreducible_ff(ring.poly(m)):
+            if _is_irreducible_ff(K, list(m[::-1])):
                 _CANONICAL_MODULI[key] = m
                 break
     return _CANONICAL_MODULI[key]
@@ -544,10 +547,6 @@ class Poly:
             return NotImplemented
         if not o.coeffs:
             raise DivisionByZero("polynomial division by zero")
-        if isinstance(self.ring.field, FF):
-            K = self.ring.kernel
-            q, r = K.divmod(K.rows(self.coeffs)[0], K.rows(o.coeffs)[0])
-            return K.to_poly(self.ring, q, K.one), K.to_poly(self.ring, r, K.one)
         inv_lead = self.ring.field.one() / o.coeffs[-1]
         rem = list(self.coeffs)
         zero = self.ring.field.zero()
@@ -1586,17 +1585,20 @@ def is_square(x, ctx=None):
 
 
 def _square_split(x: RatFunc):
-    """(k, s, c) with x = k * s^2 * c: k the product of the odd-multiplicity
-    squarefree parts of num and den (1/g^m = g * (g^(-(m+1)/2))^2 for odd
-    m), s the remaining powers and c = lc(num), as den is monic."""
-    k = s = x.field.one()
-    for sign, poly in ((1, x.num), (-1, x.den)):
-        for g, m in squarefree_decomposition(poly)[1]:
-            g = x.field.from_poly(g)
+    """(k, s, c) with x = k * s^2 * c, read off the rows (N, D) of x by
+    ``_squarefree_rows``: k the product of the monic odd-multiplicity
+    squarefree parts of N and D (1/g^m = g * (g^(-(m+1)/2))^2 for odd m),
+    s the remaining powers and c = lc(N) / lc(D)."""
+    F = x.field
+    K, (N, D) = F.kernel, x.rows
+    k = s = F.one()
+    for sign, row in ((1, N), (-1, D)):
+        for g, m in _squarefree_rows(K, row):
+            g = RatFunc(F, _rows=(g, K.lead(g)))
             if m % 2:
                 k = k * g
             s = s * g ** (sign * m // 2)
-    return k, s, x.num.leading()
+    return k, s, K.to_poly(F.ring, K.lead(N), K.lead(D)).leading()
 
 
 def sqrt_exact(x, ctx=None):
@@ -1705,12 +1707,14 @@ def _squarefree_rows(K, f):
 
 def is_irreducible(f: Poly) -> bool:
     """Whether f is irreducible: over F_q by distinct-degree factorisation
-    (``_is_irreducible_ff``), over Q by factoring (degree <= 8)."""
+    on the rows of f (``_is_irreducible_ff``), over Q by factoring (degree
+    <= 8)."""
     if not f:
         raise ZeroPolynomial("irreducibility of the zero polynomial")
     field = f.ring.field
     if isinstance(field, FF):
-        return _is_irreducible_ff(f)
+        return _is_irreducible_ff(field.kernel,
+                                  field.kernel.rows(f.monic().coeffs)[0])
     if isinstance(field, RationalField):
         if f.degree() < 1:
             return False
@@ -1719,36 +1723,26 @@ def is_irreducible(f: Poly) -> bool:
     raise UnsupportedField(f"irreducibility not supported over {field!r}")
 
 
-def _is_irreducible_ff(f: Poly) -> bool:
-    """Irreducibility over F_q: a reducible f of degree n has an irreducible
-    factor of degree <= n/2, which the distinct-degree factorisation meets
-    first, so it is stopped at its first factor (repeated factors included,
-    because gcd(x^(q^d) - x, f) holds every irreducible factor of degree d)."""
-    n = f.degree()
-    return n > 0 and next(_ddf(f.monic()))[0] == n
-
-
-def _poly_pow_mod(base: Poly, e: int, mod: Poly) -> Poly:
-    """base^e mod mod over F_q, on the ring's rows."""
-    K = base.ring.kernel
-    m = K.rows(mod.coeffs)[0]
-    b, out = K.divmod(K.rows(base.coeffs)[0], m)[1], K.one
-    while e:
-        if e & 1:
-            out = K.divmod(K.mul(out, b), m)[1]
-        b, e = K.divmod(K.mul(b, b), m)[1], e >> 1
-    return K.to_poly(base.ring, out, K.one)
+def _is_irreducible_ff(K: _FqRows, f) -> bool:
+    """Irreducibility of a monic row f of F_q[t]: a reducible f of degree n
+    has an irreducible factor of degree <= n/2, which the distinct-degree
+    factorisation meets first, so it is stopped at its first factor
+    (repeated factors included, because gcd(t^(q^d) - t, f) holds every
+    irreducible factor of degree d)."""
+    n = K.degree(f)
+    return n > 0 and next(_ddf(K, f))[0] == n
 
 
 def factor(f: Poly):
     """Factor into monic irreducibles: returns (lead, [(g_i, m_i)]).
 
-    Over a finite field F_q of any order each squarefree part is split by
-    distinct-degree and then equal-degree factorisation, in time polynomial
-    in deg f and log q; the factors are sorted by degree and index, so the
-    seeded random draws of the equal-degree split never show.  Over Q the
-    computation is delegated to sympy and restricted to degree <= 8, which
-    covers the square-class normalizations this package needs.
+    Over a finite field F_q of any order it runs on the rows of f
+    (``_factor_ff``): each squarefree part is split by distinct-degree and
+    then equal-degree factorisation, in time polynomial in deg f and log q;
+    the factors are sorted by degree and index, so the seeded random draws
+    of the equal-degree split never show.  Over Q the computation is
+    delegated to sympy and restricted to degree <= 8, which covers the
+    square-class normalizations this package needs.
     """
     if not f:
         raise ZeroPolynomial("factorization of the zero polynomial")
@@ -1761,15 +1755,16 @@ def factor(f: Poly):
 
 
 def _factor_ff(f: Poly):
-    lead = f.leading()
-    f = f.monic()
-    out: dict[Poly, int] = {}
-    _, parts = squarefree_decomposition(f)
-    for g, m in parts:
-        for h in _factor_ff_squarefree(g):
-            out[h] = out.get(h, 0) + m
-    facs = sorted(out.items(), key=lambda it: (it[0].degree(), _poly_index(it[0])))
-    return lead, facs
+    """Cantor and Zassenhaus (Math. Comp. 36, 1981) on the rows of f.monic():
+    ``_ddf`` and ``_edf`` split each monic Musser part (``_squarefree_rows``).
+    The parts are pairwise coprime, so each factor comes from one part and
+    takes its multiplicity."""
+    K, rng = f.ring.kernel, random.Random(0)
+    facs = [(K.to_poly(f.ring, h, K.one), m)
+            for g, m in _squarefree_rows(K, K.rows(f.monic().coeffs)[0])
+            for d, gd in _ddf(K, g) for h in _edf(K, gd, d, rng)]
+    facs.sort(key=lambda it: (it[0].degree(), _poly_index(it[0])))
+    return f.leading(), facs
 
 
 def _poly_index(g: Poly):
@@ -1784,49 +1779,50 @@ def _poly_index(g: Poly):
     return tuple(idx)
 
 
-def _factor_ff_squarefree(g: Poly) -> list[Poly]:
-    """Irreducible factors of a monic squarefree polynomial over F_q, by
-    distinct-degree and then equal-degree factorisation (Cantor and
-    Zassenhaus, Math. Comp. 36, 1981); the random draws are seeded, and
-    ``_factor_ff`` sorts the factors."""
-    rng = random.Random(0)
-    return [h for d, gd in _ddf(g) for h in _edf(gd, d, rng)]
+def _pow_mod(K: _FqRows, b, e: int, m):
+    """b^e mod m on rows of F_q[t], by repeated squaring."""
+    b, out = K.divmod(b, m)[1], K.one
+    while e:
+        if e & 1:
+            out = K.divmod(K.mul(out, b), m)[1]
+        b, e = K.divmod(K.mul(b, b), m)[1], e >> 1
+    return out
 
 
-def _ddf(g: Poly):
-    """Distinct-degree factorisation of a monic squarefree g over F_q: yields
-    (d, g_d) for increasing d, g_d the product of the irreducible factors of
-    degree d, for each d that has one.  x^(q^d) mod g comes from the previous
-    power by one more Frobenius, x^(q^d) = (x^(q^(d-1)))^q."""
-    q = g.ring.field.order
-    x = g.ring.gen()
-    h = x
-    d = 0
-    while g.degree() >= 2 * (d + 1):
+def _ddf(K: _FqRows, g):
+    """Distinct-degree factorisation of a monic squarefree row g of F_q[t]:
+    yields (d, g_d) for increasing d, g_d the row of the product of the
+    irreducible factors of degree d, for each d that has one.  t^(q^d) mod g
+    comes from the previous power by one more Frobenius, t^(q^d) =
+    (t^(q^(d-1)))^q."""
+    q, t = K.field.order, [1] + [0] * K.w
+    h, d = t, 0
+    while K.degree(g) >= 2 * (d + 1):
         d += 1
-        h = _poly_pow_mod(h, q, g)
-        gd = poly_gcd(h - x, g)
-        if gd.degree() > 0:
+        h = _pow_mod(K, h, q, g)
+        gd = K.gcd_rows(K.sub(h, t), g)
+        if K.degree(gd) > 0:
             yield d, gd
-            g = g // gd
-    if g.degree() > 0:
-        yield g.degree(), g
+            g = K.exquo(g, gd)
+    if K.degree(g) > 0:
+        yield K.degree(g), g
 
 
-def _edf(g: Poly, d: int, rng: random.Random) -> list[Poly]:
-    """The irreducible factors of g, a monic product of distinct irreducibles
-    of degree d over F_q (q odd): for a random h, gcd(g, h^((q^d-1)/2) - 1)
-    is a proper factor with probability about 1/2."""
-    if g.degree() == d:
+def _edf(K: _FqRows, g, d: int, rng: random.Random) -> list:
+    """The irreducible factors of g, a monic row of F_q[t] that is a product
+    of distinct irreducibles of degree d (q odd): for a random row h of
+    degree < deg g, gcd(g, h^((q^d-1)/2) - 1) is a proper factor with
+    probability about 1/2."""
+    n = K.degree(g)
+    if n == d:
         return [g]
-    field = g.ring.field
-    e = (field.order ** d - 1) // 2
-    while True:
-        h = g.ring.poly([field.element_at(rng.randrange(field.order))
-                         for _ in range(g.degree())])
-        f = poly_gcd(_poly_pow_mod(h, e, g) - 1, g)
-        if 0 < f.degree() < g.degree():
-            return _edf(f, d, rng) + _edf(g // f, d, rng)
+    e, pad = (K.field.order ** d - 1) // 2, [0] * (K.k - 1)
+    while True:    # each coefficient a block of k - 1 zeros and k digits
+        h = _strip([c for _ in range(n)
+                    for c in pad + [rng.randrange(K.p) for _ in range(K.k)]])
+        f = K.gcd_rows(K.sub(_pow_mod(K, h, e, g), K.one), g)
+        if 0 < K.degree(f) < n:
+            return _edf(K, f, d, rng) + _edf(K, K.exquo(g, f), d, rng)
 
 
 def _factor_rational(f: Poly):
@@ -1869,21 +1865,22 @@ class FlatQuotient:
     reduces the F_p-vectors of 1, theta, theta^2, ... and records with each
     echelon row the combination of powers it stands for: the first
     dependency is m, and the same rows give r's coordinates on the powers.
-    Residues are computed on the F_q[t] rows of ``base.kernel``.  Callers
-    that already know the modulus is irreducible pass ``_validate=False``.
+    Residues, and the irreducibility test of the modulus, are computed on
+    its F_q[t] row ``_pi`` (``base.kernel``).  Callers that already know the
+    modulus is irreducible pass ``_validate=False``.
     """
 
     def __init__(self, base: FF, modulus: Poly, _validate: bool = True):
         if modulus.ring.field != base:
             raise ContextMismatch("modulus is not over the base field")
-        if _validate and not _is_irreducible_ff(modulus):
+        self.modulus = modulus.monic() if modulus else modulus
+        self._pi = base.kernel.rows(self.modulus.coeffs)[0]
+        if _validate and not _is_irreducible_ff(base.kernel, self._pi):
             raise UnsupportedField(f"{modulus} is reducible over {base!r}")
         self.base = base
-        self.modulus = modulus.monic()
         self.e = modulus.degree()
         self.n = base.degree * self.e
         self.p = base.p
-        self._pi = base.kernel.rows(self.modulus.coeffs)[0]
         self._choose_generator()
 
     def _vec(self, row) -> list[int]:

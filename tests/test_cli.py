@@ -434,7 +434,8 @@ def test_every_option_is_read_by_its_handler():
 # prime powers or factor over Q on plain ints: a Q:p analyze (id 0), a
 # hilbert at an odd prime (id 185), a q_split (id 305), the q_split_big
 # command whose a is a 20-digit semiprime (id 366), a gf_split over GF(25)
-# (id 387) and an fqt analyze at a cubic place over F_9 (id 580).
+# (id 387), a quat split over a field whose modulus is given and so tested
+# for irreducibility, and an fqt analyze at a cubic place over F_9 (id 580).
 _SYMPY_FREE = [
     ["eval", "--val", "Q(t):place=t", "--a=t", "--b=1", "--f=0",
      "--g=(2*(t)^2)*x^3"],
@@ -445,6 +446,7 @@ _SYMPY_FREE = [
     ["quat", "split", "--field", "Q", "--a=-41/5", "--b=18/7"],
     ["quat", "split", "--field", "Q", "--a=41875260544475172209", "--b=5"],
     ["quat", "split", "--field", "GF(25)", "--a", "12", "--b", "29"],
+    ["quat", "split", "--field", "GF(5)[u]/(u^2+2)", "--a", "u", "--b", "2"],
     ["analyze", "--val", "Fq(t):q=9,place=t^3+2*t^2+2*t+2",
      "--a=1*(t^3+2*t^2+2*t+2)^-1", "--b=1", "--family", "2"],
 ]

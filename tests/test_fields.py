@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from sympy.polys.galoistools import gf_factor_sqf, gf_irred_p_ben_or, gf_sqf_p
+from sympy.polys.galoistools import (gf_factor, gf_factor_sqf,
+                                     gf_irred_p_ben_or, gf_sqf_p)
 
 from conicval import fields
 from conicval.cli import main, parse_base_field
@@ -862,6 +863,18 @@ def _product(ring, factors):
     return out
 
 
+def _repeated_product(rng, ring):
+    """c * prod g_i^m_i for 1-3 random monic g_i of degree 1-3 and m_i in
+    {1, 2, p, p + 1, 2p}, p the characteristic."""
+    field, p = ring.field, ring.field.p
+    f = ring.poly([field.element_at(rng.randrange(1, field.order))])
+    for _ in range(rng.randint(1, 3)):
+        g = ring.poly([field.element_at(rng.randrange(field.order))
+                       for _ in range(rng.randint(1, 3))] + [field.one()])
+        f = f * g ** rng.choice([1, 2, p, p + 1, 2 * p])
+    return f
+
+
 class TestFiniteFieldFactoring:
     """Distinct- and equal-degree factorisation against galoistools over
     prime fields, and against the divisor search over F_9 and F_25."""
@@ -878,7 +891,9 @@ class TestFiniteFieldFactoring:
             if not gf_sqf_p(_gf_ints(g), p, sympy.ZZ):
                 continue
             seen += 1
-            got = fields._factor_ff_squarefree(g)
+            lead, facs = factor(g)
+            assert lead == FF(p).one() and all(m == 1 for _, m in facs)
+            got = [h for h, _ in facs]
             assert _product(ring, got) == g
             assert sorted(_gf_ints(h) for h in got) == \
                 sorted(gf_factor_sqf(_gf_ints(g), p, sympy.ZZ)[1])
@@ -915,10 +930,38 @@ class TestFiniteFieldFactoring:
                 if poly_gcd(g, g.derivative()).degree() > 0:
                     continue
                 want = _divisor_search(g)
-                got = _sorted_factors(fields._factor_ff_squarefree(g))
+                lead, facs = factor(g)
+                assert lead == k.one() and all(m == 1 for _, m in facs)
+                got = [h for h, _ in facs]
                 assert got == _sorted_factors(want)
                 assert _product(ring, got) == g
                 assert is_irreducible(g) == (len(want) == 1)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_repeated_factors_agree_with_galoistools(self, p):
+        """Seeded products c * prod g_i^m_i, m_i in {1, 2, p, p + 1, 2p}:
+        a factor's multiplicity adds up across the Musser parts, the p-th
+        root recursion included (g_i may be reducible or repeat)."""
+        ring = PolyRing(FF(p), "x")
+        rng = random.Random(70 + p)
+        for _ in range(40):
+            f = _repeated_product(rng, ring)
+            lead, facs = factor(f)
+            want_lead, want = gf_factor(_gf_ints(f), p, sympy.ZZ)
+            assert lead.lift_int() == want_lead
+            assert sorted((_gf_ints(h), m) for h, m in facs) == sorted(want)
+
+    def test_repeated_factors_over_f9(self):
+        k = GF(9)
+        ring = PolyRing(k, "x")
+        rng = random.Random(79)
+        for _ in range(25):
+            f = _repeated_product(rng, ring)
+            lead, facs = factor(f)
+            assert all(h.is_monic() and is_irreducible(h) for h, _ in facs)
+            assert len({h for h, _ in facs}) == len(facs)
+            assert [h for h, _ in facs] == _sorted_factors(h for h, _ in facs)
+            assert _product(ring, [h ** m for h, m in facs]).scale(lead) == f
 
     @pytest.mark.parametrize("p, d, modulus", [
         (3, 2, (1, 0, 1)), (3, 3, (1, 2, 0, 1)), (3, 4, (2, 1, 0, 0, 1)),
@@ -1283,7 +1326,7 @@ class TestFlattening:
         calls = []
         real = fields._is_irreducible_ff
         monkeypatch.setattr(fields, "_is_irreducible_ff",
-                            lambda f: calls.append(f) or real(f))
+                            lambda K, row: calls.append(row) or real(K, row))
         assert fields.quadratic_extension_field(f9, ubar).order == 81
         t = f3t.gen()
         assert is_split(QuaternionAlgebra(f3t, t * t + 1, t)).split
