@@ -1154,17 +1154,41 @@ class _FqRows(_Rows):
         return FFElement(self.field, tuple(c[::-1]) + (0,) * (self.k - len(c)))
 
     def divmod(self, a, b):
-        """(q, r) with a = q*b + r and deg r < deg b."""
+        """(q, r) with a = q*b + r and deg r < deg b.
+
+        For k > 1 the long division by the monic b' = b/lc(b) runs in place
+        on one reversed copy of a.  The top coefficient sum c_i y^i of what
+        is left is cleared by subtracting each c_i times the reduced row of
+        y^i*b', shifted; these k rows are built once, and each block keeps
+        its k slots, reduced mod p only where it is read.  The quotient by
+        b' collects the coefficients c and is multiplied by 1/lc(b) once."""
         if not b:
             raise DivisionByZero("polynomial division by zero")
         if self.k == 1:
             return _gf_divmod(a, b, self.p)
-        inv, db, q = self.unit(b), self.degree(b), []
-        while a and self.degree(a) >= db:
-            c = self.lead(a) if inv is None else self.mul(self.lead(a), inv)
-            shift = [0] * ((self.degree(a) - db) * self.w)
-            a, q = self.sub(a, self.mul(c, b) + shift), self.add(q, c + shift)
-        return q, a
+        p, k, w = self.p, self.k, self.w
+        da, db = self.degree(a) if a else -1, self.degree(b)
+        if da < db:
+            return [], a
+        inv = self.unit(b)
+        if inv is not None:
+            b = self.mul(b, inv)
+        size = db * w + k
+        ys = [(self._reduce(b + [0] * i) if i else b)[::-1] for i in range(k)]
+        ys = [y + [0] * (size - len(y)) for y in ys]
+        r = a[::-1] + [0] * (da * w + k - len(a))
+        q = [0] * ((da - db) * w + k)
+        for s in range((da - db) * w, -1, -w):
+            cs = [c % p for c in r[s + db * w:s + db * w + k]]
+            q[s:s + k] = cs
+            for c, y in zip(cs, ys):
+                if c:
+                    r[s:s + size] = [x - c * t
+                                     for x, t in zip(r[s:s + size], y)]
+        q = _strip(q[::-1])
+        if inv is not None:
+            q = self.mul(q, inv)
+        return q, _strip([c % p for c in reversed(r[:db * w])])
 
     def exquo(self, a, b):
         return self.divmod(a, b)[0]
@@ -1613,10 +1637,11 @@ def square_class_reduce(x, ctx=None):
 
     Over Q the representative is the squarefree integer with the sign of x,
     read off ``integers.factorint`` of the numerator and of the denominator:
-    plain-int trial division and Brent's rho below 10^23, ``sympy.factorint``
-    for a cofactor from there up, and primality proven by strong tests below
-    3.3*10^24, by ``sympy.isprime`` above.  Over a finite field it is 1 or
-    the first nonsquare in index order; over k(t) it is k times the
+    plain-int trial division and Brent's rho below 10^23, p-1, capped rho
+    and ECM for a cofactor from there up (``sympy.factorint`` only past 50
+    curves), and primality proven by strong tests below 3.3*10^24, by
+    ``sympy.isprime`` above for a probable prime.  Over a finite field it is
+    1 or the first nonsquare in index order; over k(t) it is k times the
     representative of c, for x = k * s^2 * c (``_square_split``).  Returns
     (r, s).
     """

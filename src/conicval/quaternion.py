@@ -204,9 +204,10 @@ def _odd_primes(values):
     ascending.  One pass of trial division (``integers.trial_division``)
     finds those below 2^12, and a cofactor below 2^24 is prime; the small
     primes are yielded before ``integers.factor_cofactor`` runs on the
-    larger cofactors left over (Brent's rho below 10^23, ``sympy.factorint``
-    from there up; primality proven by strong tests below 3.3*10^24), so a
-    consumer that stops early skips the factoring."""
+    larger cofactors left over (Brent's rho below 10^23, p-1, capped rho and
+    ECM from there up, ``sympy.factorint`` only past 50 curves; primality
+    proven by strong tests below 3.3*10^24), so a consumer that stops early
+    skips the factoring."""
     found, rest = set(), set()
     for x in map(Fraction, values):
         for n in (abs(x.numerator), x.denominator):

@@ -445,6 +445,8 @@ _SYMPY_FREE = [
     ["hilbert", "--a=4133/134", "--b=9325/124", "--place", "7"],
     ["quat", "split", "--field", "Q", "--a=-41/5", "--b=18/7"],
     ["quat", "split", "--field", "Q", "--a=41875260544475172209", "--b=5"],
+    ["quat", "split", "--field", "Q",
+     "--a=373635455550066441134494770891689", "--b=-1"],
     ["quat", "split", "--field", "GF(25)", "--a", "12", "--b", "29"],
     ["quat", "split", "--field", "GF(5)[u]/(u^2+2)", "--a", "u", "--b", "2"],
     ["analyze", "--val", "Fq(t):q=9,place=t^3+2*t^2+2*t+2",

@@ -10,7 +10,8 @@ checked over F_3 and F_9 against a degree-by-degree reference on the
 ``_FqRows`` base kernel.  The steps of
 the squarefree decomposition that run on rows, ``derivative`` in every
 kernel and ``pth_root`` in characteristic p, are checked against
-``Poly.derivative`` and against p-th powers.
+``Poly.derivative`` and against p-th powers.  The F_q[t] long division
+for q = p^k, k > 1, is checked against the generic ``Poly`` division.
 """
 
 import random
@@ -236,6 +237,22 @@ def test_tower_sum_and_product_over_fq(q, data):
     assert K.add(a, b) == _tower_reference(K.base, a, b, False), (a, b)
     assert K.add(a, K.neg(a)) == K.zero
 
+
+@pytest.mark.parametrize("q", [9, 25])
+@SEEDED
+@given(data=st.data())
+def test_fq_divmod_against_poly_long_division(q, data):
+    """``_FqRows.divmod`` for k > 1, in place on the reversed row, against
+    ``Poly.__divmod__``, the generic long division over F_q."""
+    k = GF(q)
+    ring, K = PolyRing(k, "t"), k.kernel
+    coeffs = st.integers(0, q - 1).map(k.element_at)
+    a = ring.poly(data.draw(st.lists(coeffs, max_size=14)))
+    b = ring.poly(data.draw(st.lists(coeffs, min_size=1, max_size=5)
+                            .filter(lambda cs: any(cs))))
+    quo, rem = divmod(a, b)
+    rows = K.divmod(K.rows(a.coeffs)[0], K.rows(b.coeffs)[0])
+    assert rows == (K.rows(quo.coeffs)[0], K.rows(rem.coeffs)[0]), (a, b)
 
 
 @pytest.mark.parametrize("name", ["Z[x]", "Z[t][x]", "F_3[t]", "F_9[t]",
