@@ -259,7 +259,8 @@ def _ladder(x: int, z: int, k: int, a24: int, n: int):
     s, d = (x + z) * (x + z) % n, (x - z) * (x - z) % n
     xr, zr = s * d % n, (s - d) * (d + a24 * (s - d)) % n
     for bit in bin(k)[3:]:
-        # Q + R, whose difference is P, and the double of R or of Q
+        # Q + R, whose difference is P, and the double of R or of Q, inline
+        # rather than by _add: this loop is the cost of ECM's stage 1
         u = (xq - zq) * (xr + zr)
         v = (xq + zq) * (xr - zr)
         xs, zs = (u + v) % n, (u - v) % n
