@@ -6,7 +6,9 @@ conforming to the committed schema (schema/cli_output.schema.json).
 
 Exit codes: 0 success, 1 mathematical error, 2 usage error (including
 malformed expressions and dyadic valuation descriptors, which are rejected
-at parse time), 3 oracle disagreement from verify.
+at parse time), 3 oracle disagreement from verify.  Each verify suite is a
+stream of checks, each None or a counterexample, that oracle.run_checks
+turns into a report; its fixtures are descriptors, as a user would write.
 
 The argument parser is built once per process, on the first call of main,
 and reused by every later call.  main can be called many times in one
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import re
 import sys
@@ -32,8 +35,8 @@ from .fields import FF, FunctionField, GF, QQ, is_square
 from .gauss import GaussExtension, gauss_residue, quadratic_extension_analysis, \
     subfield_degree
 from .integers import is_prime
-from .oracle import (OracleReport, degree_oracle, hensel_count,
-                     isotropy_search, sample_rational, sample_ratfunc,
+from .oracle import (degree_oracle, hensel_count, isotropy_search,
+                     run_checks, sample_rational, sample_ratfunc,
                      valuation_axiom_fuzz)
 from .parser import parse_element
 from .quaternion import (QuaternionAlgebra, _rational_places,
@@ -284,141 +287,99 @@ def _cmd_polyrep(args):
 # ---------------------------------------------------------------------------
 
 
-def _gauss_fixtures():
-    qt = FunctionField(QQ, "t")
-    f3t = FunctionField(GF(3), "t")
-    f5t = FunctionField(GF(5), "t")
-    vals = [
-        PAdicValuation(5),
-        PAdicValuation(3),
-        PlaceValuation(qt, qt.ring.gen()),
-        PlaceValuation(qt, qt.ring.poly([-2, 1])),
-        InfinitePlaceValuation(qt),
-        PlaceValuation(f3t, f3t.ring.gen()),
-        PlaceValuation(f3t, f3t.ring.poly([1, 0, 1])),
-        InfinitePlaceValuation(f5t),
-    ]
-    return vals
-
-
-def _wstar_fixtures():
-    qt = FunctionField(QQ, "t")
-    vt = PlaceValuation(qt, qt.ring.gen())
-    v5 = PAdicValuation(5)
-    return [
-        DistinguishedExtension(vt, ConicFunctionField(qt, -1, -1)),
-        DistinguishedExtension(vt, ConicFunctionField(qt, qt.gen(), 1)),
-        DistinguishedExtension(v5, ConicFunctionField(QQ, 2, 3)),
-    ]
+# the valuations of the Gauss extensions with pivot x, and the (valuation,
+# a, b) of the w* fixtures, as descriptors
+_GAUSS_VALUATIONS = ("Q:p=5", "Q:p=3", "Q(t):place=t", "Q(t):place=t-2",
+                     "Q(t):place=inf", "Fq(t):q=3,place=t",
+                     "Fq(t):q=3,place=t^2+1", "Fq(t):q=5,place=inf")
+_WSTAR_ALGEBRAS = (("Q(t):place=t", "-1", "-1"), ("Q(t):place=t", "t", "1"),
+                   ("Q:p=5", "2", "3"))
 
 
 def _suite_gauss(seed, samples):
-    reports = []
-    for v in _gauss_fixtures():
-        w = GaussExtension(v, FunctionField(v.base, "x").gen())
-        reports.append(valuation_axiom_fuzz(w, samples, seed))
-    return reports
+    return [valuation_axiom_fuzz(
+        GaussExtension(v, FunctionField(v.base, "x").gen()), samples, seed)
+        for v in map(parse_valuation, _GAUSS_VALUATIONS)]
 
 
 def _suite_wstar(seed, samples):
-    return [valuation_axiom_fuzz(ext, samples, seed,
-                                 name=f"wstar_axioms[{ext.describe()}]")
-            for ext in _wstar_fixtures()]
+    reports = []
+    for val, a, b in _WSTAR_ALGEBRAS:
+        v = parse_valuation(val)
+        ext = DistinguishedExtension(v, ConicFunctionField(
+            v.base, parse_field_element(a, v.base),
+            parse_field_element(b, v.base)))
+        reports.append(valuation_axiom_fuzz(
+            ext, samples, seed, name=f"wstar_axioms[{ext.describe()}]"))
+    return reports
 
 
-def _suite_hilbert(seed, samples):
-    rng = random.Random(seed)
-    bad = None
-    checked = 0
+def _seeded(name, checks):
+    """The suite of one report on the checks ``checks(rng, samples)``."""
+    return lambda seed, samples: [run_checks(
+        name, f"seed={seed}", checks(random.Random(seed), samples))]
+
+
+def _hilbert_checks(rng, samples):
     for _ in range(samples):
         a = sample_rational(rng, 10 ** 4)
         b = sample_rational(rng, 10 ** 4)
-        if not a or not b:
-            continue
-        prod = 1
-        for pl in _rational_places(a, b):
-            prod *= hilbert_symbol(a, b, pl)
-        if prod != 1:
-            bad = (a, b, "product formula")
-            break
-        checked += 1
-    return [OracleReport("hilbert_product_formula", f"seed={seed}",
-                         bad is None, checked, bad)]
+        if a and b:
+            prod = math.prod(hilbert_symbol(a, b, pl)
+                             for pl in _rational_places(a, b))
+            yield None if prod == 1 else (a, b, "product formula")
 
 
-def _suite_degree(seed, samples):
-    rng = random.Random(seed)
+def _degree_checks(rng, samples):
     f7x = FunctionField(GF(7), "x")
-    bad = None
-    checked = 0
     for _ in range(samples):
         y = sample_ratfunc(rng, f7x, 5, 5)
-        if y.degree() < 1:
-            continue
-        deg, _ = subfield_degree(y)
-        if deg != degree_oracle(y):
-            bad = (y, "degree mismatch")
-            break
-        checked += 1
-    return [OracleReport("degree_formula_vs_linear_algebra", f"seed={seed}",
-                         bad is None, checked, bad)]
+        if y.degree() >= 1:
+            deg, _ = subfield_degree(y)
+            yield None if deg == degree_oracle(y) else (y, "degree mismatch")
 
 
-def _suite_hensel(seed, samples):
-    rng = random.Random(seed)
-    bad = None
-    checked = 0
+def _hensel_checks(rng, samples):
     for _ in range(samples):
         p = rng.choice([3, 5, 7, 11, 13])
         v = PAdicValuation(p)
         a = sample_rational(rng, 50)
-        if not a:
-            continue
-        if int(v.value_of(a).fraction) % 2:
-            continue
-        ok, _root = is_square(a, QQ)
-        if ok:
+        if (not a or int(v.value_of(a).fraction) % 2
+                or is_square(a, QQ)[0]):
             continue
         kind = quadratic_extension_analysis(v, a).kind
         roots = hensel_count(v, a, 6)
-        if (kind, roots) not in (("split_pair", 2), ("inert", 0)):
-            bad = (p, a, kind, roots)
-            break
-        checked += 1
-    return [OracleReport("quadratic_trichotomy_vs_hensel", f"seed={seed}",
-                         bad is None, checked, bad)]
+        yield (None if (kind, roots) in (("split_pair", 2), ("inert", 0))
+               else (p, a, kind, roots))
+
+
+def _isotropy_checks(k):
+    for a in k.nonzero_elements():
+        for b in k.nonzero_elements():
+            sr = is_split(QuaternionAlgebra(k, a, b))
+            point = isotropy_search(a, b)
+            x, y, z = sr.certificate
+            yield (None if sr.split and point is not None
+                   and a * x * x + b * y * y == z * z else (a, b))
 
 
 def _suite_isotropy(seed, samples):
     del seed, samples
     reports = []
     for q in (3, 5, 7, 9):
-        k = GF(q)
-        bad = None
-        checked = 0
-        for a in k.nonzero_elements():
-            for b in k.nonzero_elements():
-                sr = is_split(QuaternionAlgebra(k, a, b))
-                point = isotropy_search(a, b)
-                x, y, z = sr.certificate
-                if not (sr.split and point is not None
-                        and a * x * x + b * y * y == z * z):
-                    bad = (a, b)
-                    break
-                checked += 1
-            if bad:
-                break
-        reports.append(OracleReport(f"isotropy_exhaustive[GF({q})]", f"q={q}",
-                                    bad is None, checked, bad))
+        reports.append(run_checks(f"isotropy_exhaustive[GF({q})]", f"q={q}",
+                                  _isotropy_checks(GF(q))))
+        if not reports[-1].agreement:
+            break
     return reports
 
 
 _SUITES = {
     "gauss": _suite_gauss,
     "wstar": _suite_wstar,
-    "hilbert": _suite_hilbert,
-    "degree": _suite_degree,
-    "hensel": _suite_hensel,
+    "hilbert": _seeded("hilbert_product_formula", _hilbert_checks),
+    "degree": _seeded("degree_formula_vs_linear_algebra", _degree_checks),
+    "hensel": _seeded("quadratic_trichotomy_vs_hensel", _hensel_checks),
     "isotropy": _suite_isotropy,
 }
 

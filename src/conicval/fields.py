@@ -820,14 +820,15 @@ class _Rows:
     inverts it.  A level-1 kernel's ``base`` is the kernel of its
     coefficients' rows in k[t].
 
-    ``add``, ``neg`` and ``mul`` are plain list code shared by the kernels:
-    on ints at level 0 (``_IntRows``; ``_FqRows`` reduces ``_convolve`` mod
-    p and has galoistools' sums as plain list code too), and over ``base``
-    at level 1, where the zero row is ``zero`` ([[]] in Z[t][x], [] in
-    F_q[t][x]).  Rows here have 1-3 entries, where sympy's generic dense
-    loops cost more than the arithmetic.  The squarefree decomposition runs
-    on ``derivative`` (through each kernel's ``times(c, k)``),
-    ``gcd_rows``, ``exquo`` and, in characteristic p only, ``pth_root``."""
+    ``add``, ``neg``, ``sub`` and ``mul`` are plain list code shared by the
+    kernels: on ints at level 0 (``_IntRows``; ``_FqRows`` reduces
+    ``_convolve`` mod p and has galoistools' sums as plain list code too),
+    and over ``base`` at level 1, where the zero row is ``zero`` ([[]] in
+    Z[t][x], [] in F_q[t][x]) and ``exquo`` is long division.  Rows here
+    have 1-3 entries, where sympy's generic dense loops cost more than the
+    arithmetic.  The squarefree decomposition runs on ``derivative``
+    (through each kernel's ``times(c, k)``), ``gcd_rows``, ``exquo`` and,
+    in characteristic p only, ``pth_root``."""
 
     def add(self, a, b):
         if len(a) < len(b):
@@ -841,6 +842,9 @@ class _Rows:
 
     def neg(self, a):
         return [self.base.neg(c) for c in a] if self.u else [-c for c in a]
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         """Schoolbook: ``_convolve`` at level 0, over ``base`` at level 1."""
@@ -921,6 +925,21 @@ class _Rows:
                 n, d = self.mul(n, unit), self.mul(d, unit)
         return n, d
 
+    def exquo(self, a, b):
+        """a / b at level 1, for b dividing a: long division over ``base``,
+        with InvariantViolated on a nonzero remainder (a kernel of level 0
+        has its own)."""
+        base, r, q = self.base, list(a), []
+        for i in range(len(a) - len(b) + 1):
+            c = base.exquo(r[i], b[0]) if r[i] else base.zero
+            q.append(c)
+            if c:
+                for j, y in enumerate(b, i):
+                    r[j] = base.sub(r[j], base.mul(c, y))
+        if any(r):
+            raise InvariantViolated(f"{b} does not divide {a}")
+        return q or self.zero
+
     def cofactors(self, a, b):
         """a / g and b / g for g the gcd of a and b."""
         g = self.gcd_rows(a, b)
@@ -948,9 +967,9 @@ class _IntRows(_Rows):
     In Z[t][x] a gcd with an operand constant in x is the gcd in Z[t] of
     its entry and the other operand's content, as sympy's
     ``_dmp_simplify_gcd`` takes it, and division by such a row divides
-    each entry in Z[t]; both run on the Z[x] kernel.  Other Z[t][x] gcds
-    and divisions import and call sympy's ``dmp_inner_gcd`` and
-    ``dmp_exquo``."""
+    each entry in Z[t]; both run on the Z[x] kernel.  Other Z[t][x]
+    divisions are the long division of ``_Rows``, and other Z[t][x] gcds
+    import and call sympy's ``dmp_inner_gcd``."""
 
     def __init__(self, u: int, base=None):
         self.u, self.base = u, base
@@ -965,9 +984,7 @@ class _IntRows(_Rows):
             return ([self.base.exquo(x, c) for x in a] if self.u
                     else [x // c for x in a])
         if self.u:
-            from sympy.polys.densearith import dmp_exquo
-            from sympy.polys.domains import ZZ
-            return dmp_exquo(a, b, 1, ZZ)
+            return super().exquo(a, b)
         q = _int_divides(a, b)
         if q is None:
             raise InvariantViolated(f"{b} does not divide {a} in Z[x]")
@@ -1077,9 +1094,6 @@ class _FqRows(_Rows):
         if d:
             return a[:d] + [(x + y) % p for x, y in zip(a[d:], b)]
         return _strip([(x + y) % p for x, y in zip(a, b)])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def neg(self, a):
         p = self.p
@@ -1284,17 +1298,6 @@ class _FqxRows(_Rows):
                 break
             a, b = b, self._ground_quo(r, self.content(r))
         return [c] if len(b) == 1 else [self.base.mul(c, x) for x in b]
-
-    def exquo(self, a, b):
-        """a / b for b dividing a."""
-        base, lc = self.base, b[0]
-        r, q = list(a), []
-        for i in range(len(a) - len(b) + 1):
-            c = base.exquo(r[i], lc) if r[i] else []
-            q.append(c)
-            for j in range(1, len(b)):
-                r[i + j] = base.sub(r[i + j], base.mul(c, b[j]))
-        return q
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ Each oracle recomputes a quantity by a route deliberately different from the
 implementation it cross-checks (exhaustive enumeration, Hensel lifting,
 linear algebra), validates its own output by exact substitution, and reports
 deterministically for a fixed seed.
+
+Every cross-check (``valuation_axiom_fuzz`` and each ``verify`` suite of the
+CLI) is a stream of checks fed to ``run_checks``, the one loop that counts
+the agreeing checks, stops at the first counterexample and builds the report.
 """
 
 from __future__ import annotations
@@ -255,18 +259,34 @@ def default_sampler(target):
     raise ZeroInput(f"no sampler for {target!r}")
 
 
+def run_checks(name: str, inputs_digest: str, checks) -> OracleReport:
+    """The report of a stream of checks: each item of ``checks`` is None
+    for a check that agrees, else its counterexample.  The agreeing checks
+    are counted up to the first counterexample, where the run stops."""
+    checked = 0
+    for bad in checks:
+        if bad is not None:
+            return OracleReport(name, inputs_digest, False, checked, bad)
+        checked += 1
+    return OracleReport(name, inputs_digest, True, checked)
+
+
 def valuation_axiom_fuzz(target, samples: int = 1000, seed: int = 0,
                          sampler=None, name: str | None = None) -> OracleReport:
     """Check v(xy) = v(x) + v(y) exactly and the ultrametric inequality
     (with equality for distinct values) on random nonzero pairs."""
     if samples < 1:
         raise ZeroInput("need at least one sample")
-    rng = random.Random(seed)
     if sampler is None:
         sampler = default_sampler(target)
     name = name or f"valuation_axioms[{getattr(target, 'describe', target.__repr__)()}]"
-    digest = _digest(name, samples, seed)
-    checked = 0
+    return run_checks(name, _digest(name, samples, seed),
+                      _axiom_checks(target, sampler, random.Random(seed),
+                                    samples))
+
+
+def _axiom_checks(target, sampler, rng, samples):
+    """One check per pair with no zero; x and y are drawn for every pair."""
     for _ in range(samples):
         x = sampler(rng)
         y = sampler(rng)
@@ -274,15 +294,13 @@ def valuation_axiom_fuzz(target, samples: int = 1000, seed: int = 0,
             continue
         vx, vy = target.value_of(x), target.value_of(y)
         if target.value_of(x * y) != vx + vy:
-            return OracleReport(name, digest, False, checked,
-                                (x, y, "multiplicativity"))
+            yield x, y, "multiplicativity"
+            continue
         s = x + y
         vs = target.value_of(s) if s else INFINITY
         if vs < min(vx, vy):
-            return OracleReport(name, digest, False, checked,
-                                (x, y, "ultrametric"))
-        if vx != vy and vs != min(vx, vy):
-            return OracleReport(name, digest, False, checked,
-                                (x, y, "ultrametric equality"))
-        checked += 1
-    return OracleReport(name, digest, True, checked)
+            yield x, y, "ultrametric"
+        elif vx != vy and vs != min(vx, vy):
+            yield x, y, "ultrametric equality"
+        else:
+            yield None

@@ -66,9 +66,7 @@ def _strip_entry(e, v: Valuation, tag: str, moves: list):
     if s != v.base.coerce(1):
         moves.append((f"scale_{tag}", 1 / s))
     m = int(v.value_of(r).fraction)
-    k = m // 2 if m >= 0 else -((-m + 1) // 2)
-    if m - 2 * k not in (0, 1):
-        k = (m - 1) // 2
+    k = m // 2    # floor division: m - 2k is 0 or 1 for every m
     if k:
         c = v.uniformizer ** (-k)
         moves.append((f"scale_{tag}", c))

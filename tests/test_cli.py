@@ -74,6 +74,13 @@ class TestGoldenVerdicts:
         assert doc["result"]["split"] is True
         assert doc["result"]["certificate"] == ["u", "1", "2*u + 3"]
 
+    def test_polyrep_over_qt(self, run_cli, validator):
+        # t*x generates Q(t)(x) over Q(t): degree 1, and x = Y/t is integral
+        code, doc = run_cli("polyrep", "--field", "Q(t)", "--pivot", "t*x")
+        validator.validate(doc)
+        assert code == 0
+        assert (doc["result"]["degree"], doc["result"]["integral"]) == (1, True)
+
 
 class TestDistinguishedExtension:
     """w* on algebras with a != b, where it once went through a Gauss
@@ -116,6 +123,25 @@ class TestDistinguishedExtension:
         assert doc["result"]["reports"]
         assert all(r["agreement"] for r in doc["result"]["reports"])
 
+    def test_verify_reports_a_disagreement(self, run_cli, validator,
+                                           monkeypatch):
+        # a symbol at infinity of the wrong sign breaks the product formula
+        # on the first pair of the seed-0 stream
+        symbol = cli.hilbert_symbol
+        monkeypatch.setattr(cli, "hilbert_symbol", lambda a, b, place: (
+            -1 if place == "inf" else 1) * symbol(a, b, place))
+        argv = ("verify", "--suite", "hilbert", "--samples", "5")
+        code, doc = run_cli(*argv)
+        validator.validate(doc)
+        assert code == 3 and doc["result"]["agreement"] is False
+        [report] = doc["result"]["reports"]
+        assert (report["agreement"], report["checked"]) == (False, 0)
+        assert report["counterexample"] == ["2623/6891", "-8674/4243",
+                                            "product formula"]
+        code, out, _ = _run_main(argv)
+        assert code == 3
+        assert out.splitlines()[-1] == "verify: DISAGREEMENT FOUND"
+
 
 class TestMalformedInput:
     """Inputs that once escaped as tracebacks, gave a wrong answer or never
@@ -144,6 +170,25 @@ class TestMalformedInput:
           "--b", "3"), "ExpressionOutOfRange", "nesting beyond 100"),
         (("analyze", "--val", "Q:p=5", "--a=" + "-" * 1000 + "1", "--b", "3"),
          "ExpressionOutOfRange", "nesting beyond 100"),
+        (("analyze", "--val", "Q:p=5", "--a=2+", "--b", "3"),
+         "ExpressionSyntaxError", "unexpected end of input (offset 2)"),
+        (("analyze", "--val", "Q:p=5", "--a=2$", "--b", "3"),
+         "ExpressionSyntaxError", "unexpected character '$' (offset 1)"),
+        (("analyze", "--val", "Q:p=5", "--a=(2", "--b", "3"),
+         "ExpressionSyntaxError", "expected ')' (offset 2)"),
+        (("analyze", "--val", "Q:p=5", "--a=2)", "--b", "3"),
+         "ExpressionSyntaxError", "unexpected ')' (offset 1)"),
+        (("analyze", "--val", "Q:p=5", "--a=2^x", "--b", "3"),
+         "ExpressionSyntaxError", "exponent must be an integer (offset 2)"),
+        (("analyze", "--val", "Q:p=5", "--a=y", "--b", "3"),
+         "UndeclaredVariable", "undeclared variable 'y' (offset 0)"),
+        (("analyze", "--field", "Q(t)", "--val", "Q:p=5", "--a", "2", "--b",
+          "3"), "InputError",
+         "--field Q(t) does not match the valuation's base field Q"),
+        (("analyze", "--val", "Q(t):t", "--a", "2", "--b", "3"),
+         "InputError", "missing place= in 'Q(t):t'"),
+        (("analyze", "--val", "Q:q=5", "--a", "2", "--b", "3"),
+         "InputError", "unrecognized valuation descriptor 'Q:q=5'"),
     ])
     def test_exit_code_and_message(self, run_cli, validator, args, error,
                                    message):
