@@ -2,7 +2,9 @@
 
 Subcommands: analyze, eval, gauss, hilbert, quat (split | decide), family,
 polyrep, verify.  Every command accepts --json for machine-readable output
-conforming to the committed schema (schema/cli_output.schema.json).
+conforming to the committed schema (schema/cli_output.schema.json).  A
+subcommand that takes --val reads the base field there, quat split and
+polyrep take --field, and no option picks among valid certificates.
 
 Exit codes: 0 success, 1 mathematical error, 2 usage error (including
 malformed expressions and dyadic valuation descriptors, which are rejected
@@ -140,15 +142,8 @@ def parse_valuation(desc: str) -> Valuation:
 
 
 def _valuation_and_coefficients(args):
-    """(v, a, b) from --val, the optional --field (which must be v's base
-    field), --a and --b."""
+    """(v, a, b) from --val, --a and --b; a and b lie in v's base field."""
     v = parse_valuation(args.val)
-    if args.field:
-        field_ctx = parse_base_field(args.field)
-        if field_ctx != v.base:
-            raise InputError(
-                f"--field {field_ctx!r} does not match the valuation's base "
-                f"field {v.base!r}")
     return (v, parse_field_element(args.a, v.base),
             parse_field_element(args.b, v.base))
 
@@ -161,7 +156,7 @@ def _valuation_and_coefficients(args):
 def _cmd_analyze(args):
     v, a, b = _valuation_and_coefficients(args)
     report = analyze(v, ConicFunctionField(v.base, a, b),
-                     family_count=args.family, search_bound=args.search_bound)
+                     family_count=args.family)
     d = report.as_dict()
     lines = [f"verdict: {d['verdict']} ({d['extension_kind']})",
              f"case: {d['case']}",
@@ -234,7 +229,7 @@ def _cmd_quat_split(args):
     field = parse_base_field(args.field)
     a = parse_field_element(args.a, field)
     b = parse_field_element(args.b, field)
-    sr = is_split(QuaternionAlgebra(field, a, b), search_bound=args.search_bound)
+    sr = is_split(QuaternionAlgebra(field, a, b))
     d = sr.as_dict()
     lines = [f"split: {sr.split}"]
     if sr.certificate:
@@ -249,8 +244,7 @@ def _cmd_quat_split(args):
 
 def _cmd_quat_decide(args):
     v, a, b = _valuation_and_coefficients(args)
-    verdict = decide_unramified_extension(QuaternionAlgebra(v.base, a, b), v,
-                                          search_bound=args.search_bound)
+    verdict = decide_unramified_extension(QuaternionAlgebra(v.base, a, b), v)
     d = verdict.as_dict()
     lines = [f"kind: {verdict.kind}",
              f"normalized presentation: ({verdict.normalization.a}, "
@@ -261,8 +255,7 @@ def _cmd_quat_decide(args):
 def _cmd_family(args):
     v, a, b = _valuation_and_coefficients(args)
     cf = ConicFunctionField(v.base, a, b)
-    members = rational_residue_family(v, cf, args.count,
-                                      search_bound=args.search_bound)
+    members = rational_residue_family(v, cf, args.count)
     d = {"count": len(members), "members": [m.as_dict() for m in members]}
     lines = [f"{len(members)} extension(s) with rational residue field"]
     for m in members:
@@ -408,8 +401,7 @@ def _cmd_verify(args):
 
 
 def _nonnegative_int(text: str) -> int:
-    """The argparse type of a bound, a sample count or a family size: an
-    int >= 0."""
+    """The argparse type of a sample count or a family size: an int >= 0."""
     try:
         n = int(text)
     except ValueError:
@@ -428,23 +420,15 @@ def build_argument_parser() -> argparse.ArgumentParser:
                     "splitting, and the distinguished extension decision.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, field=True, val=True, ab=True, bound=True):
-        if field:
-            p.add_argument("--field", help='base field descriptor, e.g. "Q", '
-                           '"Q(t)", "GF(9)", "Fq(t):q=3"')
-        if val:
-            p.add_argument("--val", required=True,
-                           help='valuation descriptor, e.g. "Q:p=5", '
-                           '"Q(t):place=t", "Fq(t):q=3,place=t^2+1", '
-                           '"Fq(t):q=5,place=inf"')
+    def common(p, ab=True):
+        p.add_argument("--val", required=True,
+                       help='valuation descriptor, which names the base '
+                       'field, e.g. "Q:p=5", "Q(t):place=t", '
+                       '"Fq(t):q=3,place=t^2+1", "Fq(t):q=5,place=inf"')
         if ab:
             p.add_argument("--a", required=True, help="first coefficient")
             p.add_argument("--b", required=True, help="second coefficient")
         p.add_argument("--json", action="store_true", help="machine output")
-        if bound:
-            p.add_argument("--search-bound", type=_nonnegative_int,
-                           default=200, help="height bound for rational "
-                           "point searches")
 
     p = sub.add_parser("analyze", help="decide the distinguished extension "
                        "and report all constructive data")
@@ -455,13 +439,13 @@ def build_argument_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="value (and residue) of f + g*s under "
                        "the distinguished extension")
-    common(p, bound=False)
+    common(p)
     p.add_argument("--f", required=True, help="rational function in x")
     p.add_argument("--g", required=True, help="rational function in x")
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("gauss", help="Gauss extension value and residue")
-    common(p, field=False, ab=False, bound=False)
+    common(p, ab=False)
     p.add_argument("--pivot", required=True, help="pivot, e.g. 5*x or t*(x-1)")
     p.add_argument("--eval", required=True, help="element of E(x)")
     p.set_defaults(handler=_cmd_gauss)
@@ -480,7 +464,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--search-bound", type=_nonnegative_int, default=200)
     p.set_defaults(handler=_cmd_quat_split)
     p = qsub.add_parser("decide", help="unramified extension decision")
     common(p)

@@ -306,8 +306,8 @@ class DistinguishedExtension:
         self._x_shift = 0
         if va % 2 == 0 and vb % 2 == 0:
             self.case_tag = CASE_UNITS
-            u = pi ** (-(va // 2)) if va else v.base.coerce(1)
-            nu = pi ** (-(vb // 2)) if vb else v.base.coerce(1)
+            u = pi ** (-(va // 2)) if va else v.domain.coerce(1)
+            nu = pi ** (-(vb // 2)) if vb else v.domain.coerce(1)
             a0 = cf.a * u * u
             b0 = cf.b * nu * nu
             self.residue = ResidueConicDesc(
@@ -474,8 +474,8 @@ class RationalFamilyMember:
         }
 
 
-def rational_residue_family(v: Valuation, cf: ConicFunctionField, count: int,
-                            search_bound: int = 200) -> list[RationalFamilyMember]:
+def rational_residue_family(v: Valuation, cf: ConicFunctionField,
+                            count: int) -> list[RationalFamilyMember]:
     """Pairwise distinct extensions of v to F whose residue fields are
     rational over kappa; only available when no unramified extension to the
     quaternion algebra exists.
@@ -487,15 +487,15 @@ def rational_residue_family(v: Valuation, cf: ConicFunctionField, count: int,
     extension of the Gauss extension to F is kappa(pivot residue).
     """
     verdict = decide_unramified_extension(
-        QuaternionAlgebra(cf.base, cf.a, cf.b), v, search_bound)
+        QuaternionAlgebra(cf.base, cf.a, cf.b), v)
     if verdict.kind == UNRAMIFIED_EXTENSION:
         raise PreconditionViolated(
             "an unramified extension exists; no rational-residue family")
-    return _residue_family(v, cf, None, count, search_bound)
+    return _residue_family(v, cf, None, count)
 
 
-def _residue_family(v: Valuation, cf: ConicFunctionField, ext, count: int,
-                    search_bound: int) -> list[RationalFamilyMember]:
+def _residue_family(v: Valuation, cf: ConicFunctionField, ext,
+                    count: int) -> list[RationalFamilyMember]:
     """The family of ``rational_residue_family``, once no unramified
     extension is known to exist; ext is the distinguished extension of v
     to cf, or None to build it when needed."""
@@ -510,7 +510,7 @@ def _residue_family(v: Valuation, cf: ConicFunctionField, ext, count: int,
     def scaled_x_members(ks, constraint, expected):
         for k in ks:
             c = pi ** k
-            pivot = RatFunc(cf.ef, cf.ef.ring.poly([v.base.zero(), c]),
+            pivot = RatFunc(cf.ef, cf.ef.ring.poly([v.domain.zero(), c]),
                             cf.ef.ring.one())
             members.append(_family_member(v, cf, pivot, c, k, constraint,
                                           expected=expected))
@@ -533,7 +533,7 @@ def _residue_family(v: Valuation, cf: ConicFunctionField, ext, count: int,
     ext = ext or DistinguishedExtension(v, cf)
     desc = ext.residue
     point = next(((x / y, z / y) for x, y, z in conic_points(
-        desc.a0bar, desc.b0bar, v.residue_field, search_bound)
+        desc.a0bar, desc.b0bar, v.residue_field)
         if x and y and z), None)
     if point is not None:
         xbar, ybar = point
@@ -558,8 +558,8 @@ def _residue_family(v: Valuation, cf: ConicFunctionField, ext, count: int,
                          "2*v(c) < v(a) - v(b)", SPLIT_PAIR)
         return members
     raise WitnessNotFound(
-        f"no unit point of the residue conic within height {search_bound} "
-        "and neither coefficient residue is a square")
+        "no unit point of the residue conic found and neither coefficient "
+        "residue is a square")
 
 
 def _family_member(v, cf, pivot, c, k, constraint, expected,
@@ -616,8 +616,8 @@ class AnalysisReport:
         }
 
 
-def analyze(v: Valuation, cf: ConicFunctionField, family_count: int = 3,
-            search_bound: int = 200) -> AnalysisReport:
+def analyze(v: Valuation, cf: ConicFunctionField,
+            family_count: int = 3) -> AnalysisReport:
     """Decide whether v extends to F with transcendental non-ruled residue
     field, and report every constructive object along the way.
 
@@ -629,7 +629,7 @@ def analyze(v: Valuation, cf: ConicFunctionField, family_count: int = 3,
     sample of the infinite family of rational-residue extensions.
     """
     q = QuaternionAlgebra(cf.base, cf.a, cf.b)
-    verdict = decide_unramified_extension(q, v, search_bound)
+    verdict = decide_unramified_extension(q, v)
     ext = DistinguishedExtension(v, cf)
     present = verdict.kind == UNRAMIFIED_EXTENSION
     checks = {}
@@ -642,15 +642,14 @@ def analyze(v: Valuation, cf: ConicFunctionField, family_count: int = 3,
             raise InvariantViolated(
                 "present case must have a conic residue field")
         recheck = is_split(QuaternionAlgebra(
-            v.residue_field, ext.residue.a0bar, ext.residue.b0bar),
-            search_bound)
+            v.residue_field, ext.residue.a0bar, ext.residue.b0bar))
         if recheck.split:
             raise InvariantViolated("residue conic must have no rational point")
         checks["value_group_is_Z"] = True
         checks["residue_conic_division"] = True
     else:
         try:
-            family = _residue_family(v, cf, ext, family_count, search_bound)
+            family = _residue_family(v, cf, ext, family_count)
         except WitnessNotFound as exc:
             family = []
             family_note = str(exc)

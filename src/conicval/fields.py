@@ -979,13 +979,13 @@ class _IntRows(_Rows):
         return [x * k for x in c] if self.u else c * k
 
     def exquo(self, a, b):
-        if len(b) == 1:
-            c = b[0]
-            return ([self.base.exquo(x, c) for x in a] if self.u
-                    else [x // c for x in a])
         if self.u:
-            return super().exquo(a, b)
-        q = _int_divides(a, b)
+            return ([self.base.exquo(x, b[0]) for x in a] if len(b) == 1
+                    else super().exquo(a, b))
+        if len(b) > 1:
+            q = _int_divides(a, b)
+        else:
+            q = None if any(x % b[0] for x in a) else [x // b[0] for x in a]
         if q is None:
             raise InvariantViolated(f"{b} does not divide {a} in Z[x]")
         return q
@@ -1205,7 +1205,10 @@ class _FqRows(_Rows):
         return q, _strip([c % p for c in reversed(r[:db * w])])
 
     def exquo(self, a, b):
-        return self.divmod(a, b)[0]
+        q, r = self.divmod(a, b)
+        if r:
+            raise InvariantViolated(f"{b} does not divide {a} in F_q[t]")
+        return q
 
     def gcd_rows(self, a, b):
         """The monic gcd of two rows."""

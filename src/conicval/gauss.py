@@ -67,10 +67,6 @@ class GaussExtension(Valuation):
             self._pivot_rows = (p, q, min(v.row_order(r) for r in q if r))
 
     @property
-    def base(self):
-        return self.v.base
-
-    @property
     def domain(self):
         return self.field
 

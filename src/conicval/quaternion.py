@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import integers
 from .errors import (InvariantViolated, NotUnitUnit, UnsupportedField,
-                     ZeroInput)
+                     UnsupportedPlace, ZeroInput)
 from .fields import (FF, QQ, FunctionField, RationalField, factor,
                      is_square, square_class_reduce)
 from .valuation import (InfinitePlaceValuation, PAdicValuation, PlaceValuation,
@@ -62,8 +62,8 @@ class NormalizedPresentation:
 
 def _strip_entry(e, v: Valuation, tag: str, moves: list):
     """Square-class reduce e and bring v(e) into {0, 1}, recording moves."""
-    r, s = square_class_reduce(e, v.base)
-    if s != v.base.coerce(1):
+    r, s = square_class_reduce(e, v.domain)
+    if s != v.domain.coerce(1):
         moves.append((f"scale_{tag}", 1 / s))
     m = int(v.value_of(r).fraction)
     k = m // 2    # floor division: m - 2k is 0 or 1 for every m
@@ -177,17 +177,18 @@ def hilbert_symbol(a, b, place) -> int:
     """The Hilbert symbol (a,b) over Q at a prime or at infinity.
 
     +1 iff z^2 = a*x^2 + b*y^2 has a nontrivial solution over the completion.
-    Only 2 and infinity are special; an odd prime takes the tame symbol of
-    its p-adic valuation, and a place that is neither raises UnsupportedPlace.
+    Only 2 and "inf" are special; an odd prime takes the tame symbol of its
+    p-adic valuation; any place but an int or "inf" raises UnsupportedPlace.
     """
     a, b = Fraction(a), Fraction(b)
     if not a or not b:
         raise ZeroInput("Hilbert symbol of zero")
-    if place in ("inf", "infty", "oo", math.inf):
+    if place == "inf":
         return -1 if a < 0 and b < 0 else 1
-    p = int(place)
-    if p != 2:
-        return _local_symbol(a, b, PAdicValuation(p))
+    if not isinstance(place, int):
+        raise UnsupportedPlace(f"place {place!r} is neither an int nor 'inf'")
+    if place != 2:
+        return _local_symbol(a, b, PAdicValuation(place))
     alpha, u = _split_2(a)
     beta, w = _split_2(b)
     u8, w8 = _unit_mod(u, 8), _unit_mod(w, 8)
@@ -259,7 +260,7 @@ class SplitResult:
         }
 
 
-def is_split(q: QuaternionAlgebra, search_bound: int = 200) -> SplitResult:
+def is_split(q: QuaternionAlgebra) -> SplitResult:
     """Splitting test with certificate.
 
     Finite fields: always split; the certificate is the first point of
@@ -290,7 +291,7 @@ def is_split(q: QuaternionAlgebra, search_bound: int = 200) -> SplitResult:
     if isinstance(field, FunctionField):
         return SplitResult(split=True, symbols=symbols,
                            note="split at every place supporting a and b")
-    point = next(conic_points(q.a, q.b, field, search_bound), None)
+    point = next(conic_points(q.a, q.b, field), None)
     if point is None:
         raise InvariantViolated(f"({q.a}, {q.b}) splits at every place, "
                                 "but descent found no point")
@@ -327,15 +328,18 @@ def diop_ternary_quadratic_normal(eq):
     return descent(eq)
 
 
-def conic_points(a, b, k, bound: int = 200):
+SCAN_HEIGHT = 200  # height of conic_points' scan over Q, before the descent
+
+
+def conic_points(a, b, k):
     """The nontrivial points (x, y, z) of a*x^2 + b*y^2 = z^2 over k, lazily
     in a fixed order; each caller takes the first point it can use.
 
     Over F_q: (x, 1, z) for x = 1, 2, ... in index order, z the root of least
     index (Euler's test and Tonelli-Shanks), then (0, 1, sqrt(b)) and
     (1, 0, sqrt(a)) if they exist.  Over Q: integer pairs (x, y) by height
-    max(x, y) <= bound, z the integer root of a*x^2 + b*y^2 = (A*x^2 +
-    B*y^2)/d; then one Legendre descent (Cremona and Rusin, Math. Comp. 72,
+    max(x, y) <= SCAN_HEIGHT, z the integer root of a*x^2 + b*y^2 = (A*x^2
+    + B*y^2)/d; then one Legendre descent (Cremona and Rusin, Math. Comp. 72,
     2003), run by sympy on the squarefree r_a, r_b of a = r_a*s_a^2 and
     b = r_b*s_b^2, mapped back to (X/s_a, Y/s_b, Z) and verified.  It yields
     nothing only for a conic without points.
@@ -357,7 +361,7 @@ def conic_points(a, b, k, bound: int = 200):
     a, b = Fraction(a), Fraction(b)
     A, B = a.numerator * b.denominator, b.numerator * a.denominator
     d = a.denominator * b.denominator
-    for h in range(bound + 1):
+    for h in range(SCAN_HEIGHT + 1):
         for x, y in [(x, h) for x in range(h + 1)] + [(h, y) for y in range(h)]:
             n = A * x * x + B * y * y
             if (x or y) and n >= 0 and n % d == 0:
@@ -425,7 +429,7 @@ class ExtensionVerdict:
         }
 
 
-def _global_split(q: QuaternionAlgebra, search_bound: int) -> SplitResult | None:
+def _global_split(q: QuaternionAlgebra) -> SplitResult | None:
     """Splitting of q over its base field, when decidable; None otherwise.
 
     Over Q(t) only the trivial certificates are consulted: a, b or -ab a
@@ -434,7 +438,7 @@ def _global_split(q: QuaternionAlgebra, search_bound: int) -> SplitResult | None
     if isinstance(field, RationalField) or (
             isinstance(field, FunctionField)
             and isinstance(field.coefficient_field, FF)):
-        return is_split(q, search_bound)
+        return is_split(q)
     if isinstance(field, FunctionField):
         for tag, cand in (("a", q.a), ("b", q.b), ("-ab", -q.a * q.b)):
             ok, root = is_square(cand, field)
@@ -444,8 +448,8 @@ def _global_split(q: QuaternionAlgebra, search_bound: int) -> SplitResult | None
     return None
 
 
-def decide_unramified_extension(q: QuaternionAlgebra, v: Valuation,
-                                search_bound: int = 200) -> ExtensionVerdict:
+def decide_unramified_extension(q: QuaternionAlgebra,
+                                v: Valuation) -> ExtensionVerdict:
     """Does v extend to an unramified valuation on the quaternion algebra?
 
     unit/unit shape: yes iff the residue algebra is division; a split residue
@@ -459,11 +463,11 @@ def decide_unramified_extension(q: QuaternionAlgebra, v: Valuation,
     if np.shape == UNIT_UNIT:
         qbar = QuaternionAlgebra(v.residue_field, v.residue_of(np.a),
                                  v.residue_of(np.b))
-        sr = is_split(qbar, search_bound)
+        sr = is_split(qbar)
         if not sr.split:
             return ExtensionVerdict(UNRAMIFIED_EXTENSION, np, qbar,
                                     {"residue_division": sr})
-        glob = _global_split(q, search_bound)
+        glob = _global_split(q)
         if glob is not None and glob.split:
             return ExtensionVerdict(NO_EXTENSION_ALGEBRA_SPLIT, np, qbar,
                                     {"algebra_split": glob})
@@ -474,7 +478,7 @@ def decide_unramified_extension(q: QuaternionAlgebra, v: Valuation,
     if not sq:
         return ExtensionVerdict(RAMIFIED_ONLY, np, None,
                                 {"nonsquare_residue": bbar})
-    glob = _global_split(q, search_bound)
+    glob = _global_split(q)
     if glob is not None and glob.split:
         return ExtensionVerdict(NO_EXTENSION_ALGEBRA_SPLIT, np, None,
                                 {"algebra_split": glob})

@@ -66,6 +66,15 @@ class TestGoldenVerdicts:
         assert doc["result"]["split"] is True
         assert doc["result"]["certificate"] == ["u + 2", "1", "1"]
 
+    def test_split_over_q_certificate(self, run_cli, validator):
+        # the first point of the height scan; Legendre descent alone would
+        # give (8, 1, 9)
+        code, doc = run_cli("quat", "split", "--field", "Q", "--a=2",
+                            "--b=-47")
+        validator.validate(doc)
+        assert code == 0
+        assert doc["result"]["certificate"] == ["6", "1", "5"]
+
     def test_split_over_an_explicit_modulus(self, run_cli, validator):
         code, doc = run_cli("quat", "split", "--field", "GF(5)[u]/(u^2-2)",
                             "--a", "u", "--b", "2")
@@ -145,7 +154,8 @@ class TestDistinguishedExtension:
 
 class TestMalformedInput:
     """Inputs that once escaped as tracebacks, gave a wrong answer or never
-    finished: each is now an InputError with exit code 2."""
+    finished, or that name an option the subcommand does not take: each now
+    exits 2, with an InputError or, for ``usage``, argparse's message."""
 
     @pytest.mark.parametrize("args, error, message", [
         (("analyze", "--val", "Q:p=5", "--a", "1/0", "--b", "3"),
@@ -182,9 +192,8 @@ class TestMalformedInput:
          "ExpressionSyntaxError", "exponent must be an integer (offset 2)"),
         (("analyze", "--val", "Q:p=5", "--a=y", "--b", "3"),
          "UndeclaredVariable", "undeclared variable 'y' (offset 0)"),
-        (("analyze", "--field", "Q(t)", "--val", "Q:p=5", "--a", "2", "--b",
-          "3"), "InputError",
-         "--field Q(t) does not match the valuation's base field Q"),
+        (("analyze", "--field", "Q", "--val", "Q:p=5", "--a", "2", "--b",
+          "3"), "usage", "unrecognized arguments: --field Q"),
         (("analyze", "--val", "Q(t):t", "--a", "2", "--b", "3"),
          "InputError", "missing place= in 'Q(t):t'"),
         (("analyze", "--val", "Q:q=5", "--a", "2", "--b", "3"),
@@ -192,6 +201,10 @@ class TestMalformedInput:
     ])
     def test_exit_code_and_message(self, run_cli, validator, args, error,
                                    message):
+        if error == "usage":
+            code, out, err = _run_main([*args, "--json"])
+            assert (code, out) == (2, "") and message in err
+            return
         code, doc = run_cli(*args)
         validator.validate(doc)
         assert code == 2
@@ -319,19 +332,19 @@ def _run_main(argv):
 
 
 class TestNonnegativeCounts:
-    """--search-bound, --samples, --family and --count take ints >= 0; a
-    negative one is a usage error at parse time, exit 2, whatever the
-    verdict (analyze builds no family when it is PRESENT)."""
+    """--samples, --family and --count take ints >= 0; a negative one is a
+    usage error at parse time, exit 2, whatever the verdict (analyze builds
+    no family when it is PRESENT, and family on a PRESENT case exits 1)."""
 
     @pytest.mark.parametrize("argv", [
-        ("quat", "split", "--field", "Q", "--a", "2", "--b", "3",
-         "--search-bound", "-5"),
-        ("analyze", "--val", "Q:p=5", "--a=2", "--b=3", "--search-bound=-1"),
         ("verify", "--suite", "hilbert", "--samples", "-1"),
         ("analyze", "--val", "Q(t):place=t", "--a=-1", "--b=-1",
          "--family", "-3"),
         ("analyze", "--val", "Q:p=5", "--a=2", "--b=3", "--family", "-3"),
         ("family", "--val", "Q:p=5", "--a=2", "--b=3", "--count", "-3"),
+        ("family", "--val", "Q(t):place=t", "--a=-1", "--b=-1",
+         "--count", "-3"),
+        ("verify", "--samples", "-1"),
     ])
     def test_negative_is_rejected(self, argv):
         code, out, err = _run_main(argv)
@@ -339,8 +352,7 @@ class TestNonnegativeCounts:
         assert "must be >= 0" in err
 
     @pytest.mark.parametrize("argv", [
-        ("quat", "split", "--field", "Q", "--a", "2", "--b", "3",
-         "--search-bound", "0"),
+        ("verify", "--samples", "0"),
         ("verify", "--suite", "hilbert", "--samples", "0"),
         ("analyze", "--val", "Q(t):place=t", "--a=-1", "--b=-1",
          "--family", "0"),
@@ -361,15 +373,6 @@ class TestParserReuse:
         assert code == 0 and len(doc["result"]["family"]) == 5
         code, doc = run_cli(*args)
         assert code == 0 and len(doc["result"]["family"]) == 3
-
-    def test_search_bound_falls_back_to_its_default(self, run_cli):
-        # with bound 0 the point comes from Legendre descent, with the
-        # default 200 from the height scan, and the two points differ
-        args = ("quat", "split", "--field", "Q", "--a=2", "--b=-47")
-        code, doc = run_cli(*args, "--search-bound", "0")
-        assert code == 0 and doc["result"]["certificate"] == ["8", "1", "9"]
-        code, doc = run_cli(*args)
-        assert code == 0 and doc["result"]["certificate"] == ["6", "1", "5"]
 
     def test_output_does_not_depend_on_order_or_on_reuse(self, run_cli,
                                                          monkeypatch):
@@ -451,9 +454,8 @@ def _subcommands(parser, prefix=()):
 
 def test_every_option_is_read_by_its_handler():
     """Each option's dest appears as args.<dest> in its handler, or, for
-    --val, --field, --a and --b, in ``_valuation_and_coefficients`` when the
-    handler calls it: an option nothing reads would be accepted and
-    ignored."""
+    --val, --a and --b, in ``_valuation_and_coefficients`` when the handler
+    calls it: an option nothing reads would be accepted and ignored."""
     shared = inspect.getsource(cli._valuation_and_coefficients)
     commands = dict(_subcommands(cli.build_argument_parser()))
     assert len(commands) == 9
@@ -465,12 +467,36 @@ def test_every_option_is_read_by_its_handler():
             if dest in ("help", "json"):
                 continue
             text = source
-            if (dest in ("val", "field", "a", "b")
+            if (dest in ("val", "a", "b")
                     and "_valuation_and_coefficients(args)" in source):
                 text += shared
             if f"args.{dest}" not in text:
                 unread.append((name, dest))
     assert unread == []
+
+
+# The option strings of each subcommand, -h and --help aside.  A subcommand
+# that takes --val reads its base field there and takes no --field; an
+# option added to the parser must be added here too.
+OPTIONS = {
+    "analyze": ["--a", "--b", "--family", "--json", "--val"],
+    "eval": ["--a", "--b", "--f", "--g", "--json", "--val"],
+    "gauss": ["--eval", "--json", "--pivot", "--val"],
+    "hilbert": ["--a", "--b", "--json", "--place"],
+    "quat split": ["--a", "--b", "--field", "--json"],
+    "quat decide": ["--a", "--b", "--json", "--val"],
+    "family": ["--a", "--b", "--count", "--json", "--val"],
+    "polyrep": ["--field", "--json", "--pivot"],
+    "verify": ["--json", "--samples", "--seed", "--suite"],
+}
+
+
+def test_option_surface_is_declared():
+    surface = {name: sorted(s for action in parser._actions
+                            for s in action.option_strings
+                            if s not in ("-h", "--help"))
+               for name, parser in _subcommands(cli.build_argument_parser())}
+    assert surface == OPTIONS
 
 
 # A Q(t) eval on the w* of (t, 1), whose pivot inverse is reduced when the

@@ -6,9 +6,9 @@ import pytest
 
 from conicval.cli import parse_field_element, parse_valuation
 from conicval.conic import (ConicFieldElement, ConicFunctionField,
-                            DistinguishedExtension, _even_odd)
+                            DistinguishedExtension, _even_odd, analyze)
 from conicval.fields import QQ, FunctionField, Poly, RatFunc
-from conicval.gauss import GaussExtension
+from conicval.gauss import GaussExtension, gauss_extension
 from conicval.oracle import (sample_conic_element, sample_field_element,
                              sample_ratfunc, valuation_axiom_fuzz)
 from conicval.valuation import PAdicValuation
@@ -418,3 +418,11 @@ class TestAnalyzeDecidesOnce:
                                 "--count", "3")
         assert code == 0 and len(calls) == 2
         assert family == members["result"]["members"]
+
+
+def test_analyze_over_a_gauss_extension(qt, v3):
+    # w* takes its scalars from the valuation's domain, here Q(t); (t, 2)
+    # has a division residue algebra over GF(3)(t)
+    cf = ConicFunctionField(qt, qt.gen(), 2)
+    report = analyze(gauss_extension(v3, qt), cf)
+    assert report.present and report.case_tag == "case3_units"

@@ -12,6 +12,7 @@ the squarefree decomposition that run on rows, ``derivative`` in every
 kernel and ``pth_root`` in characteristic p, are checked against
 ``Poly.derivative`` and against p-th powers.  The F_q[t] long division
 for q = p^k, k > 1, is checked against the generic ``Poly`` division.
+Exact division at level 0 raises on a nonzero remainder, as at level 1.
 """
 
 import random
@@ -29,7 +30,7 @@ from sympy.polys.domains import ZZ  # noqa: E402
 from sympy.polys.euclidtools import dmp_inner_gcd  # noqa: E402
 
 from conicval import fields  # noqa: E402
-from conicval.errors import UnsupportedField  # noqa: E402
+from conicval.errors import InvariantViolated, UnsupportedField  # noqa: E402
 from conicval.fields import (_INT_ROWS, GF, QQ, FunctionField,  # noqa: E402
                              PolyRing)
 
@@ -296,3 +297,13 @@ def test_inseparable_row_is_rejected():
     # x^3 - t: zero derivative in x, and t is not a cube in F_3(t)
     with pytest.raises(UnsupportedField, match="inseparable"):
         K.pth_root([[1], [], [], [2, 0]])
+
+
+def test_level_0_exact_division_checks_its_remainder():
+    # 3 by 2 in Z[x]; t^2 + 1 by t + 1 over F_5, remainder 2
+    with pytest.raises(InvariantViolated, match="does not divide"):
+        _INT_ROWS[0].exquo([3], [2])
+    with pytest.raises(InvariantViolated, match="does not divide"):
+        GF(5).kernel.exquo([1, 0, 1], [1, 1])
+    assert _INT_ROWS[0].exquo([4, -6], [2]) == [2, -3]
+    assert GF(5).kernel.exquo([1, 0, 4], [1, 1]) == [1, 4]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conicval.errors import PrecisionTooLow
+from conicval.errors import PrecisionTooLow, ZeroInput
 from conicval.fields import FF, FunctionField, GF, QQ
 from conicval.gauss import gauss_extension
 from conicval.oracle import (_isotropy_rational, degree_oracle, hensel_count,
@@ -166,6 +166,13 @@ class TestAxiomFuzz:
         report = valuation_axiom_fuzz(w, samples=1000, seed=0)
         assert report.agreement and report.counterexample is None
         assert report.checked > 0
+
+    def test_zero_samples_make_zero_checks(self, v5):
+        w = gauss_extension(v5, FunctionField(QQ, "x"))
+        report = valuation_axiom_fuzz(w, samples=0)
+        assert (report.agreement, report.checked) == (True, 0)
+        with pytest.raises(ZeroInput, match="negative sample count"):
+            valuation_axiom_fuzz(w, samples=-1)
 
     def test_deterministic_reports(self, v5):
         w = gauss_extension(v5, FunctionField(QQ, "x"))

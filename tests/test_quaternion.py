@@ -10,6 +10,7 @@ from conicval.errors import (InvariantViolated, NotUnitUnit, UnsupportedField,
                              UnsupportedPlace, ZeroInput)
 from conicval.fields import (FF, FunctionField, GF, QQ, is_square,
                              square_class_reduce)
+from conicval.gauss import gauss_extension
 from conicval.oracle import isotropy_search, sample_rational
 from conicval.quaternion import (NO_EXTENSION_ALGEBRA_SPLIT,
                                  NO_EXTENSION_SPLIT_RESIDUE,
@@ -66,6 +67,11 @@ class TestHilbertSymbol:
     def test_zero_rejected(self):
         with pytest.raises(ZeroInput):
             hilbert_symbol(0, 1, 5)
+
+    @pytest.mark.parametrize("place", [2.5, "foo", "oo"])
+    def test_place_is_inf_or_an_int(self, place):
+        with pytest.raises(UnsupportedPlace):
+            hilbert_symbol(2, 3, place)
 
     def test_odd_prime_equals_legendre_formula(self):
         # p up to about 1e30 dividing a, b, both or neither, with both
@@ -291,16 +297,16 @@ class TestConicPoints:
         assert code == 0 and doc["result"]["note"] is None
         assert _is_point(q.a, q.b, [Fraction(c) for c in
                                     doc["result"]["certificate"]])
-        assert _is_point(q.a, q.b, is_split(q, search_bound=0).certificate)
+        assert _is_point(q.a, q.b, is_split(q).certificate)
         monkeypatch.setattr(quaternion, "diop_ternary_quadratic_normal",
                             lambda eq: (1, 1, 1))
         with pytest.raises(InvariantViolated):
-            is_split(q, search_bound=0)
+            is_split(q)
         monkeypatch.setattr(quaternion, "diop_ternary_quadratic_normal",
                             lambda eq: (None, None, None))
         with pytest.raises(InvariantViolated):
-            is_split(q, search_bound=0)
-        assert list(conic_points(-1, -1, QQ, 5)) == []
+            is_split(q)
+        assert list(conic_points(-1, -1, QQ)) == []
 
 
 # 3000000000000041 * 100000000000031; its symbol at 2 with 7 is already -1
@@ -343,7 +349,7 @@ class TestLazySymbols:
             full = [(str(pl), hilbert_symbol(a, b, pl))
                     for pl in ["inf", 2] + sorted(primes - {2})]
             failing = next((pl for pl, s in full if s == -1), None)
-            r = is_split(QuaternionAlgebra(QQ, a, b), search_bound=2)
+            r = is_split(QuaternionAlgebra(QQ, a, b))
             assert (r.split, r.failing_place) == (failing is None, failing)
             assert r.symbols == tuple(full[:len(r.symbols)])
             if failing is None:
@@ -497,6 +503,19 @@ class TestDecide:
     def test_algebra_split_global(self):
         v3 = PAdicValuation(3)
         v = decide_unramified_extension(QuaternionAlgebra(QQ, 3, -2), v3)
+        assert v.kind == NO_EXTENSION_ALGEBRA_SPLIT
+
+    def test_gauss_extension_on_qt(self, qt, v3):
+        # the Gauss extension of the 3-adic valuation to Q(t), residue field
+        # GF(3)(t): normalize reads square classes in its domain Q(t)
+        w = gauss_extension(v3, qt)
+        t = qt.gen()
+        v = decide_unramified_extension(QuaternionAlgebra(qt, t, 2), w)
+        assert v.kind == UNRAMIFIED_EXTENSION
+        assert v.residue_algebra.field == w.residue_field
+        assert (str(v.residue_algebra.a), str(v.residue_algebra.b)) == \
+            ("t", "2")
+        v = decide_unramified_extension(QuaternionAlgebra(qt, t, 1), w)
         assert v.kind == NO_EXTENSION_ALGEBRA_SPLIT
 
     def test_finite_residue_never_unramified(self, v5, v3t):
