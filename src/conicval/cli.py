@@ -110,6 +110,13 @@ def parse_field_element(text: str, ctx):
                          f"{exc}") from exc
 
 
+def _parse_in_x(text: str, ef):
+    """An element of ef = E(x), with E's variables and x declared."""
+    variables = dict(field_variables(ef.coefficient_field))
+    variables[ef.var] = ef.gen()
+    return ef.coerce(parse_element(text, ef, variables))
+
+
 def parse_valuation(desc: str) -> Valuation:
     desc = desc.strip()
     try:
@@ -179,11 +186,7 @@ def _cmd_eval(args):
     v, a, b = _valuation_and_coefficients(args)
     cf = ConicFunctionField(v.base, a, b)
     ext = DistinguishedExtension(v, cf)
-    variables = dict(field_variables(v.base))
-    variables[cf.var] = cf.ef.gen()
-    f = cf.ef.coerce(parse_element(args.f, cf.ef, variables))
-    g = cf.ef.coerce(parse_element(args.g, cf.ef, variables))
-    elem = cf.element(f, g)
+    elem = cf.element(_parse_in_x(args.f, cf.ef), _parse_in_x(args.g, cf.ef))
     val = ext.value_of(elem)
     result = {"element": str(elem), "value": str(val)}
     lines = [f"w*({elem}) = {val}"]
@@ -197,11 +200,9 @@ def _cmd_eval(args):
 def _cmd_gauss(args):
     v = parse_valuation(args.val)
     ef = FunctionField(v.base, "x")
-    variables = dict(field_variables(v.base))
-    variables["x"] = ef.gen()
-    pivot = ef.coerce(parse_element(args.pivot, ef, variables))
+    pivot = _parse_in_x(args.pivot, ef)
     w = GaussExtension(v, pivot)
-    h = ef.coerce(parse_element(args.eval, ef, variables))
+    h = _parse_in_x(args.eval, ef)
     val = w.value_of(h)
     result = {"pivot": str(pivot), "element": str(h), "value": str(val)}
     lines = [f"w({h}) = {val}"]
@@ -266,10 +267,7 @@ def _cmd_family(args):
 
 def _cmd_polyrep(args):
     field = parse_base_field(args.field) if args.field else QQ
-    ef = FunctionField(field, "x")
-    variables = dict(field_variables(field))
-    variables["x"] = ef.gen()
-    y = ef.coerce(parse_element(args.pivot, ef, variables))
+    y = _parse_in_x(args.pivot, FunctionField(field, "x"))
     degree, integral = subfield_degree(y)
     return ({"pivot": str(y), "degree": degree, "integral": integral},
             [f"[E(x) : E(Y)] = {degree}; x integral over E[Y]: {integral}"], 0)

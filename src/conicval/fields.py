@@ -39,8 +39,9 @@ integers (``FF``, ``GF``, ``square_class_reduce`` over Q) run on plain ints
 in the ``integers`` module, which calls sympy only for primality from
 3.3*10^24 and for cofactors of 24 digits or more.  The other functions that
 need sympy import it when they are called: factoring polynomials over Q
-(``factor``), the Z[t][x] gcd and division of two rows of positive degree
-in x (``_IntRows``), and the Z[x] gcd when six evaluation points of the
+(``factor``), the Z[t][x] gcd of two rows of positive degree in x
+(``_IntRows``; their exact division is the long division of
+``_Rows.exquo``), and the Z[x] gcd when six evaluation points of the
 heuristic fail (``_zz_gcd``).
 """
 
@@ -51,8 +52,8 @@ import random
 from fractions import Fraction
 
 from .errors import (ContextMismatch, DegreeTooLarge, DivisionByZero,
-                     InvariantViolated, SquareInput, UnsupportedField,
-                     ZeroInput, ZeroPolynomial)
+                     InvariantViolated, UnsupportedField, ZeroInput,
+                     ZeroPolynomial)
 from .integers import factorint, is_prime, perfect_power
 
 # ---------------------------------------------------------------------------
@@ -1440,10 +1441,8 @@ class RatFunc:
     def _other(self, other):
         if isinstance(other, RatFunc) and other.field == self.field:
             return other
-        if isinstance(other, Poly) and other.ring == self.field.ring:
-            return self.field.from_poly(other)
         try:
-            return self.field.from_poly(self.field.ring.poly([other]))
+            return self.field.coerce(other)
         except ContextMismatch:
             return None
 
@@ -1996,16 +1995,3 @@ class FlatQuotient:
                 acc = K.add(acc, K.mul(pw, [c]))
         return K.to_poly(self.modulus.ring, acc, K.one)
 
-
-def quadratic_extension_field(kappa: FF, ubar: FFElement) -> FF:
-    """The field kappa(sqrt(ubar)) in flat form, for ubar a nonsquare."""
-    if is_square(ubar, kappa)[0]:
-        raise SquareInput("element is already a square")
-    if kappa.degree == 1:
-        m = ((-ubar.coeffs[0]) % kappa.p, 0, 1)
-        return FF(kappa.p, m, _validate=False)
-    ring = PolyRing(kappa, "t")
-    # t^2 - ubar is irreducible, as ubar is a nonsquare
-    flat = FlatQuotient(kappa, ring.poly([-ubar, kappa.zero(), kappa.one()]),
-                        _validate=False)
-    return flat.flat

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 from .errors import (ConstantInput, InvalidPivot, NegativeValue,
                      NonzeroValue, SquareInput, ZeroInput)
-from .fields import (FF, FunctionField, Poly, RatFunc, is_square,
-                     quadratic_extension_field)
+from .fields import FunctionField, Poly, RatFunc, is_square
 from .value import INFINITY, Value
 from .valuation import Valuation
 
@@ -199,7 +198,8 @@ class QuadraticExtensionAnalysis:
     split_pair: v(a) even and the unit residue is a square; two extensions,
         both with residue field kappa.
     inert: v(a) even and the unit residue is a nonsquare; one unramified
-        extension with residue field kappa(sqrt(ubar)).
+        extension with residue field kappa(sqrt(ubar)), named by ubar and
+        not built.
     """
 
     kind: str
@@ -207,7 +207,6 @@ class QuadraticExtensionAnalysis:
     unit: object | None = None           # u in a*E^2 with v(u) = 0
     residue_unit: object | None = None   # ubar
     sqrt_residue: object | None = None   # root of ubar in the split case
-    extension_field: FF | None = None    # kappa(sqrt(ubar)) when kappa finite
 
     def __str__(self):
         return self.kind
@@ -235,8 +234,5 @@ def quadratic_extension_analysis(v, a) -> QuadraticExtensionAnalysis:
     if sq:
         return QuadraticExtensionAnalysis(kind=SPLIT_PAIR, value=val, unit=u,
                                           residue_unit=ubar, sqrt_residue=root)
-    ext = None
-    if isinstance(v.residue_field, FF):
-        ext = quadratic_extension_field(v.residue_field, ubar)
     return QuadraticExtensionAnalysis(kind=INERT, value=val, unit=u,
-                                      residue_unit=ubar, extension_field=ext)
+                                      residue_unit=ubar)

@@ -13,7 +13,6 @@ the agreeing checks, stops at the first counterexample and builds the report.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +20,7 @@ from fractions import Fraction
 from .errors import InvariantViolated, PrecisionTooLow, ZeroInput
 from .fields import (FF, FunctionField, PolyRing, RatFunc, RationalField,
                      infer_context)
+from .quaternion import SCAN_HEIGHT, rational_scan
 from .value import INFINITY
 from .valuation import PAdicValuation, Valuation
 
@@ -56,19 +56,20 @@ def _digest(*parts) -> str:
 # ---------------------------------------------------------------------------
 
 
-def isotropy_search(a, b, bound: int = 200):
+def isotropy_search(a, b, bound: int = SCAN_HEIGHT):
     """First nontrivial (x, y, z) with a*x^2 + b*y^2 = z^2, or None.
 
     Finite fields are searched exhaustively, taking no square roots, unlike
-    the Euler test and Tonelli-Shanks of ``is_split``; over Q, pairs (x, y)
-    of height <= bound are tested on integers: is a*x^2 + b*y^2, written
-    (A*x^2 + B*y^2) / d, an integer square?  Hits are verified by substitution.
+    the Euler test and Tonelli-Shanks of ``is_split``; over Q it is the
+    first point of ``quaternion.rational_scan`` of height <= bound, which
+    ``is_split`` does not consult to decide.  Hits are verified by
+    substitution.
     """
     ctx = infer_context(a)
     if isinstance(ctx, FF):
         point = _isotropy_ff(a, b, ctx)
     elif isinstance(ctx, RationalField):
-        point = _isotropy_rational(Fraction(a), Fraction(b), bound)
+        point = next(rational_scan(a, b, bound), None)
     else:
         raise ZeroInput(f"isotropy search unsupported over {ctx!r}")
     if point is not None:
@@ -91,23 +92,6 @@ def _isotropy_ff(a, b, k: FF):
                 z = k.element_at(zi)
                 if z * z == t:
                     return x, y, z
-    return None
-
-
-def _isotropy_rational(a, b, bound):
-    A, B = a.numerator * b.denominator, b.numerator * a.denominator
-    d = a.denominator * b.denominator
-    for h in range(bound + 1):
-        pairs = [(x, h) for x in range(h + 1)] + [(h, y) for y in range(h)]
-        for x, y in pairs:
-            if x == 0 and y == 0:
-                continue
-            n = A * x * x + B * y * y
-            if n < 0 or n % d:
-                continue
-            r = math.isqrt(n // d)
-            if r * r == n // d:
-                return Fraction(x), Fraction(y), Fraction(r)
     return None
 
 

@@ -61,7 +61,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str, context, variables):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.context = context

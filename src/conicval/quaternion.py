@@ -25,7 +25,7 @@ from .errors import (InvariantViolated, NotUnitUnit, UnsupportedField,
 from .fields import (FF, QQ, FunctionField, RationalField, factor,
                      is_square, square_class_reduce)
 from .valuation import (InfinitePlaceValuation, PAdicValuation, PlaceValuation,
-                        Valuation)
+                        Valuation, _int_order)
 
 
 class QuaternionAlgebra:
@@ -162,15 +162,9 @@ def _unit_mod(x: Fraction, modulus: int) -> int:
 
 
 def _split_2(x: Fraction) -> tuple[int, Fraction]:
-    m = 0
-    num, den = x.numerator, x.denominator
-    while num % 2 == 0:
-        num //= 2
-        m += 1
-    while den % 2 == 0:
-        den //= 2
-        m -= 1
-    return m, Fraction(num, den)
+    """(m, u) with x = 2^m * u and u's numerator and denominator odd."""
+    m, n = _int_order(x.numerator, 2), _int_order(x.denominator, 2)
+    return m - n, Fraction(x.numerator >> m, x.denominator >> n)
 
 
 def hilbert_symbol(a, b, place) -> int:
@@ -331,16 +325,32 @@ def diop_ternary_quadratic_normal(eq):
 SCAN_HEIGHT = 200  # height of conic_points' scan over Q, before the descent
 
 
+def rational_scan(a, b, height: int):
+    """The points (x, y, z) of a*x^2 + b*y^2 = z^2 over Q with integers
+    x, y >= 0, not both 0, by height max(x, y) <= height: at height h the
+    pairs (0, h), ..., (h, h), then (h, 0), ..., (h, h - 1), each with z the
+    integer root of a*x^2 + b*y^2 = (A*x^2 + B*y^2)/d when it has one."""
+    a, b = Fraction(a), Fraction(b)
+    A, B = a.numerator * b.denominator, b.numerator * a.denominator
+    d = a.denominator * b.denominator
+    for h in range(height + 1):
+        for x, y in [(x, h) for x in range(h + 1)] + [(h, y) for y in range(h)]:
+            n = A * x * x + B * y * y
+            if (x or y) and n >= 0 and n % d == 0:
+                r = math.isqrt(n // d)
+                if r * r == n // d:
+                    yield Fraction(x), Fraction(y), Fraction(r)
+
+
 def conic_points(a, b, k):
     """The nontrivial points (x, y, z) of a*x^2 + b*y^2 = z^2 over k, lazily
     in a fixed order; each caller takes the first point it can use.
 
     Over F_q: (x, 1, z) for x = 1, 2, ... in index order, z the root of least
     index (Euler's test and Tonelli-Shanks), then (0, 1, sqrt(b)) and
-    (1, 0, sqrt(a)) if they exist.  Over Q: integer pairs (x, y) by height
-    max(x, y) <= SCAN_HEIGHT, z the integer root of a*x^2 + b*y^2 = (A*x^2
-    + B*y^2)/d; then one Legendre descent (Cremona and Rusin, Math. Comp. 72,
-    2003), run by sympy on the squarefree r_a, r_b of a = r_a*s_a^2 and
+    (1, 0, sqrt(a)) if they exist.  Over Q: the points of ``rational_scan``
+    up to height SCAN_HEIGHT; then one Legendre descent (Cremona and Rusin,
+    Math. Comp. 72, 2003), run by sympy on the squarefree r_a, r_b of a = r_a*s_a^2 and
     b = r_b*s_b^2, mapped back to (X/s_a, Y/s_b, Z) and verified.  It yields
     nothing only for a conic without points.
     """
@@ -359,15 +369,7 @@ def conic_points(a, b, k):
     if not isinstance(k, RationalField):
         raise UnsupportedField(f"no conic point search over {k!r}")
     a, b = Fraction(a), Fraction(b)
-    A, B = a.numerator * b.denominator, b.numerator * a.denominator
-    d = a.denominator * b.denominator
-    for h in range(SCAN_HEIGHT + 1):
-        for x, y in [(x, h) for x in range(h + 1)] + [(h, y) for y in range(h)]:
-            n = A * x * x + B * y * y
-            if (x or y) and n >= 0 and n % d == 0:
-                r = math.isqrt(n // d)
-                if r * r == n // d:
-                    yield Fraction(x), Fraction(y), Fraction(r)
+    yield from rational_scan(a, b, SCAN_HEIGHT)
     (ra, sa), (rb, sb) = square_class_reduce(a, QQ), square_class_reduce(b, QQ)
     import sympy
     X, Y, Z = sympy.symbols("X Y Z")
@@ -467,21 +469,17 @@ def decide_unramified_extension(q: QuaternionAlgebra,
         if not sr.split:
             return ExtensionVerdict(UNRAMIFIED_EXTENSION, np, qbar,
                                     {"residue_division": sr})
-        glob = _global_split(q)
-        if glob is not None and glob.split:
-            return ExtensionVerdict(NO_EXTENSION_ALGEBRA_SPLIT, np, qbar,
-                                    {"algebra_split": glob})
-        return ExtensionVerdict(NO_EXTENSION_SPLIT_RESIDUE, np, qbar,
-                                {"residue_split": sr})
-    bbar = v.residue_of(np.b)
-    sq, root = is_square(bbar, v.residue_field)
-    if not sq:
-        return ExtensionVerdict(RAMIFIED_ONLY, np, None,
-                                {"nonsquare_residue": bbar})
+        witness = {"residue_split": sr}
+    else:
+        qbar, bbar = None, v.residue_of(np.b)
+        sq, root = is_square(bbar, v.residue_field)
+        if not sq:
+            return ExtensionVerdict(RAMIFIED_ONLY, np, None,
+                                    {"nonsquare_residue": bbar})
+        witness = {"sqrt_of_residue": root,
+                   "split_subfield": f"E(sqrt({np.b}))"}
     glob = _global_split(q)
     if glob is not None and glob.split:
-        return ExtensionVerdict(NO_EXTENSION_ALGEBRA_SPLIT, np, None,
+        return ExtensionVerdict(NO_EXTENSION_ALGEBRA_SPLIT, np, qbar,
                                 {"algebra_split": glob})
-    return ExtensionVerdict(NO_EXTENSION_SPLIT_RESIDUE, np, None,
-                            {"sqrt_of_residue": root,
-                             "split_subfield": f"E(sqrt({np.b}))"})
+    return ExtensionVerdict(NO_EXTENSION_SPLIT_RESIDUE, np, qbar, witness)

@@ -198,6 +198,15 @@ class TestMalformedInput:
          "InputError", "missing place= in 'Q(t):t'"),
         (("analyze", "--val", "Q:q=5", "--a", "2", "--b", "3"),
          "InputError", "unrecognized valuation descriptor 'Q:q=5'"),
+        (("eval", "--val", "Q:p=5", "--a", "2", "--b", "3", "--f", "y",
+          "--g", "1"), "UndeclaredVariable", "'y' (offset 0)"),
+        (("gauss", "--val", "Q:p=5", "--pivot", "5*x", "--eval", "y"),
+         "UndeclaredVariable", "'y' (offset 0)"),
+        (("polyrep", "--pivot", "y"), "UndeclaredVariable", "'y' (offset 0)"),
+        (("gauss", "--val", "Q:p=5", "--pivot", "t*x", "--eval", "x"),
+         "UndeclaredVariable", "'t' (offset 0)"),
+        (("polyrep", "--field", "Fq(t):q=9", "--pivot", "u*x"),
+         "UndeclaredVariable", "'u' (offset 0)"),
     ])
     def test_exit_code_and_message(self, run_cli, validator, args, error,
                                    message):

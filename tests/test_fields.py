@@ -42,6 +42,27 @@ class TestOperatorContexts:
         f5 = FF(5)
         assert 2 * f5.from_int(3) == f5.from_int(1)
 
+    def test_ratfunc_takes_what_its_field_coerces(self):
+        """A RatFunc operand of another field, a Poly, a coefficient or an
+        int is read through ``FunctionField.coerce``, which also takes a
+        Poly over the coefficient ring: E[t] inside E(t) inside E(t)(x)."""
+        qt = FunctionField(QQ, "t")
+        qtx = FunctionField(qt, "x")
+        t, x = qt.gen(), qtx.gen()
+        p = qt.ring.poly([1, 2])                       # 2*t + 1 in Q[t]
+        expected = qtx.from_poly(qtx.ring.poly([0, 2 * t + 1]))
+        assert x * p == expected and p * x == expected
+        assert x + Fraction(1, 3) == qtx.from_poly(
+            qtx.ring.poly([Fraction(1, 3), 1]))
+        assert t - x == qtx.from_poly(qtx.ring.poly([t, -1]))
+        f9 = GF(9)
+        f9tx = FunctionField(FunctionField(f9, "t"), "x")
+        u, x = f9.gen(), f9tx.gen()
+        assert x * u + 1 == f9tx.from_poly(f9tx.ring.poly([1, u]))
+        assert u - x == f9tx.from_poly(f9tx.ring.poly([u, -1]))
+        with pytest.raises(TypeError):
+            x * PolyRing(GF(5), "z").gen()
+
 
 def _all_contexts():
     return [QQ, FF(5), FF(3, (1, 0, 1)), FunctionField(QQ, "t"),
@@ -1317,17 +1338,13 @@ class TestFlattening:
             FlatQuotient(f3, ring.poly([-1, 0, 1]))   # t^2 - 1
 
     def test_known_irreducible_moduli_are_not_retested(self, monkeypatch):
-        # t^2 - ubar for a nonsquare ubar, and a factor that factor()
-        # returned as the place of a local symbol
-        from conicval.fields import _canonical_nonsquare
+        # a factor that factor() returned, as the place of a local symbol
         from conicval.quaternion import QuaternionAlgebra, is_split
-        f9, f3t = GF(9), FunctionField(FF(3), "t")
-        ubar = _canonical_nonsquare(f9)
+        f3t = FunctionField(FF(3), "t")
         calls = []
         real = fields._is_irreducible_ff
         monkeypatch.setattr(fields, "_is_irreducible_ff",
                             lambda K, row: calls.append(row) or real(K, row))
-        assert fields.quadratic_extension_field(f9, ubar).order == 81
         t = f3t.gen()
         assert is_split(QuaternionAlgebra(f3t, t * t + 1, t)).split
         assert calls == []

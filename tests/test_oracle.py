@@ -7,9 +7,10 @@ import pytest
 from conicval.errors import PrecisionTooLow, ZeroInput
 from conicval.fields import FF, FunctionField, GF, QQ
 from conicval.gauss import gauss_extension
-from conicval.oracle import (_isotropy_rational, degree_oracle, hensel_count,
-                             isotropy_search, valuation_axiom_fuzz)
-from conicval.quaternion import QuaternionAlgebra, conic_points, is_split
+from conicval.oracle import (degree_oracle, hensel_count, isotropy_search,
+                             valuation_axiom_fuzz)
+from conicval.quaternion import (QuaternionAlgebra, conic_points, is_split,
+                                 rational_scan)
 from conicval.valuation import PAdicValuation
 from conicval.value import Value
 
@@ -93,9 +94,9 @@ def _reference_isotropy_rational(a, b, bound):
 
 class TestPointSearchesAgainstTables:
     """The finite-field points of ``conic_points`` (Euler test and
-    Tonelli-Shanks) and the integer point search over Q give the points of
-    the routes they replaced: whole-field root tables and Fraction
-    arithmetic."""
+    Tonelli-Shanks) and the integer point scan over Q (``rational_scan``)
+    give the points of the routes they replaced: whole-field root tables
+    and Fraction arithmetic."""
 
     @pytest.mark.parametrize("q", [9, 27])
     def test_finite_field_points(self, q):
@@ -119,7 +120,7 @@ class TestPointSearchesAgainstTables:
         for _ in range(200):
             a, b = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 30),
                              rng.randint(1, 8)) for _ in range(2))
-            point = _isotropy_rational(a, b, 25)
+            point = next(rational_scan(a, b, 25), None)
             assert point == _reference_isotropy_rational(a, b, 25), (a, b)
             hits += point is not None
         assert 0 < hits < 200

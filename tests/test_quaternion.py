@@ -42,6 +42,16 @@ class TestHilbertSymbol:
         assert pow(3, 2, 5) != 1
         assert hilbert_symbol(5, 3, 5) == -1
 
+    def test_split_2_is_the_unit_split_at_two(self):
+        rng = random.Random(4)
+        for _ in range(300):
+            x = Fraction(rng.choice([-1, 1]) * rng.randint(1, 99)
+                         * 2 ** rng.randint(0, 12),
+                         rng.randint(1, 99) * 2 ** rng.randint(0, 12))
+            m, u = quaternion._split_2(x)
+            assert u.numerator % 2 and u.denominator % 2, x
+            assert x == Fraction(2) ** m * u, x
+
     def test_symmetry(self):
         rng = random.Random(2)
         for _ in range(100):
