@@ -34,8 +34,8 @@ from .conic import ConicFunctionField, DistinguishedExtension, analyze, \
     rational_residue_family
 from .errors import ConicvalError, InputError
 from .fields import FF, FunctionField, GF, QQ, is_square
-from .gauss import GaussExtension, gauss_residue, quadratic_extension_analysis, \
-    subfield_degree
+from .gauss import (INERT, SPLIT_PAIR, GaussExtension, gauss_residue,
+                    quadratic_extension_analysis, subfield_degree)
 from .integers import is_prime
 from .oracle import (degree_oracle, hensel_count, isotropy_search,
                      run_checks, sample_rational, sample_ratfunc,
@@ -151,8 +151,8 @@ def parse_valuation(desc: str) -> Valuation:
 def _valuation_and_coefficients(args):
     """(v, a, b) from --val, --a and --b; a and b lie in v's base field."""
     v = parse_valuation(args.val)
-    return (v, parse_field_element(args.a, v.base),
-            parse_field_element(args.b, v.base))
+    return (v, parse_field_element(args.a, v.domain),
+            parse_field_element(args.b, v.domain))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def _valuation_and_coefficients(args):
 
 def _cmd_analyze(args):
     v, a, b = _valuation_and_coefficients(args)
-    report = analyze(v, ConicFunctionField(v.base, a, b),
+    report = analyze(v, ConicFunctionField(v.domain, a, b),
                      family_count=args.family)
     d = report.as_dict()
     lines = [f"verdict: {d['verdict']} ({d['extension_kind']})",
@@ -184,7 +184,7 @@ def _cmd_analyze(args):
 
 def _cmd_eval(args):
     v, a, b = _valuation_and_coefficients(args)
-    cf = ConicFunctionField(v.base, a, b)
+    cf = ConicFunctionField(v.domain, a, b)
     ext = DistinguishedExtension(v, cf)
     elem = cf.element(_parse_in_x(args.f, cf.ef), _parse_in_x(args.g, cf.ef))
     val = ext.value_of(elem)
@@ -199,7 +199,7 @@ def _cmd_eval(args):
 
 def _cmd_gauss(args):
     v = parse_valuation(args.val)
-    ef = FunctionField(v.base, "x")
+    ef = FunctionField(v.domain, "x")
     pivot = _parse_in_x(args.pivot, ef)
     w = GaussExtension(v, pivot)
     h = _parse_in_x(args.eval, ef)
@@ -245,7 +245,7 @@ def _cmd_quat_split(args):
 
 def _cmd_quat_decide(args):
     v, a, b = _valuation_and_coefficients(args)
-    verdict = decide_unramified_extension(QuaternionAlgebra(v.base, a, b), v)
+    verdict = decide_unramified_extension(QuaternionAlgebra(v.domain, a, b), v)
     d = verdict.as_dict()
     lines = [f"kind: {verdict.kind}",
              f"normalized presentation: ({verdict.normalization.a}, "
@@ -255,7 +255,7 @@ def _cmd_quat_decide(args):
 
 def _cmd_family(args):
     v, a, b = _valuation_and_coefficients(args)
-    cf = ConicFunctionField(v.base, a, b)
+    cf = ConicFunctionField(v.domain, a, b)
     members = rational_residue_family(v, cf, args.count)
     d = {"count": len(members), "members": [m.as_dict() for m in members]}
     lines = [f"{len(members)} extension(s) with rational residue field"]
@@ -289,7 +289,7 @@ _WSTAR_ALGEBRAS = (("Q(t):place=t", "-1", "-1"), ("Q(t):place=t", "t", "1"),
 
 def _suite_gauss(seed, samples):
     return [valuation_axiom_fuzz(
-        GaussExtension(v, FunctionField(v.base, "x").gen()), samples, seed)
+        GaussExtension(v, FunctionField(v.domain, "x").gen()), samples, seed)
         for v in map(parse_valuation, _GAUSS_VALUATIONS)]
 
 
@@ -298,8 +298,8 @@ def _suite_wstar(seed, samples):
     for val, a, b in _WSTAR_ALGEBRAS:
         v = parse_valuation(val)
         ext = DistinguishedExtension(v, ConicFunctionField(
-            v.base, parse_field_element(a, v.base),
-            parse_field_element(b, v.base)))
+            v.domain, parse_field_element(a, v.domain),
+            parse_field_element(b, v.domain)))
         reports.append(valuation_axiom_fuzz(
             ext, samples, seed, name=f"wstar_axioms[{ext.describe()}]"))
     return reports
@@ -340,7 +340,7 @@ def _hensel_checks(rng, samples):
             continue
         kind = quadratic_extension_analysis(v, a).kind
         roots = hensel_count(v, a, 6)
-        yield (None if (kind, roots) in (("split_pair", 2), ("inert", 0))
+        yield (None if (kind, roots) in ((SPLIT_PAIR, 2), (INERT, 0))
                else (p, a, kind, roots))
 
 

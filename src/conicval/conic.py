@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .errors import (InvariantViolated, NonzeroValue, PreconditionViolated,
                      WitnessNotFound, ZeroElement, ZeroInput)
-from .fields import FunctionField, Poly, RatFunc, is_square
+from .fields import FunctionField, RatFunc, is_square
 from .gauss import (GaussExtension, RAMIFIED, SPLIT_PAIR,
                     quadratic_extension_analysis)
 from .quaternion import (QuaternionAlgebra, UNRAMIFIED_EXTENSION,
@@ -58,6 +58,14 @@ class ConicFunctionField:
     def element(self, f, g=0) -> "ConicFieldElement":
         return ConicFieldElement(self, f, g)
 
+    def coerce(self, x) -> "ConicFieldElement":
+        """x itself if it lies in this field, else x + 0*s for x in E(x)."""
+        if isinstance(x, ConicFieldElement):
+            if x.cf is self or x.cf == self:
+                return x
+            raise ZeroInput("elements of different conic fields")
+        return ConicFieldElement(self, x, 0)
+
     def x(self) -> "ConicFieldElement":
         return self.element(self.ef.gen())
 
@@ -84,28 +92,21 @@ class ConicFieldElement:
         self.f = cf.ef.coerce(f)
         self.g = cf.ef.coerce(g)
 
-    def _pair(self, other):
-        if isinstance(other, ConicFieldElement):
-            if other.cf != self.cf:
-                raise ZeroInput("elements of different conic fields")
-            return other
-        return ConicFieldElement(self.cf, other, 0)
-
     def __add__(self, other):
-        o = self._pair(other)
+        o = self.cf.coerce(other)
         return ConicFieldElement(self.cf, self.f + o.f, self.g + o.g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._pair(other)
+        o = self.cf.coerce(other)
         return ConicFieldElement(self.cf, self.f - o.f, self.g - o.g)
 
     def __neg__(self):
         return ConicFieldElement(self.cf, -self.f, -self.g)
 
     def __mul__(self, other):
-        o = self._pair(other)
+        o = self.cf.coerce(other)
         m = self.cf.norm_poly
         return ConicFieldElement(self.cf,
                                  self.f * o.f + self.g * o.g * m,
@@ -120,13 +121,13 @@ class ConicFieldElement:
         return ConicFieldElement(self.cf, self.f / norm, -self.g / norm)
 
     def __truediv__(self, other):
-        return self * self._pair(other).inverse()
+        return self * self.cf.coerce(other).inverse()
 
     def __bool__(self):
         return bool(self.f) or bool(self.g)
 
     def __eq__(self, other):
-        o = self._pair(other)
+        o = self.cf.coerce(other)
         return self.f == o.f and self.g == o.g
 
     def quadruple(self):
@@ -214,13 +215,12 @@ class ResidueRationalDesc:
 
     variant = "rational"
 
-    def __init__(self, kappa, subcase: str, u, ubar, rvar: str = "r"):
+    def __init__(self, kappa, subcase: str, u, ubar):
         self.kappa = kappa
         self.subcase = subcase          # which of v(a), v(b), v(ab) is even
         self.u = u
         self.ubar = ubar
-        self.rvar = rvar
-        self.rfield = FunctionField(kappa, rvar)
+        self.rfield = FunctionField(kappa, "r")
         ring = self.rfield.ring
         r = self.rfield.gen()
         rr_minus_u = ring.poly([-ubar, kappa.zero(), kappa.one()])
@@ -248,7 +248,7 @@ class ResidueRationalDesc:
                 "rational parametrization failed symbolic verification")
 
     def __str__(self):
-        return f"{self.kappa!r}({self.rvar}), zbar = {self.zbar_expr}"
+        return f"{self.kappa!r}({self.rfield.var}), zbar = {self.zbar_expr}"
 
     def as_dict(self):
         return {
@@ -256,7 +256,7 @@ class ResidueRationalDesc:
             "kappa": repr(self.kappa),
             "subcase": self.subcase,
             "unit": str(self.u), "unit_residue": str(self.ubar),
-            "generators": [self.rvar],
+            "generators": [self.rfield.var],
             "zbar_in_r": str(self.zbar_expr),
             "sqrt_in_r": str(self.sqrt_expr),
         }
@@ -365,8 +365,7 @@ class DistinguishedExtension:
         omega is multiplicative, so f is valued on the pair N/D that it
         stores (``RatFunc.fraction``, unreduced at level 1), with no gcd run.
         """
-        if isinstance(elem, (int, RatFunc, Poly)):
-            elem = self.conic_field.element(elem)
+        elem = self.conic_field.coerce(elem)
         if not elem:
             raise ZeroElement("the distinguished extension has no value at 0")
         values = []
@@ -405,8 +404,7 @@ class DistinguishedExtension:
         * case2_ab: Xbar = r/res(a*pi^(-v(a))), r = res(a*x/pi^((v(a)+v(b))/2));
           g*s never has value 0, as omega(g) is in Z and v(b)/2 is not.
         """
-        if isinstance(elem, (int, RatFunc, Poly)):
-            elem = self.conic_field.element(elem)
+        elem = self.conic_field.coerce(elem)
         val = self.value_of(elem)
         if val != Value(0):
             raise NonzeroValue(f"w*({elem}) = {val} != 0")
@@ -455,7 +453,7 @@ class RationalFamilyMember:
     c_value: int                   # v(c); members with distinct values differ
     constraint: str
     gauss: GaussExtension
-    quadratic_kind: str            # ramified or split_pair, audited
+    quadratic_kind: str            # RAMIFIED or SPLIT_PAIR, audited
     residue_description: str
     shift: object | None = None
     conic_point: tuple | None = None
@@ -506,60 +504,58 @@ def _residue_family(v: Valuation, cf: ConicFunctionField, ext,
     va = int(v.value_of(cf.a).fraction)
     vb = int(v.value_of(cf.b).fraction)
     pi = v.uniformizer
+    if va % 2 or vb % 2:
+        expected, a_term = RAMIFIED, va % 2 == 1
+    else:
+        # both even: the quadratic step must split.  Preferred construction:
+        # shift the pivot to a lifted unit point of the residue conic.  When
+        # no such point exists (possible over tiny residue fields) pivots c*x
+        # still work provided the residue of the dominant coefficient is a
+        # square.
+        ext = ext or DistinguishedExtension(v, cf)
+        desc = ext.residue
+        point = next(((x / y, z / y) for x, y, z in conic_points(
+            desc.a0bar, desc.b0bar, v.residue_field)
+            if x and y and z), None)
+        if point is not None:
+            xbar, ybar = point
+            shift = (desc.u / desc.nu) * v.lift(xbar)
+            cc = desc.nu / desc.u
+            members = []
+            for i in range(1, count + 1):
+                c = pi ** (-i) * cc
+                pivot = RatFunc(cf.ef, cf.ef.ring.poly([-c * shift, c]),
+                                cf.ef.ring.one())
+                members.append(_family_member(
+                    v, cf, pivot, c, -i,
+                    "v(c) < 0 (in normalized coordinates)",
+                    expected=SPLIT_PAIR, shift=shift, conic_point=point))
+            return members
+        expected = SPLIT_PAIR
+        a_term = next((dominant for dominant, coeff in (
+            (True, desc.a0bar), (False, desc.b0bar))
+            if is_square(coeff, v.residue_field)[0]), None)
+        if a_term is None:
+            raise WitnessNotFound(
+                "no unit point of the residue conic found and neither "
+                "coefficient residue is a square")
+    # pivots c*x with c = pi^k: w_c(a*x^2 + b) = min(v(a) - 2k, v(b)).  k
+    # runs up from floor((v(a) - v(b))/2) + 1, where the a-term dominates,
+    # or down from floor((v(a) - v(b) - 1)/2), where the b-term does; the
+    # dominant term has an odd value (ramified) or, both values even, a
+    # square unit residue (split).
+    if a_term:
+        k0, step, constraint = (va - vb) // 2 + 1, 1, "2*v(c) > v(a) - v(b)"
+    else:
+        k0, step, constraint = (va - vb - 1) // 2, -1, "2*v(c) < v(a) - v(b)"
     members = []
-    def scaled_x_members(ks, constraint, expected):
-        for k in ks:
-            c = pi ** k
-            pivot = RatFunc(cf.ef, cf.ef.ring.poly([v.domain.zero(), c]),
-                            cf.ef.ring.one())
-            members.append(_family_member(v, cf, pivot, c, k, constraint,
-                                          expected=expected))
-
-    if va % 2 == 1:
-        k0 = (va - vb) // 2 + 1
-        scaled_x_members([k0 + i for i in range(count)],
-                         "2*v(c) > v(a) - v(b)", RAMIFIED)
-        return members
-    if vb % 2 == 1:
-        # make w_c(a*x^2 + b) = v(b), which is odd
-        k0 = -((vb - va) // 2 + 1)
-        scaled_x_members([k0 - i for i in range(count)],
-                         "2*v(c) < v(a) - v(b)", RAMIFIED)
-        return members
-    # both even: the quadratic step must split.  Preferred construction:
-    # shift the pivot to a lifted unit point of the residue conic.  When no
-    # such point exists (possible over tiny residue fields) pivots c*x still
-    # work provided the residue of the dominant coefficient is a square.
-    ext = ext or DistinguishedExtension(v, cf)
-    desc = ext.residue
-    point = next(((x / y, z / y) for x, y, z in conic_points(
-        desc.a0bar, desc.b0bar, v.residue_field)
-        if x and y and z), None)
-    if point is not None:
-        xbar, ybar = point
-        shift = (desc.u / desc.nu) * v.lift(xbar)
-        cc = desc.nu / desc.u
-        for i in range(1, count + 1):
-            c = pi ** (-i) * cc
-            pivot = RatFunc(cf.ef,
-                            cf.ef.ring.poly([-c * shift, c]), cf.ef.ring.one())
-            members.append(_family_member(
-                v, cf, pivot, c, -i, "v(c) < 0 (in normalized coordinates)",
-                expected=SPLIT_PAIR, shift=shift, conic_point=point))
-        return members
-    if is_square(desc.a0bar, v.residue_field)[0]:
-        k0 = (va - vb) // 2 + 1
-        scaled_x_members([k0 + i for i in range(count)],
-                         "2*v(c) > v(a) - v(b)", SPLIT_PAIR)
-        return members
-    if is_square(desc.b0bar, v.residue_field)[0]:
-        k0 = (va - vb) // 2 - 1
-        scaled_x_members([k0 - i for i in range(count)],
-                         "2*v(c) < v(a) - v(b)", SPLIT_PAIR)
-        return members
-    raise WitnessNotFound(
-        "no unit point of the residue conic found and neither coefficient "
-        "residue is a square")
+    for k in range(k0, k0 + step * count, step):
+        c = pi ** k
+        pivot = RatFunc(cf.ef, cf.ef.ring.poly([v.domain.zero(), c]),
+                        cf.ef.ring.one())
+        members.append(_family_member(v, cf, pivot, c, k, constraint,
+                                      expected=expected))
+    return members
 
 
 def _family_member(v, cf, pivot, c, k, constraint, expected,

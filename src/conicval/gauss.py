@@ -5,6 +5,10 @@ generating E(x) over E) assigns to sum a_i Y^i the minimum of the v(a_i) and
 extends to quotients by additivity.  Its residue field is kappa(Ybar) with
 Ybar transcendental over kappa, and its value group is that of v.
 
+A Gauss extension provides the interface of ``valuation.Valuation`` except
+``lift``, so it serves as the valuation v of a further Gauss extension, of
+w* and of the families, with residue field kappa(Ybar), e.g. F_p(t).
+
 Also here: the degree formula for subfields E(Y) of E(x), and the residue
 analysis of quadratic extensions E(sqrt(a)) that drives every splitting
 decision in the package.
@@ -14,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (ConstantInput, InvalidPivot, NegativeValue,
-                     NonzeroValue, SquareInput, ZeroInput)
+from .errors import (ConstantInput, InvalidPivot, NonzeroValue, SquareInput,
+                     ZeroInput)
 from .fields import FunctionField, Poly, RatFunc, is_square
 from .value import INFINITY, Value
 from .valuation import Valuation
@@ -24,14 +28,13 @@ from .valuation import Valuation
 class GaussExtension(Valuation):
     """The Gauss extension of ``v`` to ``pivot.field`` with respect to ``pivot``.
 
-    A valuation on E(x) with the interface of a base valuation (value_of,
-    residue_of, and unit_part inherited), with residues living in
-    kappa(Ybar).
+    A valuation on E(x) with the interface of a base valuation (unit_part
+    inherited, no lift), with residues living in kappa(Ybar).
     """
 
     def __init__(self, v: Valuation, pivot: RatFunc, residue_var: str | None = None):
         field = pivot.field
-        if field.coefficient_field != v.base:
+        if field.coefficient_field != v.domain:
             raise InvalidPivot("pivot must be a rational function over the "
                                "base field of the valuation")
         deg = pivot.degree()
@@ -58,7 +61,7 @@ class GaussExtension(Valuation):
             b = num[0] if len(num) > 0 else field.ring.field.zero()
             c = den[1] if len(den) > 1 else field.ring.field.zero()
             d = den[0] if len(den) > 0 else field.ring.field.zero()
-            yfield = FunctionField(v.base, "_y")
+            yfield = FunctionField(v.domain, "_y")
             self._inverse = RatFunc(yfield, yfield.ring.poly([-b, d]),
                                     yfield.ring.poly([a, -c]))
             # values run on rows: x = P'/Q', (P', Q') the inverse's rows
@@ -100,7 +103,7 @@ class GaussExtension(Valuation):
 
         For the identity pivot or a nonconstant h, the pair N/D that h
         stores (``RatFunc.fraction``, unreduced at level 1) is valued by
-        ``row_value``, with no RatFunc built and no gcd run: any pair of h
+        ``row_order``, with no RatFunc built and no gcd run: any pair of h
         gives the same difference.  A constant h (``RatFunc.is_constant``)
         with another pivot goes through ``_rewrite``, which keeps the
         Gauss-constant defect.
@@ -110,7 +113,7 @@ class GaussExtension(Valuation):
             return INFINITY
         if self._identity or not h.is_constant():
             n, d = h.fraction
-            return Value(self.row_value(n) - self.row_value(d))
+            return Value(self.row_order(n) - self.row_order(d))
         h = self._rewrite(h)
         return self._min_value(h.num) - self._min_value(h.den)
 
@@ -129,7 +132,7 @@ class GaussExtension(Valuation):
                 acc = K.add(acc, K.mul([r], qpow))
         return acc
 
-    def row_value(self, rows) -> int:
+    def row_order(self, rows) -> int:
         """w of a nonzero polynomial of Z[x] over Q, Z[t][x] over Q(t) or
         F_q[t][x] over F_q(t), given as rows (``RatFunc.rows``): the least
         ``v.row_order`` of an entry for the identity pivot, and for another
@@ -142,10 +145,7 @@ class GaussExtension(Valuation):
 
     def residue_of(self, h):
         """Residue in kappa(Ybar); requires value >= 0, zero when value > 0."""
-        h = self.field.coerce(h)
-        val = self.value_of(h)
-        if val < 0:
-            raise NegativeValue(f"w({h}) = {val} < 0")
+        h, val = self._nonnegative(h)
         if val.is_infinite:
             return self.residue_field.zero()
         h = self._rewrite(h)
@@ -194,10 +194,10 @@ INERT = "inert"
 class QuadraticExtensionAnalysis:
     """How a valuation behaves on E(sqrt(a)) for a nonsquare a.
 
-    ramified: v(a) odd; every extension has value group (1/2)Z.
-    split_pair: v(a) even and the unit residue is a square; two extensions,
+    RAMIFIED: v(a) odd; every extension has value group (1/2)Z.
+    SPLIT_PAIR: v(a) even and the unit residue is a square; two extensions,
         both with residue field kappa.
-    inert: v(a) even and the unit residue is a nonsquare; one unramified
+    INERT: v(a) even and the unit residue is a nonsquare; one unramified
         extension with residue field kappa(sqrt(ubar)), named by ubar and
         not built.
     """

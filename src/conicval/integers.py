@@ -157,7 +157,7 @@ def factor_cofactor(m: int) -> dict[int, int]:
     ``sympy.factorint``'s first round of 50 curves).  The factors found go
     back into the parts; they are again without a prime factor below 2^12,
     so those below 2^24 are prime.  A part that ECM does not split is
-    handed to ``sympy.factorint``, as every part from 10^23 up was before.
+    handed to ``sympy.factorint``.
     """
     factors = {}
     parts = [(m, 1)]

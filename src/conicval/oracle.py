@@ -232,14 +232,11 @@ def sample_conic_element(rng: random.Random, cf, max_degree: int = 2):
 def default_sampler(target):
     """Element generator appropriate to the valuation-like target."""
     from .conic import DistinguishedExtension
-    from .gauss import GaussExtension
 
     if isinstance(target, DistinguishedExtension):
         return lambda rng: sample_conic_element(rng, target.conic_field)
-    if isinstance(target, GaussExtension):
-        return lambda rng: sample_ratfunc(rng, target.field, 2, 1)
     if isinstance(target, Valuation):
-        return lambda rng: sample_field_element(rng, target.base)
+        return lambda rng: sample_field_element(rng, target.domain)
     raise ZeroInput(f"no sampler for {target!r}")
 
 

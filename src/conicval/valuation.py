@@ -28,21 +28,26 @@ from .value import INFINITY, Value
 
 
 class Valuation:
-    """Common interface: value_of, residue_of, unit_part, lift."""
-
-    base = None            # field context of the domain
-    residue_field = None   # field context kappa
-    uniformizer = None     # canonical uniformizer, an element of the domain
+    """The interface of every valuation-like object: ``domain``,
+    ``residue_field``, ``uniformizer``, ``value_of``, ``residue_of`` (value
+    >= 0), ``unit_part``, ``row_order`` (the value of a polynomial given as
+    rows, ``RatFunc.rows``), ``describe``, and on base valuations ``lift``,
+    a section of the residue map.  Base valuations set ``base``, read as
+    ``domain``.  A Gauss extension provides the same interface on E(x), so
+    it stands wherever a base valuation does.
+    """
 
     @property
     def domain(self):
         return self.base
 
-    def value_of(self, x) -> Value:
-        raise NotImplementedError
-
-    def residue_of(self, x):
-        raise NotImplementedError
+    def _nonnegative(self, x):
+        """x in the domain and its value, which ``residue_of`` needs >= 0."""
+        x = self.domain.coerce(x)
+        val = self.value_of(x)
+        if val < 0:
+            raise NegativeValue(f"v({x}) = {val} < 0")
+        return x, val
 
     def unit_part(self, x):
         """Write x = pi^m * u exactly, with v(u) = 0; returns (m, u)."""
@@ -55,13 +60,6 @@ class Valuation:
         m = int(m)
         u = x * self.uniformizer ** (-m) if m else x
         return m, u
-
-    def lift(self, r):
-        """Canonical section kappa -> domain of the residue map."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        raise NotImplementedError
 
     def __repr__(self):
         return self.describe()
@@ -94,10 +92,7 @@ class PAdicValuation(Valuation):
         return _int_order(n, self.p)
 
     def residue_of(self, x):
-        x = self.base.coerce(x)
-        v = self.value_of(x)
-        if v < 0:
-            raise NegativeValue(f"v({x}) = {v} < 0")
+        x, v = self._nonnegative(x)
         if v.is_infinite or v > 0:
             return self.residue_field.zero()
         return self.residue_field.from_int(
@@ -197,10 +192,7 @@ class PlaceValuation(Valuation):
         return m
 
     def residue_of(self, x):
-        x = self.base.coerce(x)
-        v = self.value_of(x)
-        if v < 0:
-            raise NegativeValue(f"v({x}) = {v} < 0")
+        x, v = self._nonnegative(x)
         if v.is_infinite:
             return self.residue_field.zero()
         if self.residue_field is QQ:
@@ -256,13 +248,9 @@ class InfinitePlaceValuation(Valuation):
         return -self.base.kernel.degree(row)
 
     def residue_of(self, x):
-        x = self.base.coerce(x)
-        v = self.value_of(x)
-        if v < 0:
-            raise NegativeValue(f"v({x}) = {v} < 0")
+        x, v = self._nonnegative(x)
         if v.is_infinite or v > 0:
-            k = self.base.coefficient_field
-            return k.zero()
+            return self.residue_field.zero()
         (n, d), K = x.rows, self.base.kernel
         if self.residue_field is QQ:
             return Fraction(n[0], d[0])

@@ -7,6 +7,7 @@ import pytest
 from conicval.cli import parse_field_element, parse_valuation
 from conicval.conic import (ConicFieldElement, ConicFunctionField,
                             DistinguishedExtension, _even_odd, analyze)
+from conicval.errors import UnsupportedField
 from conicval.fields import QQ, FunctionField, Poly, RatFunc
 from conicval.gauss import GaussExtension, gauss_extension
 from conicval.oracle import (sample_conic_element, sample_field_element,
@@ -426,3 +427,68 @@ def test_analyze_over_a_gauss_extension(qt, v3):
     cf = ConicFunctionField(qt, qt.gen(), 2)
     report = analyze(gauss_extension(v3, qt), cf)
     assert report.present and report.case_tag == "case3_units"
+
+
+class TestOverAGaussExtension:
+    """The Gauss extension w of the 3-adic valuation to Q(t), residue field
+    GF(3)(t), as the base valuation of analyze and w*."""
+
+    @pytest.fixture(scope="class")
+    def w(self, qt, v3):
+        return gauss_extension(v3, qt)
+
+    @pytest.mark.parametrize("a, b, case, pivots", [
+        ("t", "3", "case2_a", ["((1/3))*x", "((1/9))*x", "((1/27))*x"]),
+        ("3", "t", "case2_b", ["3*x", "9*x", "27*x"]),
+        ("-1", "3", "case2_a", ["((1/3))*x", "((1/9))*x", "((1/27))*x"])])
+    def test_absent_with_a_ramified_family(self, qt, w, a, b, case, pivots):
+        cf = ConicFunctionField(qt, parse_field_element(a, qt),
+                                parse_field_element(b, qt))
+        report = analyze(w, cf)
+        assert not report.present and report.case_tag == case
+        assert report.verdict.kind == "ramified_only"
+        assert [str(m.pivot) for m in report.family] == pivots
+        assert [m.quadratic_kind for m in report.family] == ["ramified"] * 3
+
+    def test_even_values_need_a_point_search_over_gf3_t(self, qt, w):
+        with pytest.raises(UnsupportedField,
+                           match=r"no conic point search over GF\(3\)\(t\)"):
+            analyze(w, ConicFunctionField(qt, qt.gen(), 1))
+
+    @pytest.mark.parametrize("a, b", [("t", "2"), ("t", "3"), ("3", "t")])
+    def test_wstar_axioms(self, qt, w, a, b):
+        cf = ConicFunctionField(qt, parse_field_element(a, qt),
+                                parse_field_element(b, qt))
+        report = valuation_axiom_fuzz(DistinguishedExtension(w, cf), 60, 0)
+        assert report.agreement and report.checked == 60, report
+
+
+# (a, b) -> the pivots, first v(c), constraint and quadratic kind of the
+# members of ``analyze --val Q:p=3 --family 3``; v(c) steps by 1 up (>) or
+# down (<).  The pairs reach all four c*x branches of the family.
+_UP, _DOWN = "2*v(c) > v(a) - v(b)", "2*v(c) < v(a) - v(b)"
+_THIRDS = ("(1/3)*x", "(1/9)*x", "(1/27)*x")
+_TRIPLES = ("3*x", "9*x", "27*x")
+_FAMILIES = {
+    (5, 3): (_THIRDS, -1, _DOWN, "ramified"),
+    (3, 5): (_TRIPLES, 1, _UP, "ramified"),
+    (1, 2): (_TRIPLES, 1, _UP, "split_pair"),
+    (4, -1): (_TRIPLES, 1, _UP, "split_pair"),
+    (2, 1): (_THIRDS, -1, _DOWN, "split_pair"),
+    (-1, 4): (_THIRDS, -1, _DOWN, "split_pair"),
+    (2, 9): (("(1/9)*x", "(1/27)*x", "(1/81)*x"), -2, _DOWN, "split_pair"),
+    (9, 2): (("9*x", "27*x", "81*x"), 2, _UP, "split_pair"),
+}
+
+
+@pytest.mark.parametrize("a, b", list(_FAMILIES))
+def test_family_pivots_of_each_branch(run_cli, a, b):
+    pivots, k0, constraint, kind = _FAMILIES[(a, b)]
+    step = 1 if constraint == _UP else -1
+    code, doc = run_cli("analyze", "--val", "Q:p=3", "--a", str(a),
+                        "--b", str(b), "--family", "3")
+    assert code == 0 and doc["result"]["verdict"] == "ABSENT"
+    assert [(m["pivot"], m["v_of_c"], m["constraint"], m["quadratic_kind"])
+            for m in doc["result"]["family"]] == [
+        (pivot, k0 + step * i, constraint, kind)
+        for i, pivot in enumerate(pivots)]

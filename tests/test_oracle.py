@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from conicval.cli import field_variables, parse_valuation
 from conicval.errors import PrecisionTooLow, ZeroInput
 from conicval.fields import FF, FunctionField, GF, QQ
-from conicval.gauss import gauss_extension
-from conicval.oracle import (degree_oracle, hensel_count, isotropy_search,
-                             valuation_axiom_fuzz)
+from conicval.gauss import GaussExtension, gauss_extension
+from conicval.oracle import (default_sampler, degree_oracle, hensel_count,
+                             isotropy_search, sample_field_element,
+                             sample_ratfunc, valuation_axiom_fuzz)
+from conicval.parser import parse_element
 from conicval.quaternion import (QuaternionAlgebra, conic_points, is_split,
                                  rational_scan)
 from conicval.valuation import PAdicValuation
@@ -204,3 +207,33 @@ class TestAxiomFuzz:
             sampler=lambda rng: sample_rational(rng, 30))
         assert not report.agreement
         assert report.counterexample is not None
+
+
+class TestDefaultSampler:
+    """default_sampler draws from a valuation's domain; the draws for Gauss
+    extensions and base valuations are the ones the benchmark's tower
+    streams replay."""
+
+    @staticmethod
+    def _same_draws(sampler, reference):
+        for seed in range(10):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert [sampler(rng) for _ in range(4)] == [
+                reference(ref) for _ in range(4)], seed
+            assert rng.getstate() == ref.getstate(), seed
+
+    @pytest.mark.parametrize("pivot", ["x", "t*x"])
+    def test_gauss_extensions(self, pivot):
+        v = parse_valuation("Q(t):place=t")
+        ef = FunctionField(v.base, "x")
+        w = GaussExtension(v, parse_element(
+            pivot, ef, dict(field_variables(v.base), x=ef.gen())))
+        self._same_draws(default_sampler(w),
+                         lambda rng: sample_ratfunc(rng, w.field, 2, 1))
+
+    @pytest.mark.parametrize("val", ["Q:p=5", "Q(t):place=t",
+                                     "Fq(t):q=3,place=t^2+1"])
+    def test_base_valuations(self, val):
+        v = parse_valuation(val)
+        self._same_draws(default_sampler(v),
+                         lambda rng: sample_field_element(rng, v.base))
